@@ -39,16 +39,14 @@ from .tost import DesignSpec, empirical_power
 _TABLE1_GRID = "3,5,8,10,15,20,30,40,50,60"
 
 _DEFAULTS = {
-    "power": {"m": 65536, "engine": "segment", "alpha": 0.05, "q": 1.0,
-              "threads": 1},
+    "power": {"m": 65536, "engine": "segment", "alpha": 0.05, "q": 1.0},
     "curve": {"m": 1024, "target_power": 0.8, "bound": DEFAULT_B,
-              "tol": DEFAULT_TOL, "alpha": 0.05, "q": 1.0, "threads": 1},
+              "tol": DEFAULT_TOL, "alpha": 0.05, "q": 1.0},
     "crossover": {"m": 1024, "target_power": 0.8, "bound": DEFAULT_B,
-                  "tol": DEFAULT_TOL, "alpha": 0.05, "q": 1.0, "threads": 1},
-    "diagnose": {"m": 1024, "reps": 10, "alpha": 0.05, "q": 1.0,
-                 "threads": 1},
+                  "tol": DEFAULT_TOL, "alpha": 0.05, "q": 1.0},
+    "diagnose": {"m": 1024, "reps": 10, "alpha": 0.05, "q": 1.0},
     "bench": {"m": 65536, "reps": 5, "grid": _TABLE1_GRID, "engines": "both",
-              "alpha": 0.05, "q": 1.0, "threads": 1},
+              "alpha": 0.05, "q": 1.0},
 }
 
 _TYPES = {
@@ -56,7 +54,7 @@ _TYPES = {
     "delta": float, "delta_l": float, "delta_u": float,
     "alpha": float, "q": float,
     "effect": float, "sigma_d1": float, "sigma_d2": float,
-    "n1": int, "n2": int, "m": int, "seed": int, "threads": int,
+    "n1": int, "n2": int, "m": int, "seed": int,
     "reps": int, "n_max": int,
     "target_power": float, "bound": float, "tol": float,
     "engine": str, "engines": str, "grid": str, "scenario": str,
@@ -91,7 +89,6 @@ def _add_common_args(p, with_json=True):
     p.add_argument("--config", help="flat key = value config file; "
                                     "flags override file values")
     p.add_argument("--seed", type=int, help="required 64-bit seed")
-    p.add_argument("--threads", type=int, help="worker threads (default 1)")
     if with_json:
         p.add_argument("--json", help="write a JSON record here")
 
@@ -371,11 +368,9 @@ def _cmd_power(args, problems, started):
         return 2
     try:
         if args.engine == "naive":
-            power = naive_power(spec, args.n1, args.n2, args.m, args.seed,
-                                threads=args.threads)
+            power = naive_power(spec, args.n1, args.n2, args.m, args.seed)
         else:
-            power = empirical_power(spec, args.n1, args.n2, args.m, args.seed,
-                                    threads=args.threads)
+            power = empirical_power(spec, args.n1, args.n2, args.m, args.seed)
     except ValueError as exc:
         problems.append(str(exc))
         return 2
@@ -397,7 +392,7 @@ def _cmd_curve(args, problems, started):
         return 2
     try:
         pc = power_curve(spec, args.target_power, args.m, args.seed,
-                         B=args.bound, tol=args.tol, threads=args.threads)
+                         B=args.bound, tol=args.tol)
     except ValueError as exc:
         problems.append(str(exc))
         return 2
@@ -444,8 +439,7 @@ def _cmd_crossover(args, problems, started):
                               sigma_D2=args.sigma_d2, delta_L=lo, delta_U=hi,
                               alpha=args.alpha, q=args.q)
         pc = crossover_sample_size(cspec, args.target_power, args.m,
-                                   args.seed, B=args.bound, tol=args.tol,
-                                   threads=args.threads)
+                                   args.seed, B=args.bound, tol=args.tol)
     except ValueError as exc:
         problems.append(str(exc))
         return 2
@@ -554,8 +548,7 @@ def _cmd_bench(args, problems, started):
         for engine in engines:
             fn = empirical_power if engine == "segment" else naive_power
             t0 = time.monotonic()
-            estimates = [fn(spec, n1, n2, args.m, int(s),
-                            threads=args.threads) for s in rep_seeds]
+            estimates = [fn(spec, n1, n2, args.m, int(s)) for s in rep_seeds]
             timing[engine] = timing.get(engine, 0.0) + time.monotonic() - t0
             row.extend([float(np.mean(estimates)),
                         float(np.std(estimates, ddof=1))

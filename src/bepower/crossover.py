@@ -17,6 +17,7 @@ delta_U - |F| and tends to over-recommend noticeably.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from . import curve as _curve
@@ -77,8 +78,7 @@ def to_two_group(cspec):
 
 
 def crossover_sample_size(cspec, target_power, m, seed,
-                          B=_curve.DEFAULT_B, tol=_curve.DEFAULT_TOL,
-                          threads=1):
+                          B=_curve.DEFAULT_B, tol=_curve.DEFAULT_TOL):
     """Per-sequence sample sizes for a 2x2 crossover design.
 
     Runs the power-curve recommendation on the mapped two-group design;
@@ -93,7 +93,7 @@ def crossover_sample_size(cspec, target_power, m, seed,
         If too many points are censored at the bound B.
     """
     return _curve.power_curve(to_two_group(cspec), target_power, m, seed,
-                              B=B, tol=tol, threads=threads)
+                              B=B, tol=tol)
 
 
 def chow_sample_size(F, sigma_D, delta_U, alpha, beta):
@@ -107,7 +107,9 @@ def chow_sample_size(F, sigma_D, delta_U, alpha, beta):
     where t_(a, df) is the upper-a t quantile.  Assumes a common
     period-difference SD sigma_D and symmetric limits, and sizes
     against the margin on the nearer limit only, which is what makes it
-    conservative.
+    conservative.  The right-hand side does not increase with n, so the
+    inequality holds from some n on: an exponential search brackets that
+    n and a bisection finds it.
 
     Raises
     ------
@@ -123,10 +125,17 @@ def chow_sample_size(F, sigma_D, delta_U, alpha, beta):
     if abs(F) >= delta_U:
         raise ValueError("infeasible: |F| must be smaller than delta_U")
     scale = sigma_D ** 2 / (2.0 * (delta_U - abs(F)) ** 2)
-    for n in range(2, _CHOW_N_MAX + 1):
+
+    def holds(n):
         df = 2 * n - 2
-        bound = (t_quantile(1.0 - alpha, df)
-                 + t_quantile(1.0 - beta / 2.0, df)) ** 2 * scale
-        if n >= bound:
-            return n
-    raise RuntimeError(f"no n up to {_CHOW_N_MAX} satisfies the inequality")
+        return n >= (t_quantile(1.0 - alpha, df)
+                     + t_quantile(1.0 - beta / 2.0, df)) ** 2 * scale
+
+    hi = 2
+    while not holds(hi):
+        if hi == _CHOW_N_MAX:
+            raise RuntimeError(
+                f"no n up to {_CHOW_N_MAX} satisfies the inequality")
+        hi = min(2 * hi, _CHOW_N_MAX)
+    lo = hi // 2 + 1  # the inequality fails at hi // 2, or hi is 2
+    return lo + bisect.bisect_left(range(lo, hi), True, key=holds)

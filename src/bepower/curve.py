@@ -22,15 +22,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .qrng import sobol_stream
-from .special import inv_chisq, inv_norm, t_quantile
-from .tost import require_curve_spec, welch_df
+from .special import inv_norm, t_quantile
+from .tost import _mapped, require_curve_spec
 
 __all__ = [
     "CENSORED",
@@ -51,6 +49,10 @@ DEFAULT_TOL = 1e-6
 # products like 0.8 * m that are mathematically integral
 _RANK_EPS = 1e-9
 
+# scipy.optimize.brentq's defaults, which _brent reproduces
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAXITER = 100
+
 
 @dataclass(frozen=True)
 class CurvePoint:
@@ -58,8 +60,7 @@ class CurvePoint:
 
     crossing_n is the smallest located n with g(n) <= 0, or CENSORED
     (+inf) when g stays positive on the whole bracket grid up to B.
-    g_evals counts evaluations of g spent on this point, including the
-    Brent refinement.
+    g_evals counts the evaluations of g made for this point.
     """
 
     point_index: int
@@ -68,17 +69,22 @@ class CurvePoint:
     g_evals: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerCurve:
     """Empirical power curve and sample-size recommendation.
 
-    solutions holds one CurvePoint per unit-cube point.  n_star_initial
-    is the target-power quantile of the raw crossings, n_star_final the
-    quantile after the safeguard.  rec_n1 and rec_n2 are the integer
-    recommendations ceil(n*) and ceil(q n*).
+    crossings, g_evals and reinitialized are read-only arrays with one
+    entry per unit-cube point: the located crossing (CENSORED when there
+    is none by B), the evaluations of g made for the point, and whether
+    the safeguard re-solved it.  n_star_initial is the target-power
+    quantile of the raw crossings, n_star_final the quantile after the
+    safeguard.  rec_n1 and rec_n2 are the integer recommendations
+    ceil(n*) and ceil(q n*).
     """
 
-    solutions: tuple
+    crossings: np.ndarray
+    g_evals: np.ndarray
+    reinitialized: np.ndarray
     n_star_initial: float
     n_star_final: float
     rec_n1: int
@@ -86,12 +92,8 @@ class PowerCurve:
     target_power: float
 
     @property
-    def crossings(self):
-        return np.array([s.crossing_n for s in self.solutions])
-
-    @property
     def m(self):
-        return len(self.solutions)
+        return len(self.crossings)
 
     @property
     def censored_count(self):
@@ -99,11 +101,11 @@ class PowerCurve:
 
     @property
     def reinit_count(self):
-        return sum(1 for s in self.solutions if s.reinitialized)
+        return int(np.count_nonzero(self.reinitialized))
 
     @property
     def g_evals_total(self):
-        return sum(s.g_evals for s in self.solutions)
+        return int(self.g_evals.sum())
 
     def ecdf(self, n):
         """Fraction of points whose crossing is at or below n.
@@ -124,12 +126,46 @@ def _check_n_domain(n, q):
         raise ValueError("n and q * n must both be at least 2")
 
 
-def _se_sq_terms(u1, u2, spec, n):
-    """Within-sqrt pieces of se(n)**2, already divided by group sizes."""
-    n2 = spec.q * n
-    s1_sq = spec.sigma1 ** 2 * inv_chisq(u1, n - 1.0) / (n - 1.0)
-    s2_sq = spec.sigma2 ** 2 * inv_chisq(u2, n2 - 1.0) / (n2 - 1.0)
-    return s1_sq, s2_sq, n2
+def _check_solver_args(spec, B, tol):
+    require_curve_spec(spec)
+    if B < 2.0:
+        raise ValueError("B must be at least 2")
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    if _domain_start(spec.q) > B:
+        raise ValueError(
+            f"censoring bound B={B:g} lies below the domain start "
+            f"2/q={2.0 / spec.q:g}, where group 2 first has two subjects; "
+            "raise B or q")
+
+
+def _lambda(margin, nu, alpha):
+    """Rejection threshold Lambda = margin / t_quantile(1 - alpha, nu).
+
+    Lambda is 0 where margin <= 0, and the t quantile is computed only
+    where margin > 0.  At alpha = 0.5 the quantile is 0 and Lambda is
+    +inf, so a point rejects exactly when margin > 0.
+    """
+    margin, nu = np.asarray(margin), np.asarray(nu)
+    lam = np.zeros(margin.shape)
+    inside = margin > 0.0
+    with np.errstate(divide="ignore"):
+        lam[inside] = margin[inside] / t_quantile(1.0 - alpha, nu[inside])
+    return lam
+
+
+def _g(u1, u2, z3, spec, n):
+    """g(n) = se(n) - Lambda(n), elementwise; group 2 gets q n."""
+    se, margin, nu = _mapped(u1, u2, z3, spec, n, spec.q * n)
+    return se - _lambda(margin, nu, spec.alpha)
+
+
+def _mapped_at(u, spec, n):
+    """`_mapped` for the single point u at real n, inside the domain."""
+    _check_n_domain(n, spec.q)
+    n = float(n)
+    return _mapped(float(u[0]), float(u[1]), inv_norm(float(u[2])), spec,
+                   n, spec.q * n)
 
 
 def se_of_n(u, spec, n):
@@ -140,9 +176,7 @@ def se_of_n(u, spec, n):
     and eventually O(n**-1/2), though it can rise over small n when
     both variance coordinates sit in the lower tail.
     """
-    _check_n_domain(n, spec.q)
-    s1_sq, s2_sq, n2 = _se_sq_terms(float(u[0]), float(u[1]), spec, float(n))
-    return math.sqrt(s1_sq / n + s2_sq / n2)
+    return float(_mapped_at(u, spec, n)[0])
 
 
 def lambda_of_n(u, spec, n):
@@ -156,64 +190,104 @@ def lambda_of_n(u, spec, n):
     divided by the normal quantile.
     """
     require_curve_spec(spec)
-    _check_n_domain(n, spec.q)
-    n = float(n)
-    s1_sq, s2_sq, n2 = _se_sq_terms(float(u[0]), float(u[1]), spec, n)
-    d_bar = spec.mu_diff + inv_norm(float(u[2])) * math.sqrt(
-        spec.sigma1 ** 2 / n + spec.sigma2 ** 2 / n2)
-    margin = min(d_bar - spec.delta_L, spec.delta_U - d_bar)
-    if margin <= 0.0:
-        return 0.0
-    nu = welch_df(s1_sq, s2_sq, n, n2)
-    return margin / t_quantile(1.0 - spec.alpha, nu)
-
-
-def _g_scalar(u1, u2, z3, spec, n):
-    """g(n) = se(n) - Lambda(n) for one point, z3 = inv_norm(u3) cached."""
-    s1_sq, s2_sq, n2 = _se_sq_terms(u1, u2, spec, n)
-    se = math.sqrt(s1_sq / n + s2_sq / n2)
-    d_bar = spec.mu_diff + z3 * math.sqrt(spec.sigma1 ** 2 / n + spec.sigma2 ** 2 / n2)
-    margin = min(d_bar - spec.delta_L, spec.delta_U - d_bar)
-    if margin <= 0.0:
-        return se
-    nu = welch_df(s1_sq, s2_sq, n, n2)
-    return se - margin / t_quantile(1.0 - spec.alpha, nu)
+    _, margin, nu = _mapped_at(u, spec, n)
+    return float(_lambda(margin, nu, spec.alpha))
 
 
 def g_at(points, spec, n):
     """Vectorized g(n) over an (m, 3) block of points at one real n."""
     _check_n_domain(n, spec.q)
-    n = float(n)
-    n2 = spec.q * n
-    s1_sq = spec.sigma1 ** 2 * inv_chisq(points[:, 0], n - 1.0) / (n - 1.0)
-    s2_sq = spec.sigma2 ** 2 * inv_chisq(points[:, 1], n2 - 1.0) / (n2 - 1.0)
-    se = np.sqrt(s1_sq / n + s2_sq / n2)
-    d_bar = spec.mu_diff + inv_norm(points[:, 2]) * math.sqrt(
-        spec.sigma1 ** 2 / n + spec.sigma2 ** 2 / n2)
-    margin = np.minimum(d_bar - spec.delta_L, spec.delta_U - d_bar)
-    nu = welch_df(s1_sq, s2_sq, n, n2)
-    lam = np.where(margin > 0.0,
-                   margin / t_quantile(1.0 - spec.alpha, nu), 0.0)
-    return se - lam
+    return _g(points[:, 0], points[:, 1], inv_norm(points[:, 2]), spec,
+              float(n))
 
 
-def _locate(g, a, b, tol):
-    """Brent root of g on [a, b] pushed onto the g <= 0 side.
+def _point_g(points, spec):
+    """g over a block of points as g(k, n) for point indices k, and the
+    array counting the evaluations made for each point."""
+    u1, u2, z3 = points[:, 0], points[:, 1], inv_norm(points[:, 2])
+    evals = np.zeros(len(points), dtype=np.int64)
 
-    Every bracket handed here has g(a) > 0 >= g(b).  Brent stops within
-    xtol of the root, which can leave the returned abscissa a hair on
-    the positive side; since a crossing is defined by the predicate
-    g(n) <= 0, nudge right (never past b) until the predicate holds.
-    Without this, the quantile point itself would spuriously trip the
-    safeguard's sign check about half the time.
+    def g(k, n):
+        evals[k] += 1
+        return _g(u1[k], u2[k], z3[k], spec, n)
+    return g, evals
+
+
+def _brent(g, k, a, b, fa, fb, tol):
+    """Brent's method on many brackets at once, in lockstep.
+
+    A port of scipy.optimize.brentq (scipy/optimize/Zeros/brentq.c,
+    xtol=tol, default rtol and maxiter): each bracket a < b, with end
+    values fa, fb of opposite signs taken as given, takes the scalar
+    routine's steps, so the roots agree to the bit.  g(k, x) evaluates
+    brackets k at x.  Returns the roots and g there (the last iterate
+    for a bracket still open after maxiter).
     """
-    root = float(brentq(g, a, b, xtol=tol))
-    r = root
-    for _ in range(4):
-        if g(r) <= 0.0:
-            return r
-        r = min(r + tol, b)
-    return root
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    xblk = fblk = spre = scur = np.zeros(len(a))
+    done = (fa == 0.0) | (fb == 0.0)
+    root, froot = np.where(fa == 0.0, a, b), np.where(fa == 0.0, fa, fb)
+    with np.errstate(all="ignore"):
+        for _ in range(_BRENT_MAXITER):
+            flip = ((fpre != 0.0) & (fcur != 0.0)
+                    & (np.signbit(fpre) != np.signbit(fcur)))
+            xblk, fblk, spre, scur = np.where(
+                flip, (xpre, fpre, xcur - xpre, xcur - xpre),
+                (xblk, fblk, spre, scur))
+            # keep the best estimate in xcur
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = np.where(swap, (xcur, xblk, xcur),
+                                        (xpre, xcur, xblk))
+            fpre, fcur, fblk = np.where(swap, (fcur, fblk, fcur),
+                                        (fpre, fcur, fblk))
+            delta = (tol + _BRENT_RTOL * np.abs(xcur)) / 2.0
+            sbis = (xblk - xcur) / 2.0
+            stop = ~done & ((fcur == 0.0) | (np.abs(sbis) < delta))
+            root[stop], froot[stop] = xcur[stop], fcur[stop]
+            done |= stop
+            if done.all():
+                return root, froot
+            # secant step when only two points are known, otherwise
+            # inverse quadratic interpolation; brackets already done
+            # keep stepping, unevaluated, and are never read again
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(
+                xpre == xblk,
+                -fcur * (xcur - xpre) / (fcur - fpre),
+                -fcur * (fblk * dblk - fpre * dpre)
+                / (dblk * dpre * (fblk - fpre)))
+            short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                     & (2.0 * np.abs(stry)
+                        < np.minimum(np.abs(spre), 3.0 * np.abs(sbis) - delta)))
+            spre, scur = np.where(short, (scur, stry), sbis)
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur,
+                                   np.where(sbis > 0.0, delta, -delta))
+            live = np.nonzero(~done)[0]
+            fcur = fpre.copy()
+            fcur[live] = g(k[live], xcur[live])
+    root[~done], froot[~done] = xcur[~done], fcur[~done]
+    return root, froot
+
+
+def _locate(g, k, a, b, fa, fb, tol):
+    """Brent roots of brackets with g(a) > 0 >= g(b), on the g <= 0 side.
+
+    A crossing is defined by g(n) <= 0, but Brent can stop a hair on
+    the positive side: such a root is nudged right by tol, never past
+    b, up to three times, then replaced by b, so g(root) <= 0 always
+    holds.  Otherwise the quantile itself would trip the safeguard's
+    sign check about half the time.
+    """
+    root, froot = _brent(g, k, a, b, fa, fb, tol)
+    for _ in range(3):
+        up = np.nonzero(froot > 0.0)[0]
+        if not len(up):
+            return root
+        root[up] = np.minimum(root[up] + tol, b[up])
+        froot[up] = g(k[up], root[up])
+    return np.where(froot > 0.0, b, root)
 
 
 def _bracket_nodes(start, B):
@@ -240,6 +314,49 @@ def _bracket_nodes(start, B):
     return nodes
 
 
+def _crossings(g, k, nodes, f0, tol, none):
+    """Walk points along nodes to g's first change of side, then refine.
+
+    f0 holds g at nodes[0] for points k, all on one side of zero; one
+    array call of g per node covers the points still walking.  Nodes
+    ascend from a positive side or descend from a g <= 0 side, so the
+    root found is where g enters g <= 0 as n grows, and `_locate` puts
+    it on that side.  Points that never change side get `none`.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    f_prev, f_next = f0.copy(), np.empty(len(k))
+    step = np.zeros(len(k), dtype=np.int64)
+    walking = np.arange(len(k))
+    for j in range(1, len(nodes)):
+        if not len(walking):
+            break
+        f = g(k[walking], nodes[j])
+        crossed = (f > 0.0) != (f0[walking] > 0.0)
+        step[walking[crossed]], f_next[walking[crossed]] = j, f[crossed]
+        f_prev[walking[~crossed]] = f[~crossed]
+        walking = walking[~crossed]
+    out = np.full(len(k), none)
+    hit = np.nonzero(step)[0]
+    a, b = nodes[step[hit] - 1], nodes[step[hit]]
+    fa, fb = f_prev[hit], f_next[hit]
+    if nodes[-1] < nodes[0]:
+        a, b, fa, fb = b, a, fb, fa
+    out[hit] = _locate(g, k[hit], a, b, fa, fb, tol)
+    return out
+
+
+def _first_crossings(g, m, spec, B, tol):
+    """Smallest crossing in [start, B] of each of m points, by `_crossings`
+    from the domain start; a point with g <= 0 there crosses at start."""
+    nodes = _bracket_nodes(_domain_start(spec.q), B)
+    k = np.arange(m)
+    f0 = g(k, nodes[0])
+    out = np.full(m, nodes[0])
+    walk = f0 > 0.0
+    out[walk] = _crossings(g, k[walk], nodes, f0[walk], tol, CENSORED)
+    return out
+
+
 def smallest_crossing(u, spec, B=DEFAULT_B, tol=DEFAULT_TOL, point_index=0):
     """Locate the smallest n in [2, B] with g(n) <= 0 for one point.
 
@@ -247,85 +364,19 @@ def smallest_crossing(u, spec, B=DEFAULT_B, tol=DEFAULT_TOL, point_index=0):
     the bracket to Brent's method with absolute tolerance `tol` in n.
     Returns crossing_n equal to the grid start (2, or 2/q when q < 1)
     when the point is already in the rejection region there, and
-    CENSORED when g stays positive on the whole grid.
+    CENSORED when g stays positive on the whole grid.  This is the
+    solver of `power_curve` run on a single point.
 
     Raises
     ------
     ValueError
         If the spec does not satisfy delta_L < mu_diff < delta_U, or
-        B < 2, or tol <= 0.
+        B < 2, or tol <= 0, or the domain start 2/q lies above B.
     """
-    require_curve_spec(spec)
-    if B < 2.0:
-        raise ValueError("B must be at least 2")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    u1, u2, z3 = float(u[0]), float(u[1]), inv_norm(float(u[2]))
-    evals = 0
-
-    def g(n):
-        nonlocal evals
-        evals += 1
-        return _g_scalar(u1, u2, z3, spec, n)
-
-    start = _domain_start(spec.q)
-    prev_n = None
-    for node in _bracket_nodes(start, B):
-        gn = g(node)
-        if gn <= 0.0:
-            if prev_n is None:
-                return CurvePoint(point_index, node, False, evals)
-            root = _locate(g, prev_n, node, tol)
-            return CurvePoint(point_index, root, False, evals)
-        prev_n = node
-    return CurvePoint(point_index, CENSORED, False, evals)
-
-
-def _resolve_up(u1, u2, z3, spec, from_n, B, tol):
-    """Smallest root of g strictly above from_n, or CENSORED."""
-    evals = 0
-
-    def g(n):
-        nonlocal evals
-        evals += 1
-        return _g_scalar(u1, u2, z3, spec, n)
-
-    prev_n = float(from_n)
-    prev_g = g(prev_n)
-    # the canonical grid always ends at B, so any from_n < B leaves B in play
-    nodes = [c for c in _bracket_nodes(_domain_start(spec.q), B) if c > from_n]
-    for node in nodes:
-        gn = g(node)
-        if (prev_g > 0.0) != (gn > 0.0):
-            return _locate(g, prev_n, node, tol), evals
-        prev_n, prev_g = node, gn
-    return CENSORED, evals
-
-
-def _resolve_down(u1, u2, z3, spec, from_n, tol):
-    """Largest root of g at or below from_n.
-
-    Scans the bracket grid downward from from_n; if g keeps its sign
-    all the way to the domain start, returns the start itself (the
-    point is in the rejection region from the smallest feasible n).
-    """
-    evals = 0
-
-    def g(n):
-        nonlocal evals
-        evals += 1
-        return _g_scalar(u1, u2, z3, spec, n)
-
-    start = _domain_start(spec.q)
-    upper_n = float(from_n)
-    upper_g = g(upper_n)
-    below = [c for c in _bracket_nodes(start, from_n) if c < from_n]
-    for node in reversed(below):
-        gn = g(node)
-        if (gn > 0.0) != (upper_g > 0.0):
-            return _locate(g, node, upper_n, tol), evals
-        upper_n, upper_g = node, gn
-    return start, evals
+    _check_solver_args(spec, B, tol)
+    g, evals = _point_g(np.asarray(u, dtype=float).reshape(1, 3), spec)
+    crossing = _first_crossings(g, 1, spec, B, tol)[0]
+    return CurvePoint(point_index, float(crossing), False, int(evals[0]))
 
 
 def _type1_quantile(values, target_power):
@@ -341,21 +392,22 @@ def _censoring_error(n_censored, m, B, target_power):
         "quantile cannot be formed; raise B")
 
 
-def power_curve(spec, target_power, m, seed, B=DEFAULT_B, tol=DEFAULT_TOL,
-                threads=1):
+def power_curve(spec, target_power, m, seed, B=DEFAULT_B, tol=DEFAULT_TOL):
     """Approximate the power curve and recommend sample sizes.
 
-    Runs `smallest_crossing` for every point of a randomized Sobol'
-    stream, takes the type-1 empirical quantile of the crossings at
-    `target_power`, then applies the safeguard: g is evaluated at the
-    quantile for every point, and any point whose recorded crossing
-    disagrees with the sign of g there is re-solved starting from the
-    quantile (upward for points that claimed to have crossed but test
-    positive, downward for the reverse).  After the repair the fraction
-    of crossings at or below the quantile equals the fraction of
-    points with g <= 0 there exactly.  If the repair moves the
-    quantile, the safeguard runs again at the new value, up to three
-    rounds in total (a warning is issued if it still has not
+    Locates the smallest crossing of every point of a randomized
+    Sobol' stream, all points in lockstep: one array evaluation of g
+    per bracket node over the points still walking, then Brent's method
+    on every bracket at once.  Takes the type-1 empirical quantile of
+    the crossings at `target_power`, then applies the safeguard: g is
+    evaluated at the quantile for every point, and any point whose
+    recorded crossing disagrees with the sign of g there is re-solved
+    starting from the quantile (upward for points that claimed to have
+    crossed but test positive, downward for the reverse).  After the
+    repair the fraction of crossings at or below the quantile equals
+    the fraction of points with g <= 0 there exactly.  If the repair
+    moves the quantile, the safeguard runs again at the new value, up
+    to three rounds in total (a warning is issued if it still has not
     stabilized, which no studied design comes close to triggering).
 
     Parameters
@@ -369,64 +421,48 @@ def power_curve(spec, target_power, m, seed, B=DEFAULT_B, tol=DEFAULT_TOL,
     seed : int
         Digital-shift seed.
     B : float
-        Censoring bound: points with no crossing by B are recorded as
-        CENSORED.  They may sit above the quantile, but if too many
-        accumulate (fraction >= 1 - target_power) the quantile itself
-        would be censored and a RuntimeError names the bound.
+        Censoring bound, at least 2 and at least the domain start 2/q:
+        points with no crossing by B are recorded as CENSORED.  They
+        may sit above the quantile, but if too many accumulate
+        (fraction >= 1 - target_power) the quantile itself would be
+        censored and a RuntimeError names the bound.
     tol : float
-        Absolute tolerance in n for each located root.
-    threads : int
-        Worker threads for the per-point phase; the output does not
-        depend on the thread count.
+        Absolute tolerance in n for each located root, positive.
 
     Returns
     -------
     PowerCurve
     """
-    require_curve_spec(spec)
+    _check_solver_args(spec, B, tol)
     if not 0.0 < target_power < 1.0:
         raise ValueError("target_power must lie in (0, 1)")
-    if m < 1:
+    if int(m) != m or m < 1:
         raise ValueError("m must be a positive integer")
+    m = int(m)
     points = sobol_stream(3, m, seed).points
-
-    def solve(i):
-        return smallest_crossing(points[i], spec, B, tol, point_index=i)
-
-    if threads <= 1 or m < 64:
-        solutions = [solve(i) for i in range(m)]
-    else:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            solutions = list(pool.map(solve, range(m)))
-
-    crossings = np.array([s.crossing_n for s in solutions])
+    g, evals = _point_g(points, spec)
+    crossings = _first_crossings(g, m, spec, B, tol)
     n_censored = int(np.count_nonzero(np.isinf(crossings)))
     if n_censored / m >= 1.0 - target_power:
         raise _censoring_error(n_censored, m, B, target_power)
 
     n_star_initial = _type1_quantile(crossings, target_power)
-    z3 = inv_norm(points[:, 2])
-
+    start = _domain_start(spec.q)
+    nodes = _bracket_nodes(start, B)
+    reinitialized = np.zeros(m, dtype=bool)
     anchor = n_star_initial
     for _ in range(3):
         g_anchor = g_at(points, spec, anchor)
         claim_crossed = crossings <= anchor
-        mismatch_up = claim_crossed & (g_anchor > 0.0)
-        mismatch_down = ~claim_crossed & (g_anchor <= 0.0)
-        for i in np.nonzero(mismatch_up)[0]:
-            root, ev = _resolve_up(points[i, 0], points[i, 1], z3[i],
-                                   spec, anchor, B, tol)
-            crossings[i] = root
-            solutions[i] = replace(solutions[i], crossing_n=root,
-                                   reinitialized=True,
-                                   g_evals=solutions[i].g_evals + ev)
-        for i in np.nonzero(mismatch_down)[0]:
-            root, ev = _resolve_down(points[i, 0], points[i, 1], z3[i],
-                                     spec, anchor, tol)
-            crossings[i] = root
-            solutions[i] = replace(solutions[i], crossing_n=root,
-                                   reinitialized=True,
-                                   g_evals=solutions[i].g_evals + ev)
+        up = np.nonzero(claim_crossed & (g_anchor > 0.0))[0]
+        down = np.nonzero(~claim_crossed & (g_anchor <= 0.0))[0]
+        crossings[up] = _crossings(
+            g, up, [anchor] + [c for c in nodes if c > anchor],
+            g_anchor[up], tol, CENSORED)
+        crossings[down] = _crossings(
+            g, down, [anchor] + [c for c in reversed(nodes) if c < anchor],
+            g_anchor[down], tol, start)
+        reinitialized[up] = reinitialized[down] = True
         new_anchor = _type1_quantile(crossings, target_power)
         if new_anchor == anchor:
             break
@@ -442,7 +478,10 @@ def power_curve(spec, target_power, m, seed, B=DEFAULT_B, tol=DEFAULT_TOL,
                                m, B, target_power)
     rec_n1 = int(math.ceil(n_star_final - _RANK_EPS))
     rec_n2 = int(math.ceil(spec.q * n_star_final - _RANK_EPS))
-    return PowerCurve(solutions=tuple(solutions),
+    for arr in (crossings, evals, reinitialized):
+        arr.setflags(write=False)
+    return PowerCurve(crossings=crossings, g_evals=evals,
+                      reinitialized=reinitialized,
                       n_star_initial=n_star_initial,
                       n_star_final=n_star_final,
                       rec_n1=rec_n1, rec_n2=rec_n2,

@@ -17,12 +17,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import curve as _curve
 from .qrng import sobol_stream
-from .special import inv_chisq, inv_norm, t_quantile
-from .tost import DesignSpec, require_curve_spec, welch_df
+from .special import inv_norm
+from .tost import DesignSpec, _mapped, require_curve_spec
 
 __all__ = [
     "IntersectionReport",
@@ -132,21 +131,11 @@ def _integer_grid(spec, n_max):
 
 def _grid_matrices(points, spec, n1_grid, n2_grid):
     """g and se over points x grid, at the integer (n1, n2) pairs."""
-    u1 = points[:, 0][:, None]
-    u2 = points[:, 1][:, None]
-    z3 = inv_norm(points[:, 2])[:, None]
-    n1 = n1_grid[None, :].astype(float)
-    n2 = n2_grid[None, :].astype(float)
-    s1_sq = spec.sigma1 ** 2 * inv_chisq(u1, n1 - 1.0) / (n1 - 1.0)
-    s2_sq = spec.sigma2 ** 2 * inv_chisq(u2, n2 - 1.0) / (n2 - 1.0)
-    se = np.sqrt(s1_sq / n1 + s2_sq / n2)
-    d_bar = spec.mu_diff + z3 * np.sqrt(spec.sigma1 ** 2 / n1
-                                        + spec.sigma2 ** 2 / n2)
-    margin = np.minimum(d_bar - spec.delta_L, spec.delta_U - d_bar)
-    nu = welch_df(s1_sq, s2_sq, n1, n2)
-    lam = np.where(margin > 0.0,
-                   margin / t_quantile(1.0 - spec.alpha, nu), 0.0)
-    return se - lam, se
+    se, margin, nu = _mapped(points[:, 0][:, None], points[:, 1][:, None],
+                             inv_norm(points[:, 2])[:, None], spec,
+                             n1_grid[None, :].astype(float),
+                             n2_grid[None, :].astype(float))
+    return se - _curve._lambda(margin, nu, spec.alpha), se
 
 
 def scan_intersections(u, spec, n_max, tol=_curve.DEFAULT_TOL, point_index=0):
@@ -169,27 +158,25 @@ def scan_intersections(u, spec, n_max, tol=_curve.DEFAULT_TOL, point_index=0):
     g_row = _grid_matrices(pts, spec, n1_grid, n2_grid)[0][0]
     in_rej = g_row <= 0.0
 
-    u1, u2, z3 = float(u[0]), float(u[1]), inv_norm(float(u[2]))
-
-    def cont_g(n):
-        return _curve._g_scalar(u1, u2, z3, spec, n)
-
-    crossings = []
-    if in_rej[0]:
-        crossings.append(float(n1_grid[0]))
-    for k in np.nonzero(in_rej[1:] != in_rej[:-1])[0]:
-        a, b = float(n1_grid[k]), float(n1_grid[k + 1])
-        ga, gb = cont_g(a), cont_g(b)
-        if ga > 0.0 >= gb:
-            # entry into the rejection region: same one-sided locator as
-            # the curve solver, so first elements match it exactly
-            crossings.append(_curve._locate(cont_g, a, b, tol))
-        elif ga <= 0.0 < gb:
-            crossings.append(float(brentq(cont_g, a, b, xtol=tol)))
-        else:
-            # fractional q only: the integer-allocation state flipped but
-            # the continuous-allocation curve does not change sign here
-            crossings.append(b)
+    crossings = [float(n1_grid[0])] if in_rej[0] else []
+    flips = np.nonzero(in_rej[1:] != in_rej[:-1])[0]
+    a, b = n1_grid[flips].astype(float), n1_grid[flips + 1].astype(float)
+    # g on the continuous-allocation curve; every bracket is the one point's
+    cont_g, _ = _curve._point_g(pts, spec)
+    k = np.zeros(len(flips), dtype=np.int64)
+    ga, gb = cont_g(k, a), cont_g(k, b)
+    # fractional q only: where the integer-allocation state flipped but
+    # the continuous-allocation curve does not change sign, report b
+    roots = b.copy()
+    # entry into the rejection region: same one-sided locator as the
+    # curve solver, so first elements match it exactly
+    entry = (ga > 0.0) & (gb <= 0.0)
+    roots[entry] = _curve._locate(cont_g, k[entry], a[entry], b[entry],
+                                  ga[entry], gb[entry], tol)
+    exits = (ga <= 0.0) & (gb > 0.0)
+    roots[exits] = _curve._brent(cont_g, k[exits], a[exits], b[exits],
+                                 ga[exits], gb[exits], tol)[0]
+    crossings.extend(roots.tolist())
 
     departure_n = None
     duration = None

@@ -11,13 +11,10 @@ chain.
 Determinism: all variates come from PCG64 streams derived from the
 user seed with fixed substream keys, and normal deviates are produced
 by inverting uniforms rather than by rejection sampling, so a given
-(spec, n1, n2, m, seed) reproduces the same power on any platform and
-with any thread count.
+(spec, n1, n2, m, seed) reproduces the same power on any platform.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,14 +24,9 @@ from .tost import welch_df
 
 __all__ = ["naive_power"]
 
-# replicates are dealt to a fixed number of substreams regardless of
-# thread count, so the uniform stream layout never depends on scheduling
+# replicates are dealt to a fixed number of substreams, which fixes the
+# layout of the uniform stream for a given m and seed
 _N_CHUNKS = 64
-
-
-def _chunk_bounds(m):
-    bounds = np.linspace(0, m, _N_CHUNKS + 1, dtype=int)
-    return [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
 def _raw_samples(spec, n1, n2, reps, child_seed):
@@ -66,7 +58,7 @@ def _chunk_rejections(spec, n1, n2, reps, child_seed):
     return int(np.count_nonzero((t_lower > threshold) & (t_upper > threshold)))
 
 
-def naive_power(spec, n1, n2, m, seed, threads=1):
+def naive_power(spec, n1, n2, m, seed):
     """Estimate TOST power by simulating raw data.
 
     Parameters
@@ -79,9 +71,6 @@ def naive_power(spec, n1, n2, m, seed, threads=1):
     seed : int
         Base seed; replicate substreams are derived from it
         deterministically.
-    threads : int
-        Worker threads over the fixed substream chunks; the result is
-        identical for every thread count.
 
     Returns
     -------
@@ -94,14 +83,8 @@ def naive_power(spec, n1, n2, m, seed, threads=1):
     if m < 1:
         raise ValueError("m must be a positive integer")
     n1, n2 = int(n1), int(n2)
+    bounds = np.linspace(0, m, _N_CHUNKS + 1, dtype=int)
+    sizes = [b - a for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     children = np.random.SeedSequence(seed).spawn(_N_CHUNKS)
-    jobs = [(b - a, children[i]) for i, (a, b) in enumerate(_chunk_bounds(m))]
-    if threads <= 1:
-        count = sum(_chunk_rejections(spec, n1, n2, reps, child)
-                    for reps, child in jobs)
-    else:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            count = sum(pool.map(
-                lambda job: _chunk_rejections(spec, n1, n2, job[0], job[1]),
-                jobs))
-    return count / m
+    return sum(_chunk_rejections(spec, n1, n2, reps, child)
+               for reps, child in zip(sizes, children)) / m

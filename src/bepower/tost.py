@@ -15,7 +15,6 @@ points.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,8 +146,31 @@ def welch_df(s1_sq, s2_sq, n1, n2):
     b = np.asarray(s2_sq, dtype=float) / n2
     if np.any((a == 0.0) & (b == 0.0)):
         raise ValueError("degenerate sample: both variances are zero")
-    out = (a + b) ** 2 / (a * a / (n1 - 1.0) + b * b / (n2 - 1.0))
+    # s * s, not (a + b) ** 2: on a numpy scalar ** calls libm pow, which
+    # can differ in the last bit from the product that arrays use
+    s = a + b
+    out = s * s / (a * a / (n1 - 1.0) + b * b / (n2 - 1.0))
     return out if out.ndim else float(out)
+
+
+def _trial(u1, u2, z3, spec, n1, n2):
+    """The point -> statistics map, (d_bar, s1_sq, s2_sq, se, nu), with
+    z3 = inv_norm(u3).  Arguments broadcast like ufuncs; n1 and n2 may
+    be real and may differ per element."""
+    s1_sq = spec.sigma1 ** 2 * inv_chisq(u1, n1 - 1.0) / (n1 - 1.0)
+    s2_sq = spec.sigma2 ** 2 * inv_chisq(u2, n2 - 1.0) / (n2 - 1.0)
+    d_bar = spec.mu_diff + z3 * np.sqrt(spec.sigma1 ** 2 / n1
+                                        + spec.sigma2 ** 2 / n2)
+    se = np.sqrt(s1_sq / n1 + s2_sq / n2)
+    return d_bar, s1_sq, s2_sq, se, welch_df(s1_sq, s2_sq, n1, n2)
+
+
+def _mapped(u1, u2, z3, spec, n1, n2):
+    """The array kernel of mapped statistics, (se, margin, nu): a trial
+    rejects when margin = min(d_bar - delta_L, delta_U - d_bar) > 0 and
+    t_quantile(1 - alpha, nu) * se < margin."""
+    d_bar, _, _, se, nu = _trial(u1, u2, z3, spec, n1, n2)
+    return se, np.minimum(d_bar - spec.delta_L, spec.delta_U - d_bar), nu
 
 
 def stats_from_point(u, spec, n1, n2):
@@ -167,14 +189,9 @@ def stats_from_point(u, spec, n1, n2):
     -------
     SummaryStats
     """
-    u1, u2, u3 = (float(u[0]), float(u[1]), float(u[2]))
-    s1_sq = spec.sigma1 ** 2 * inv_chisq(u1, n1 - 1.0) / (n1 - 1.0)
-    s2_sq = spec.sigma2 ** 2 * inv_chisq(u2, n2 - 1.0) / (n2 - 1.0)
-    sd_dbar = math.sqrt(spec.sigma1 ** 2 / n1 + spec.sigma2 ** 2 / n2)
-    d_bar = spec.mu_diff + inv_norm(u3) * sd_dbar
-    se = math.sqrt(s1_sq / n1 + s2_sq / n2)
-    nu = welch_df(s1_sq, s2_sq, n1, n2)
-    return SummaryStats(d_bar=d_bar, s1_sq=s1_sq, s2_sq=s2_sq, se=se, nu=nu)
+    stats = _trial(float(u[0]), float(u[1]), inv_norm(float(u[2])), spec,
+                   n1, n2)
+    return SummaryStats(*map(float, stats))
 
 
 def rejects(stats, spec):
@@ -216,18 +233,12 @@ def _rejection_flags(u, spec, n1, n2):
     Elementwise identical to stats_from_point followed by rejects: the
     same kernels run as ufuncs over the block.
     """
-    s1_sq = spec.sigma1 ** 2 * inv_chisq(u[:, 0], n1 - 1.0) / (n1 - 1.0)
-    s2_sq = spec.sigma2 ** 2 * inv_chisq(u[:, 1], n2 - 1.0) / (n2 - 1.0)
-    sd_dbar = math.sqrt(spec.sigma1 ** 2 / n1 + spec.sigma2 ** 2 / n2)
-    d_bar = spec.mu_diff + inv_norm(u[:, 2]) * sd_dbar
-    se = np.sqrt(s1_sq / n1 + s2_sq / n2)
-    nu = welch_df(s1_sq, s2_sq, float(n1), float(n2))
-    threshold = t_quantile(1.0 - spec.alpha, nu)
-    margin = np.minimum(d_bar - spec.delta_L, spec.delta_U - d_bar)
-    return threshold * se < margin
+    se, margin, nu = _mapped(u[:, 0], u[:, 1], inv_norm(u[:, 2]), spec,
+                             float(n1), float(n2))
+    return t_quantile(1.0 - spec.alpha, nu) * se < margin
 
 
-def empirical_power(spec, n1, n2, m, seed, sampler="sobol", threads=1):
+def empirical_power(spec, n1, n2, m, seed, sampler="sobol"):
     """Estimate TOST power by mapping randomized points to statistics.
 
     Parameters
@@ -244,10 +255,6 @@ def empirical_power(spec, n1, n2, m, seed, sampler="sobol", threads=1):
         claims are about; 'prng' maps ordinary pseudorandom uniforms
         through the same machinery and exists for precision
         comparisons.
-    threads : int
-        Worker threads.  The point block is split into a fixed set of
-        chunks whose rejection counts are summed in index order, so the
-        result is identical for every thread count.
 
     Returns
     -------
@@ -258,14 +265,4 @@ def empirical_power(spec, n1, n2, m, seed, sampler="sobol", threads=1):
     if m < 1:
         raise ValueError("m must be a positive integer")
     u = _unit_cube_points(m, seed, sampler)
-    if threads <= 1 or m < 256:
-        count = int(np.count_nonzero(_rejection_flags(u, spec, n1, n2)))
-    else:
-        bounds = np.linspace(0, m, 17, dtype=int)  # fixed chunking
-        blocks = [u[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            counts = pool.map(
-                lambda blk: int(np.count_nonzero(_rejection_flags(blk, spec, n1, n2))),
-                blocks)
-            count = sum(counts)
-    return count / m
+    return int(np.count_nonzero(_rejection_flags(u, spec, n1, n2))) / m

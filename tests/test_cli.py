@@ -153,17 +153,6 @@ class TestCurveCommand:
         assert isinstance(rec_a["results"]["rec_n1"], int)
         assert rec_a["results"]["rec_n1"] >= 2
 
-    def test_threads_do_not_change_results(self, capsys, tmp_path):
-        recs = []
-        for tag, threads in (("t1", "1"), ("t4", "4")):
-            j = tmp_path / f"{tag}.json"
-            code, _, _ = run(capsys, "curve", *DESIGN, "--m", "128",
-                             "--seed", "5", "--threads", threads,
-                             "--json", str(j))
-            assert code == 0
-            recs.append(read_json(j)["results"])
-        assert recs[0] == recs[1]
-
     def test_unwritable_output_path(self, capsys, tmp_path):
         code, _, err = run(capsys, "curve", *DESIGN, "--m", "16",
                            "--seed", "2",

@@ -8,6 +8,7 @@ from bepower import (
     to_two_group,
 )
 
+from bepower.special import t_quantile
 from oracles import t_quantile_ref
 
 # log-scale bioequivalence setting: effect 0.05, limits 0.223, common
@@ -109,6 +110,29 @@ class TestChowSampleSize:
             chow_sample_size(0.223, 0.4, 0.223, 0.05, 0.2)
         with pytest.raises(ValueError, match="infeasible"):
             chow_sample_size(-0.3, 0.4, 0.223, 0.05, 0.2)
+
+    @pytest.mark.parametrize("F,sigma_D,delta_U,alpha,beta", [
+        (0.05, 0.4, 0.223, 0.05, 0.2),
+        (0.05, 0.4, 0.223, 0.05, 0.1),
+        (0.0, 0.25, 0.223, 0.05, 0.2),
+        (0.1, 0.6, 0.223, 0.1, 0.3),
+        (0.15, 0.4, 0.223, 0.01, 0.05),
+        (0.0, 0.1, 50.0, 0.05, 0.2),
+        (0.21, 0.4, 0.223, 0.05, 0.2),  # near the limit: n in the thousands
+    ])
+    def test_search_matches_linear_scan(self, F, sigma_D, delta_U, alpha,
+                                        beta):
+        # the smallest n found by a plain scan over n = 2, 3, ...
+        scale = sigma_D ** 2 / (2.0 * (delta_U - abs(F)) ** 2)
+        n = 2
+        while n < (t_quantile(1.0 - alpha, 2 * n - 2)
+                   + t_quantile(1.0 - beta / 2.0, 2 * n - 2)) ** 2 * scale:
+            n += 1
+        assert chow_sample_size(F, sigma_D, delta_U, alpha, beta) == n
+
+    def test_no_n_up_to_a_million(self):
+        with pytest.raises(RuntimeError, match="1000000"):
+            chow_sample_size(0.2229999, 0.4, 0.223, 0.05, 0.2)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="sigma_D"):

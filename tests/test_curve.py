@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from bepower import (
     CENSORED,
@@ -12,11 +14,19 @@ from bepower import (
     se_of_n,
     smallest_crossing,
 )
-from bepower.curve import _bracket_nodes, g_at
+from bepower.curve import _bracket_nodes, _crossings, _g, _point_g, g_at
 from bepower.qrng import sobol_stream
 from bepower.special import inv_chisq, inv_norm
 
 FIXTURE_U = (0.184, 0.231, 0.449)
+
+# the benchmark's curve designs: central, near-limit, and both allocations
+DESIGNS = {
+    "motivating": DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2),
+    "near_limit": DesignSpec(-16.0, 18.0, 15.0, -19.2, 19.2),
+    "q1.5": DesignSpec(-12.0, 19.5, 13.0, -19.2, 19.2, q=1.5),
+    "q1/1.5": DesignSpec(-8.0, 19.5, 13.0, -19.2, 19.2, q=1.0 / 1.5),
+}
 
 
 def dense_g(u, spec, n_grid):
@@ -41,6 +51,39 @@ def dense_g(u, spec, n_grid):
                    margin / t_quantile(1.0 - spec.alpha, welch_df(s1, s2, n, n2)),
                    0.0)
     return se - lam
+
+
+def reference_walk(u, spec, nodes, tol, none):
+    """Scalar reference for the lockstep solver, one point at a time.
+
+    Walks the nodes until g changes side from its side at nodes[0],
+    refines the last step with scipy's brentq on the kernel, and
+    nudges the root right by tol until g <= 0 (the bracket's g <= 0
+    end after four failed checks).
+    """
+    z3 = inv_norm(u[2])
+
+    def g(n):
+        return float(_g(u[0], u[1], z3, spec, n))
+
+    f0 = g(nodes[0])
+    for prev, node in zip(nodes, nodes[1:]):
+        if (g(node) > 0.0) != (f0 > 0.0):
+            a, b = min(prev, node), max(prev, node)
+            r = brentq(g, a, b, xtol=tol)
+            for _ in range(4):
+                if g(r) <= 0.0:
+                    return r
+                r = min(r + tol, b)
+            return b
+    return none
+
+
+def reference_crossing(u, spec, B=65536.0, tol=1e-6):
+    nodes = _bracket_nodes(max(2.0, 2.0 / spec.q), B)
+    if _g(u[0], u[1], inv_norm(u[2]), spec, nodes[0]) <= 0.0:
+        return nodes[0]
+    return reference_walk(u, spec, nodes, tol, CENSORED)
 
 
 def test_bracket_nodes_shape():
@@ -166,13 +209,16 @@ class TestSmallestCrossing:
             smallest_crossing((0.5, 0.5, 0.5), motivating, B=1.0)
         with pytest.raises(ValueError, match="tol must be"):
             smallest_crossing((0.5, 0.5, 0.5), motivating, tol=0.0)
+        tiny_q = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, q=1e-5)
+        with pytest.raises(ValueError, match=r"B=65536 .*2/q=200000"):
+            smallest_crossing((0.5, 0.5, 0.5), tiny_q)
 
 
 class TestPowerCurve:
     def test_single_point_curve(self, motivating):
         pc = power_curve(motivating, 0.8, 1, seed=6)
         assert pc.m == 1
-        assert pc.n_star_final == pc.solutions[0].crossing_n
+        assert pc.n_star_final == pc.crossings[0]
         assert pc.rec_n1 == math.ceil(pc.n_star_final - 1e-9)
 
     def test_recommendation_brackets_target(self, motivating):
@@ -230,12 +276,6 @@ class TestPowerCurve:
         assert np.all(np.abs(a.crossings[finite] - b.crossings[finite]) <= 1e-5)
         assert a.rec_n1 == b.rec_n1 and a.rec_n2 == b.rec_n2
 
-    def test_thread_count_does_not_change_result(self, motivating):
-        a = power_curve(motivating, 0.8, 128, seed=15, threads=1)
-        b = power_curve(motivating, 0.8, 128, seed=15, threads=4)
-        assert np.array_equal(a.crossings, b.crossings)
-        assert a.n_star_final == b.n_star_final
-
     def test_censoring_raises_with_bound_in_message(self, motivating):
         with pytest.raises(RuntimeError, match=r"B=4"):
             power_curve(motivating, 0.8, 64, seed=3, B=4.0)
@@ -264,6 +304,85 @@ class TestPowerCurve:
             power_curve(motivating, 1.0, 64, seed=1)
         with pytest.raises(ValueError, match="m must be"):
             power_curve(motivating, 0.8, 0, seed=1)
+        with pytest.raises(ValueError, match="m must be"):
+            power_curve(motivating, 0.8, 1.5, seed=1)
+        with pytest.raises(ValueError, match="B must be"):
+            power_curve(motivating, 0.8, 64, seed=1, B=1.0)
+        with pytest.raises(ValueError, match="tol must be"):
+            power_curve(motivating, 0.8, 64, seed=1, tol=0.0)
+        # the domain start 2/q above B: a bound error, not censoring
+        tiny_q = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, q=1e-5)
+        with pytest.raises(ValueError, match=r"B=65536 .*2/q=200000"):
+            power_curve(tiny_q, 0.8, 64, seed=1)
         off_center = DesignSpec(25.0, 18.0, 15.0, -19.2, 19.2)
         with pytest.raises(ValueError, match="strictly between"):
             power_curve(off_center, 0.8, 64, seed=1)
+
+
+@pytest.mark.parametrize("name", sorted(DESIGNS))
+def test_crossings_match_scalar_reference(name):
+    # the lockstep walk and Brent port take the scalar solver's steps,
+    # so every crossing matches the reference to the bit
+    spec = DESIGNS[name]
+    pc = power_curve(spec, 0.8, 256, seed=19)
+    assert not pc.reinitialized.any()
+    pts = sobol_stream(3, 256, 19).points
+    ref = np.array([reference_crossing(p, spec) for p in pts])
+    assert np.array_equal(pc.crossings, ref)
+
+
+def test_safeguard_walks_match_scalar_reference(motivating):
+    # FIXTURE_U rejects at 2, leaves the region near 2.2 and re-enters
+    # near 3.49: the safeguard's walks up from 3 and down from 5 both
+    # find the re-entry; walking down from 2.1 finds none, so the
+    # domain start is returned
+    pts = np.array([FIXTURE_U])
+    g, _ = _point_g(pts, motivating)
+    nodes = _bracket_nodes(2.0, 65536.0)
+    k = np.array([0])
+    for anchor, walk in ((3.0, [c for c in nodes if c > 3.0]),
+                         (5.0, [c for c in reversed(nodes) if c < 5.0]),
+                         (2.1, [2.0])):
+        walk = [anchor] + walk
+        got = _crossings(g, k, walk, g_at(pts, motivating, anchor), 1e-6,
+                         2.0)[0]
+        assert got == reference_walk(FIXTURE_U, motivating, walk, 1e-6, 2.0)
+        if anchor > 2.1:
+            assert got == pytest.approx(3.492117957622574, abs=1e-5)
+        else:
+            assert got == 2.0
+
+
+@pytest.mark.parametrize("name,tol", [(name, 1e-6) for name in sorted(DESIGNS)]
+                         + [("near_limit", 1e-13)])
+def test_crossings_satisfy_predicate(name, tol):
+    # g <= 0 holds at every crossing above the domain start.  At tol =
+    # 1e-13, Brent's stopping width near n = 300 is several tol, so some
+    # roots are still positive after three nudges and the solver falls
+    # back to the bracket's g <= 0 end
+    spec = DESIGNS[name]
+    pc = power_curve(spec, 0.8, 256, seed=20, tol=tol)
+    pts = sobol_stream(3, 256, 20).points
+    c = pc.crossings
+    inner = np.isfinite(c) & (c > max(2.0, 2.0 / spec.q))
+    assert np.count_nonzero(inner) > 128
+    g = _g(pts[inner, 0], pts[inner, 1], inv_norm(pts[inner, 2]), spec,
+           c[inner])
+    assert np.all(g <= 0.0)
+
+
+def test_alpha_half_rejects_exactly_inside_limits():
+    # at alpha = 0.5 the t threshold is 0: Lambda is +inf where d_bar lies
+    # inside the limits, so a trial rejects exactly there
+    spec = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, alpha=0.5)
+    m, seed = 256, 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pc = power_curve(spec, 0.8, m, seed=seed)
+        assert smallest_crossing((0.5, 0.5, 0.5), spec).crossing_n == 2.0
+    for n in range(2, 40):
+        direct = empirical_power(spec, n, n, m, seed=seed)
+        # points whose crossing lies within the root tolerance of n are
+        # not clean: either side of n is a correct answer for them
+        unclean = np.count_nonzero(np.abs(pc.crossings - n) <= 1e-5)
+        assert abs(pc.ecdf(n) - direct) * m <= unclean

@@ -12,8 +12,12 @@ from bepower import (
     scenario_summary,
     smallest_crossing,
 )
+from scipy.optimize import brentq
+
+from bepower.curve import _g
 from bepower.diagnostics import SCENARIO_COMBOS, _integer_grid
 from bepower.qrng import sobol_stream
+from bepower.special import inv_norm
 
 FIXTURE_U = (0.184, 0.231, 0.449)
 
@@ -32,6 +36,17 @@ class TestScanIntersections:
         assert r.duration == 1
         interior = [c for c in r.crossings if 2.0 < c < 4.0]
         assert len(interior) == 2
+
+    def test_leaving_root_is_brents(self, motivating):
+        # the root where the point leaves the region is Brent's, as
+        # scipy's brentq computes it on the same bracket
+        z3 = inv_norm(FIXTURE_U[2])
+
+        def g(n):
+            return float(_g(FIXTURE_U[0], FIXTURE_U[1], z3, motivating, n))
+
+        r = scan_intersections(FIXTURE_U, motivating, 100)
+        assert r.crossings[1] == brentq(g, 2.0, 3.0, xtol=1e-6)
 
     def test_departure_without_reentry_in_grid(self, motivating):
         # truncating the grid before the re-entry keeps the departure

@@ -15,11 +15,10 @@ def test_rejection_fraction_is_exact_count(motivating):
     assert (p * 777) == round(p * 777)
 
 
-def test_deterministic_and_thread_independent(motivating):
+def test_deterministic(motivating):
     a = naive_power(motivating, 15, 15, 2048, seed=5)
     b = naive_power(motivating, 15, 15, 2048, seed=5)
-    c = naive_power(motivating, 15, 15, 2048, seed=5, threads=4)
-    assert a == b == c
+    assert a == b
     assert a != naive_power(motivating, 15, 15, 2048, seed=6)
 
 

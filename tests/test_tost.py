@@ -78,6 +78,17 @@ class TestWelchDf:
             nu = welch_df(s1, s2, int(n1), int(n2))
             assert min(n1, n2) - 1.0 <= nu <= n1 + n2 - 2.0 + 1e-9
 
+    def test_scalar_and_array_results_identical(self):
+        # the scalar path must give the array path's bits, so that the
+        # vectorized estimator reproduces stats_from_point exactly
+        rng = np.random.Generator(np.random.PCG64(8))
+        s1, s2 = rng.uniform(0.01, 100.0, size=(2, 100_000))
+        n1, n2 = rng.uniform(2.0, 100.0, size=(2, 100_000))
+        arr = welch_df(s1, s2, n1, n2)
+        scalar = [welch_df(a, b, c, d) for a, b, c, d in
+                  zip(s1.tolist(), s2.tolist(), n1.tolist(), n2.tolist())]
+        assert np.array_equal(arr, np.array(scalar))
+
     def test_real_valued_sizes_and_arrays(self):
         nu = welch_df(4.0, 9.0, 2.5, 7.3)
         assert np.isfinite(nu) and nu > 0
@@ -201,11 +212,6 @@ class TestEmpiricalPower:
                                  sampler="prng")
         assert p_sobol != p_prng
         assert abs(p_sobol - p_prng) < 0.02
-
-    def test_thread_count_does_not_change_result(self, motivating):
-        a = empirical_power(motivating, 20, 20, 4096, seed=19, threads=1)
-        b = empirical_power(motivating, 20, 20, 4096, seed=19, threads=4)
-        assert a == b
 
     @pytest.mark.parametrize("n1,n2", [(1, 20), (20, 1), (2.5, 20), (0, 0)])
     def test_group_size_validation(self, motivating, n1, n2):
