@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qrng import sobol_stream
+from .qrng import _check_count, sobol_stream
 from .special import inv_norm, t_quantile
 from .tost import _mapped, require_curve_spec
 
@@ -436,9 +436,7 @@ def power_curve(spec, target_power, m, seed, B=DEFAULT_B, tol=DEFAULT_TOL):
     _check_solver_args(spec, B, tol)
     if not 0.0 < target_power < 1.0:
         raise ValueError("target_power must lie in (0, 1)")
-    if int(m) != m or m < 1:
-        raise ValueError("m must be a positive integer")
-    m = int(m)
+    m = _check_count("m", m)
     points = sobol_stream(3, m, seed).points
     g, evals = _point_g(points, spec)
     crossings = _first_crossings(g, m, spec, B, tol)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curve as _curve
-from .qrng import sobol_stream
+from .qrng import _check_count, _check_seed, sobol_stream
 from .special import inv_norm
 from .tost import DesignSpec, _mapped, require_curve_spec
 
@@ -138,6 +138,19 @@ def _grid_matrices(points, spec, n1_grid, n2_grid):
     return se - _curve._lambda(margin, nu, spec.alpha), se
 
 
+def _departure(in_rej, n1_grid):
+    """(departure_n, duration) of one in-rejection row: the first n out
+    of the region after being in, and the count until re-entry; None for
+    an event the row does not show."""
+    leave = in_rej[:-1] & ~in_rej[1:]
+    if not leave.any():
+        return None, None
+    k = int(np.argmax(leave)) + 1
+    back = np.nonzero(in_rej[k:])[0]
+    return (int(n1_grid[k]),
+            int(n1_grid[k + back[0]] - n1_grid[k]) if back.size else None)
+
+
 def scan_intersections(u, spec, n_max, tol=_curve.DEFAULT_TOL, point_index=0):
     """All crossings of se and Lambda on the integer grid [2, n_max].
 
@@ -177,16 +190,7 @@ def scan_intersections(u, spec, n_max, tol=_curve.DEFAULT_TOL, point_index=0):
     roots[exits] = _curve._brent(cont_g, k[exits], a[exits], b[exits],
                                  ga[exits], gb[exits], tol)[0]
     crossings.extend(roots.tolist())
-
-    departure_n = None
-    duration = None
-    leave = in_rej[:-1] & ~in_rej[1:]
-    if leave.any():
-        k = int(np.argmax(leave))
-        departure_n = int(n1_grid[k + 1])
-        back = np.nonzero(in_rej[k + 1:])[0]
-        if back.size:
-            duration = int(n1_grid[k + 1 + back[0]]) - departure_n
+    departure_n, duration = _departure(in_rej, n1_grid)
     return IntersectionReport(point_index=point_index,
                               crossings=tuple(crossings),
                               departure_n=departure_n,
@@ -224,10 +228,10 @@ def scenario_summary(spec, n_max, m, reps, seed):
         means are NaN when no multi-crossing point turned up.
     """
     require_curve_spec(spec)
-    if reps < 1 or m < 1:
-        raise ValueError("reps and m must be positive")
+    m, reps = _check_count("m", m), _check_count("reps", reps)
     n1_grid, n2_grid = _integer_grid(spec, n_max)
-    child_seeds = np.random.SeedSequence(seed).generate_state(reps, np.uint64)
+    child_seeds = np.random.SeedSequence(_check_seed(seed)).generate_state(
+        reps, np.uint64)
 
     multi = 0
     departures = []
@@ -244,14 +248,11 @@ def scenario_summary(spec, n_max, m, reps, seed):
             argmax_values.append(n1_grid[np.argmax(se_mat, axis=1)])
             for i in np.nonzero(n_changes >= 2)[0]:
                 multi += 1
-                row = in_rej[i]
-                leave = row[:-1] & ~row[1:]
-                k = int(np.argmax(leave))
-                departures.append(int(n1_grid[k + 1]))
-                back = np.nonzero(row[k + 1:])[0]
-                if back.size:
-                    durations.append(int(n1_grid[k + 1 + back[0]])
-                                     - int(n1_grid[k + 1]))
+                # two sign changes always include a departure
+                departure_n, duration = _departure(in_rej[i], n1_grid)
+                departures.append(departure_n)
+                if duration is not None:
+                    durations.append(duration)
     argmax_all = np.concatenate(argmax_values)
     total = reps * m
     return {

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qrng import CLAMP_LOW
+from .qrng import CLAMP_LOW, _check_count, _check_seed
 from .special import inv_norm, t_quantile
 from .tost import welch_df
 
@@ -77,14 +77,10 @@ def naive_power(spec, n1, n2, m, seed):
     float
         Rejection fraction over the m trials.
     """
-    for name, n in (("n1", n1), ("n2", n2)):
-        if int(n) != n or n < 2:
-            raise ValueError(f"{name} must be an integer >= 2")
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    n1, n2 = int(n1), int(n2)
+    n1, n2 = _check_count("n1", n1, 2), _check_count("n2", n2, 2)
+    m = _check_count("m", m)
     bounds = np.linspace(0, m, _N_CHUNKS + 1, dtype=int)
     sizes = [b - a for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    children = np.random.SeedSequence(seed).spawn(_N_CHUNKS)
+    children = np.random.SeedSequence(_check_seed(seed)).spawn(_N_CHUNKS)
     return sum(_chunk_rejections(spec, n1, n2, reps, child)
                for reps, child in zip(sizes, children)) / m

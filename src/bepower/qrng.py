@@ -56,8 +56,22 @@ class SobolStream:
     points: np.ndarray
 
 
+def _check_count(name, value, low=1):
+    """`value` as an int; a ValueError if it is a bool, is not integral
+    or is below `low`."""
+    try:
+        ok = (not isinstance(value, (bool, np.bool_)) and int(value) == value
+              and value >= low)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        kind = "a positive integer" if low == 1 else f"an integer >= {low}"
+        raise ValueError(f"{name} must be {kind}")
+    return int(value)
+
+
 def _check_seed(seed):
-    if not isinstance(seed, (int, np.integer)):
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValueError("seed must be an integer")
     if seed < 0 or seed > 2 ** 64 - 1:
         raise ValueError("seed must be an unsigned 64-bit integer")
@@ -81,18 +95,15 @@ def sobol_raw(dimension, m):
     -------
     ndarray, shape (m, dimension)
     """
-    if dimension < 1:
-        raise ValueError("dimension must be a positive integer")
+    dimension, m = _check_count("dimension", dimension), _check_count("m", m)
     if dimension > _MAX_DIM:
         raise ValueError(f"dimension exceeds the direction-number table ({_MAX_DIM})")
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    engine = qmc.Sobol(d=int(dimension), scramble=False, bits=_BITS)
+    engine = qmc.Sobol(d=dimension, scramble=False, bits=_BITS)
     with warnings.catch_warnings():
         # non-power-of-two lengths are fine here; equidistribution claims
         # are only made (and tested) at power-of-two prefixes
         warnings.filterwarnings("ignore", message=".*balance properties.*")
-        return engine.random(int(m))
+        return engine.random(m)
 
 
 def _shifts_from_seed(seed, dimension):

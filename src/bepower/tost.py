@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qrng import CLAMP_HIGH, CLAMP_LOW, sobol_stream
+from .qrng import (CLAMP_HIGH, CLAMP_LOW, _check_count, _check_seed,
+                   sobol_stream)
 from .special import inv_chisq, inv_norm, t_quantile
 
 __all__ = [
@@ -211,18 +212,11 @@ def rejects(stats, spec):
     return bool(t_quantile(1.0 - spec.alpha, stats.nu) * stats.se < margin)
 
 
-def _check_group_sizes(n1, n2):
-    for name, n in (("n1", n1), ("n2", n2)):
-        if int(n) != n or n < 2:
-            raise ValueError(f"{name} must be an integer >= 2 "
-                             "(one observation cannot estimate a variance)")
-
-
 def _unit_cube_points(m, seed, sampler):
     if sampler == "sobol":
         return sobol_stream(3, m, seed).points
     if sampler == "prng":
-        rng = np.random.Generator(np.random.PCG64(seed))
+        rng = np.random.Generator(np.random.PCG64(_check_seed(seed)))
         return np.clip(rng.random((m, 3)), CLAMP_LOW, CLAMP_HIGH)
     raise ValueError("sampler must be 'sobol' or 'prng'")
 
@@ -261,8 +255,8 @@ def empirical_power(spec, n1, n2, m, seed, sampler="sobol"):
     float
         Rejection fraction; m * power is an exact integer count.
     """
-    _check_group_sizes(n1, n2)
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    # one observation cannot estimate a variance
+    n1, n2 = _check_count("n1", n1, 2), _check_count("n2", n2, 2)
+    m = _check_count("m", m)
     u = _unit_cube_points(m, seed, sampler)
     return int(np.count_nonzero(_rejection_flags(u, spec, n1, n2))) / m

@@ -178,6 +178,7 @@ class TestCrossoverCommand:
         assert "per sequence" in out
         rec = read_json(j)
         assert rec["results"]["chow_n"] == 24
+        assert rec["inputs"]["tol"] == 1e-6
         assert 2 <= rec["results"]["rec_n1"] <= rec["results"]["chow_n"]
 
     def test_missing_effect(self, capsys):
@@ -249,3 +250,43 @@ class TestBenchCommand:
                            "--seed", "8")
         assert code == 2
         assert "--grid" in err
+
+    def test_json_reruns_identical_outside_metadata(self, capsys, tmp_path):
+        records = []
+        for tag in ("a", "b"):
+            j = tmp_path / f"{tag}.json"
+            code, _, _ = run(capsys, "bench", *DESIGN, "--grid", "3,5",
+                             "--m", "256", "--reps", "2", "--seed", "8",
+                             "--json", str(j))
+            assert code == 0
+            records.append(read_json(j))
+        assert set(records[0]["metadata"]["engine_seconds"]) == {"segment",
+                                                                 "naive"}
+        for rec in records:
+            del rec["metadata"]
+        assert records[0] == records[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagnose", *DESIGN, "--n-max", "1", "--m", "16", "--reps", "1",
+     "--seed", "4"],
+    ["diagnose", *DESIGN, "--n-max", "40", "--m", "0", "--reps", "1",
+     "--seed", "4"],
+    ["diagnose", "--mu-diff", "-30", "--sigma1", "18", "--sigma2", "15",
+     "--delta", "19.2", "--n-max", "40", "--m", "16", "--reps", "1",
+     "--seed", "4"],
+    ["diagnose", "--scenario", "s1_mu0", "--m", "16", "--reps", "1",
+     "--seed", "-1"],
+    ["bench", *DESIGN, "--grid", "3", "--m", "16", "--reps", "1",
+     "--seed", "-5"],
+    ["bench", *DESIGN, "--grid", "1,3", "--m", "16", "--reps", "1",
+     "--seed", "1"],
+    ["bench", *DESIGN, "--grid", "3", "--m", "16", "--reps", "0",
+     "--seed", "1"],
+], ids=["n_max_1", "m_0", "mu_outside_limits", "diagnose_seed",
+        "bench_seed", "group_size_1", "reps_0"])
+def test_invalid_input_fails_cleanly(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -306,6 +306,10 @@ class TestPowerCurve:
             power_curve(motivating, 0.8, 0, seed=1)
         with pytest.raises(ValueError, match="m must be"):
             power_curve(motivating, 0.8, 1.5, seed=1)
+        with pytest.raises(ValueError, match="m must be"):
+            power_curve(motivating, 0.8, True, seed=1)
+        with pytest.raises(ValueError, match="seed must be"):
+            power_curve(motivating, 0.8, 64, seed=True)
         with pytest.raises(ValueError, match="B must be"):
             power_curve(motivating, 0.8, 64, seed=1, B=1.0)
         with pytest.raises(ValueError, match="tol must be"):

@@ -197,3 +197,9 @@ class TestScenarioSummary:
             scenario_summary(motivating, 50, m=0, reps=1, seed=1)
         with pytest.raises(ValueError, match="positive"):
             scenario_summary(motivating, 50, m=16, reps=0, seed=1)
+        with pytest.raises(ValueError, match="positive"):
+            scenario_summary(motivating, 50, m=1.5, reps=1, seed=1)
+        with pytest.raises(ValueError, match="positive"):
+            scenario_summary(motivating, 50, m=16, reps=1.5, seed=1)
+        with pytest.raises(ValueError, match="seed must be"):
+            scenario_summary(motivating, 50, m=16, reps=1, seed=True)

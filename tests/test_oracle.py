@@ -68,3 +68,9 @@ def test_validation(motivating):
         naive_power(motivating, 20, 2.5, 64, seed=1)
     with pytest.raises(ValueError, match="m must be"):
         naive_power(motivating, 20, 20, 0, seed=1)
+    with pytest.raises(ValueError, match="m must be"):
+        naive_power(motivating, 20, 20, 1.5, seed=1)
+    with pytest.raises(ValueError, match="n1 must be"):
+        naive_power(motivating, True, 20, 64, seed=1)
+    with pytest.raises(ValueError, match="seed must be"):
+        naive_power(motivating, 20, 20, 64, seed=True)

@@ -91,6 +91,14 @@ def test_argument_validation():
         sobol_raw(21202, 8)
     with pytest.raises(ValueError):
         sobol_raw(3, 0)
+    with pytest.raises(ValueError, match="m must be"):
+        sobol_stream(3, 1.5, 3)
+    with pytest.raises(ValueError, match="dimension must be"):
+        sobol_stream(2.5, 4, 3)
+    with pytest.raises(ValueError, match="m must be"):
+        sobol_raw(3, True)
+    with pytest.raises(ValueError, match="seed must be"):
+        sobol_stream(3, 8, seed=True)
     with pytest.raises(ValueError):
         sobol_stream(3, 8, seed=-1)
     with pytest.raises(ValueError):

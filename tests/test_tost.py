@@ -213,13 +213,20 @@ class TestEmpiricalPower:
         assert p_sobol != p_prng
         assert abs(p_sobol - p_prng) < 0.02
 
-    @pytest.mark.parametrize("n1,n2", [(1, 20), (20, 1), (2.5, 20), (0, 0)])
+    @pytest.mark.parametrize("n1,n2", [(1, 20), (20, 1), (2.5, 20), (0, 0),
+                                       (True, 20), (20, "20")])
     def test_group_size_validation(self, motivating, n1, n2):
         with pytest.raises(ValueError, match="must be an integer >= 2"):
             empirical_power(motivating, n1, n2, 64, seed=1)
 
     def test_m_and_sampler_validation(self, motivating):
-        with pytest.raises(ValueError, match="m must be"):
-            empirical_power(motivating, 5, 5, 0, seed=1)
+        for sampler in ("sobol", "prng"):
+            for m in (0, 1.5, True):
+                with pytest.raises(ValueError, match="m must be"):
+                    empirical_power(motivating, 5, 5, m, seed=1,
+                                    sampler=sampler)
+            with pytest.raises(ValueError, match="seed must be"):
+                empirical_power(motivating, 5, 5, 64, seed=True,
+                                sampler=sampler)
         with pytest.raises(ValueError, match="sampler"):
             empirical_power(motivating, 5, 5, 64, seed=1, sampler="halton")
