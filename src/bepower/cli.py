@@ -157,7 +157,8 @@ def _build_parser():
 
 def _read_config(path, parser):
     """Values and problems of a flat config file for one subcommand; each
-    key takes its type from the subcommand's option of that name."""
+    key takes its type and choices from the subcommand's option of that
+    name."""
     actions = {a.dest: a for a in parser._actions
                if a.dest not in ("help", "config")}
     try:
@@ -188,6 +189,13 @@ def _read_config(path, parser):
         except ValueError:
             problems.append(f"{path}:{lineno}: cannot parse '{value}' "
                             f"for '{key}' as {typ.__name__}")
+            continue
+        # argparse checks choices on the command line, not on defaults
+        choices = actions[key].choices
+        if choices is not None and values[key] not in choices:
+            del values[key]
+            problems.append(f"{path}:{lineno}: invalid choice '{value}' for "
+                            f"'{key}' (choose from {', '.join(choices)})")
     return values, problems
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qrng import _check_count, sobol_stream
-from .special import inv_norm, t_quantile
+from .special import _TINY, inv_norm, t_quantile
 from .tost import _mapped, require_curve_spec
 
 __all__ = [
@@ -210,7 +210,31 @@ def _point_g(points, spec):
     def g(k, n):
         evals[k] += 1
         return _g(u1[k], u2[k], z3[k], spec, n)
+
+    if spec.alpha == 0.5:
+        def smooth(k, n):
+            evals[k] += 1
+            margin = _mapped(u1[k], u2[k], z3[k], spec, n, spec.q * n)[1]
+            return np.where(margin > 0.0, -margin, np.maximum(-margin, _TINY))
+        g.smooth = smooth
     return g, evals
+
+
+def _refine(g, k, a, b, fa, fb, tol):
+    """`_brent` on brackets of g, returning roots and a value with g's
+    sign at each.
+
+    At alpha = 0.5, g jumps from se to -inf where it changes sign, and
+    Brent's interpolation gets nothing from the jump (up to 49
+    evaluations a bracket).  There `_point_g` gives g a `smooth` twin:
+    -margin, continuous in n, with g's sign exactly (margin = 0, where
+    g = se > 0, maps to the smallest normal float).  The brackets are
+    refined on the twin, evaluated afresh at both ends.
+    """
+    smooth = getattr(g, "smooth", None)
+    if smooth is None:
+        return _brent(g, k, a, b, fa, fb, tol)
+    return _brent(smooth, k, a, b, smooth(k, a), smooth(k, b), tol)
 
 
 def _brent(g, k, a, b, fa, fb, tol):
@@ -272,7 +296,8 @@ def _brent(g, k, a, b, fa, fb, tol):
 
 
 def _locate(g, k, a, b, fa, fb, tol):
-    """Brent roots of brackets with g(a) > 0 >= g(b), on the g <= 0 side.
+    """`_refine` roots of brackets with g(a) > 0 >= g(b), on the g <= 0
+    side.
 
     A crossing is defined by g(n) <= 0, but Brent can stop a hair on
     the positive side: such a root is nudged right by tol, never past
@@ -280,7 +305,7 @@ def _locate(g, k, a, b, fa, fb, tol):
     holds.  Otherwise the quantile itself would trip the safeguard's
     sign check about half the time.
     """
-    root, froot = _brent(g, k, a, b, fa, fb, tol)
+    root, froot = _refine(g, k, a, b, fa, fb, tol)
     for _ in range(3):
         up = np.nonzero(froot > 0.0)[0]
         if not len(up):

@@ -21,7 +21,7 @@ import numpy as np
 from . import curve as _curve
 from .qrng import _check_count, _check_seed, sobol_stream
 from .special import inv_norm
-from .tost import DesignSpec, _mapped, require_curve_spec
+from .tost import DesignSpec, _mapped, _t_band, require_curve_spec
 
 __all__ = [
     "IntersectionReport",
@@ -129,13 +129,38 @@ def _integer_grid(spec, n_max):
     return n1, n2
 
 
+def _grid_mapped(points, spec, n1_grid, n2_grid):
+    """`_mapped` over points x grid, at the integer (n1, n2) pairs."""
+    return _mapped(points[:, 0][:, None], points[:, 1][:, None],
+                   inv_norm(points[:, 2])[:, None], spec,
+                   n1_grid[None, :].astype(float),
+                   n2_grid[None, :].astype(float))
+
+
 def _grid_matrices(points, spec, n1_grid, n2_grid):
-    """g and se over points x grid, at the integer (n1, n2) pairs."""
-    se, margin, nu = _mapped(points[:, 0][:, None], points[:, 1][:, None],
-                             inv_norm(points[:, 2])[:, None], spec,
-                             n1_grid[None, :].astype(float),
-                             n2_grid[None, :].astype(float))
-    return se - _curve._lambda(margin, nu, spec.alpha), se
+    """In-rejection flags g <= 0 and se over points x grid.
+
+    g = se - Lambda <= 0 is se <= margin / t_quantile(1 - alpha, nu)
+    where margin > 0, and se <= 0 elsewhere.  `_t_band` bounds the t
+    quantile of each grid column by (lo, hi), so margin / hi <= Lambda
+    <= margin / lo: rounded division is monotone in the divisor.  A
+    cell with se <= margin / hi is in, one with se > margin / lo is
+    out, exactly as with its own quantile; only the cells between take
+    theirs.  At alpha = 0.5 both bounds are 0, Lambda is +inf where
+    margin > 0, and every cell is decided by the band.
+    """
+    se, margin, nu = _grid_mapped(points, spec, n1_grid, n2_grid)
+    lo, hi = _t_band(spec.alpha, n1_grid, n2_grid)
+    inside = margin > 0.0
+    with np.errstate(divide="ignore"):
+        lam_lo = np.divide(margin, hi, out=np.zeros(margin.shape),
+                           where=inside)
+        lam_hi = np.divide(margin, lo, out=np.zeros(margin.shape),
+                           where=inside)
+    in_rej = se <= lam_lo
+    amb = np.nonzero(~in_rej & (se <= lam_hi))
+    in_rej[amb] = se[amb] <= _curve._lambda(margin[amb], nu[amb], spec.alpha)
+    return in_rej, se
 
 
 def _departure(in_rej, n1_grid):
@@ -168,8 +193,7 @@ def scan_intersections(u, spec, n_max, tol=_curve.DEFAULT_TOL, point_index=0):
     require_curve_spec(spec)
     n1_grid, n2_grid = _integer_grid(spec, n_max)
     pts = np.asarray(u, dtype=float)[np.newaxis, :]
-    g_row = _grid_matrices(pts, spec, n1_grid, n2_grid)[0][0]
-    in_rej = g_row <= 0.0
+    in_rej = _grid_matrices(pts, spec, n1_grid, n2_grid)[0][0]
 
     crossings = [float(n1_grid[0])] if in_rej[0] else []
     flips = np.nonzero(in_rej[1:] != in_rej[:-1])[0]
@@ -187,8 +211,8 @@ def scan_intersections(u, spec, n_max, tol=_curve.DEFAULT_TOL, point_index=0):
     roots[entry] = _curve._locate(cont_g, k[entry], a[entry], b[entry],
                                   ga[entry], gb[entry], tol)
     exits = (ga <= 0.0) & (gb > 0.0)
-    roots[exits] = _curve._brent(cont_g, k[exits], a[exits], b[exits],
-                                 ga[exits], gb[exits], tol)[0]
+    roots[exits] = _curve._refine(cont_g, k[exits], a[exits], b[exits],
+                                  ga[exits], gb[exits], tol)[0]
     crossings.extend(roots.tolist())
     departure_n, duration = _departure(in_rej, n1_grid)
     return IntersectionReport(point_index=point_index,
@@ -206,7 +230,7 @@ def scan_se_peak(u, spec, n_max, point_index=0):
     """
     n1_grid, n2_grid = _integer_grid(spec, n_max)
     pts = np.asarray(u, dtype=float)[np.newaxis, :]
-    se_row = _grid_matrices(pts, spec, n1_grid, n2_grid)[1][0]
+    se_row = _grid_mapped(pts, spec, n1_grid, n2_grid)[0][0]
     return SePeakReport(point_index=point_index,
                         argmax_n=int(n1_grid[int(np.argmax(se_row))]))
 
@@ -241,8 +265,7 @@ def scenario_summary(spec, n_max, m, reps, seed):
         points = sobol_stream(3, m, int(child)).points
         for lo in range(0, m, _BLOCK):
             block = points[lo:lo + _BLOCK]
-            g_mat, se_mat = _grid_matrices(block, spec, n1_grid, n2_grid)
-            in_rej = g_mat <= 0.0
+            in_rej, se_mat = _grid_matrices(block, spec, n1_grid, n2_grid)
             flips = in_rej[:, 1:] != in_rej[:, :-1]
             n_changes = flips.sum(axis=1)
             argmax_values.append(n1_grid[np.argmax(se_mat, axis=1)])

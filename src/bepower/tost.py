@@ -221,15 +221,45 @@ def _unit_cube_points(m, seed, sampler):
     raise ValueError("sampler must be 'sobol' or 'prng'")
 
 
+# relative slack of the t band; far above the t kernel's error, far
+# below the spread of margin / se, so few points fall inside the band
+_T_SLACK = 1e-8
+
+
+def _t_band(alpha, n1, n2):
+    """Bounds (lo, hi) on t_quantile(1 - alpha, nu) over every Welch df
+    nu of groups n1, n2 (arrays broadcast).
+
+    nu lies in [min(n1, n2) - 1, n1 + n2 - 2] and the quantile falls as
+    nu grows, so the quantiles at the two ends bound it; the relative
+    slack _T_SLACK covers the kernel's ~1e-10 error and a df that
+    rounding puts a hair outside the interval.  At alpha = 0.5 both are 0.
+    """
+    n1, n2 = np.asarray(n1, dtype=float), np.asarray(n2, dtype=float)
+    t = t_quantile(1.0 - alpha, np.stack([n1 + n2 - 2.0,
+                                          np.minimum(n1, n2) - 1.0]))
+    return t[0] * (1.0 - _T_SLACK), t[1] * (1.0 + _T_SLACK)
+
+
 def _rejection_flags(u, spec, n1, n2):
     """Vectorized rejection decisions for an (m, 3) block of points.
 
-    Elementwise identical to stats_from_point followed by rejects: the
-    same kernels run as ufuncs over the block.
+    Elementwise identical to stats_from_point followed by rejects,
+    t_quantile(1 - alpha, nu) * se < margin, without the per-point t
+    quantile for most points: with (lo, hi) from `_t_band`, a point with
+    hi * se < margin rejects and one with lo * se >= margin does not.
+    Rounded multiplication is monotone, so t * se <= hi * se whenever
+    t <= hi, and likewise for lo; these decisions are exact.  Only the
+    points between the two bounds take their own quantile.
     """
     se, margin, nu = _mapped(u[:, 0], u[:, 1], inv_norm(u[:, 2]), spec,
                              float(n1), float(n2))
-    return t_quantile(1.0 - spec.alpha, nu) * se < margin
+    lo, hi = _t_band(spec.alpha, n1, n2)
+    flags = hi * se < margin
+    amb = np.nonzero(~flags & (lo * se < margin))[0]
+    flags[amb] = (t_quantile(1.0 - spec.alpha, nu[amb]) * se[amb]
+                  < margin[amb])
+    return flags
 
 
 def empirical_power(spec, n1, n2, m, seed, sampler="sobol"):

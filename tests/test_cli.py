@@ -109,6 +109,21 @@ class TestConfigFile:
         assert code == 2
         assert "cannot parse 'many'" in err
 
+    @pytest.mark.parametrize("command, key, extra", [
+        ("power", "engine", ["--n1", "10", "--n2", "10"]),
+        ("bench", "engines", ["--grid", "3", "--m", "64", "--reps", "2"]),
+    ])
+    def test_value_outside_choices_rejected(self, capsys, tmp_path, command,
+                                            key, extra):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = bogus\n")
+        code, out, err = run(capsys, command, "--config", str(cfg), *DESIGN,
+                             *extra, "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert f"invalid choice 'bogus' for '{key}'" in err
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "power", "--config",
                            str(tmp_path / "absent.cfg"), *DESIGN,

@@ -14,7 +14,8 @@ from bepower import (
     se_of_n,
     smallest_crossing,
 )
-from bepower.curve import _bracket_nodes, _crossings, _g, _point_g, g_at
+from bepower.curve import (_bracket_nodes, _crossings, _first_crossings, _g,
+                           _point_g, g_at)
 from bepower.qrng import sobol_stream
 from bepower.special import inv_chisq, inv_norm
 
@@ -390,3 +391,23 @@ def test_alpha_half_rejects_exactly_inside_limits():
         # not clean: either side of n is a correct answer for them
         unclean = np.count_nonzero(np.abs(pc.crossings - n) <= 1e-5)
         assert abs(pc.ecdf(n) - direct) * m <= unclean
+
+
+def test_alpha_half_refines_on_margin():
+    # at alpha = 0.5, g jumps from se to -inf; refining on -margin, which
+    # has g's sign, takes far fewer evaluations (up to 49 a point on g)
+    # and moves no crossing by more than 2 tol
+    spec = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, alpha=0.5)
+    m, seed, tol = 1024, 3, 1e-6
+    pc = power_curve(spec, 0.8, m, seed=seed, tol=tol)
+    assert pc.g_evals.max() <= 24
+    assert (pc.rec_n1, pc.rec_n2) == (3, 3)
+    g, _ = _point_g(sobol_stream(3, m, seed).points, spec)
+    del g.smooth  # refine on g itself, as before
+    on_g = _first_crossings(g, m, spec, 65536.0, tol)
+    assert np.all(np.abs(pc.crossings - on_g) <= 2.0 * tol)
+    assert np.count_nonzero(pc.crossings != on_g) > 0
+    pts = sobol_stream(3, m, seed).points
+    inner = pc.crossings > 2.0
+    assert np.all(_g(pts[inner, 0], pts[inner, 1], inv_norm(pts[inner, 2]),
+                     spec, pc.crossings[inner]) <= 0.0)

@@ -14,10 +14,11 @@ from bepower import (
 )
 from scipy.optimize import brentq
 
-from bepower.curve import _g
-from bepower.diagnostics import SCENARIO_COMBOS, _integer_grid
+from bepower.curve import _g, _lambda
+from bepower.diagnostics import SCENARIO_COMBOS, _grid_matrices, _integer_grid
 from bepower.qrng import sobol_stream
 from bepower.special import inv_norm
+from bepower.tost import _mapped, _t_band
 
 FIXTURE_U = (0.184, 0.231, 0.449)
 
@@ -99,12 +100,63 @@ class TestScanIntersections:
             scan_intersections((0.5, 0.5, 0.5), off_center, 50)
 
 
+class TestAlphaHalfScan:
+    def test_crossings_are_where_d_bar_meets_a_limit(self):
+        # at alpha = 0.5 a point rejects exactly where margin > 0, so each
+        # crossing is within the root tolerance of a sign change of margin
+        spec = DesignSpec(-14.0, 18.0, 15.0, -19.2, 19.2, alpha=0.5)
+        pts = sobol_stream(3, 64, seed=8).points
+        located = 0
+        for u in pts:
+            for c in scan_intersections(u, spec, 60).crossings:
+                if c == 2.0:
+                    continue
+                n = np.array([c - 2e-6, c + 2e-6])
+                margin = _mapped(u[0], u[1], inv_norm(u[2]), spec, n, n)[1]
+                assert (margin[0] > 0.0) != (margin[1] > 0.0)
+                located += 1
+        assert located >= 8
+
+
 class TestScanSePeak:
     def test_fixture_peaks_at_four(self, motivating):
         assert scan_se_peak(FIXTURE_U, motivating, 100).argmax_n == 4
 
     def test_upper_tail_variances_peak_at_start(self, motivating):
         assert scan_se_peak((0.9, 0.9, 0.5), motivating, 100).argmax_n == 2
+
+
+GRID_DESIGNS = {
+    # the scan scenarios the benchmark times, and alpha = 0.5
+    **{name: SCENARIOS[name] for name in ("s1_mu0", "s5_mu12", "s2_mu16")},
+    "alpha_half": (DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, alpha=0.5), 200),
+}
+
+
+class TestGridMatrices:
+    @pytest.mark.parametrize("name", sorted(GRID_DESIGNS))
+    def test_in_rejection_is_sign_of_g(self, name):
+        # the band screen decides each cell as g = se - Lambda <= 0 does,
+        # with Lambda from the per-cell t quantile
+        spec, n_max = GRID_DESIGNS[name]
+        n1, n2 = _integer_grid(spec, n_max)
+        screened = 0
+        for seed in (5, 6):
+            pts = sobol_stream(3, 128, seed).points
+            in_rej, se = _grid_matrices(pts, spec, n1, n2)
+            ref_se, margin, nu = _mapped(
+                pts[:, 0][:, None], pts[:, 1][:, None],
+                inv_norm(pts[:, 2])[:, None], spec, n1[None, :].astype(float),
+                n2[None, :].astype(float))
+            g = ref_se - _lambda(margin, nu, spec.alpha)
+            np.testing.assert_array_equal(in_rej, g <= 0.0)
+            np.testing.assert_array_equal(se, ref_se)
+            lo, hi = _t_band(spec.alpha, n1, n2)
+            if spec.alpha < 0.5:
+                # cells the band leaves to their own quantile
+                screened += np.count_nonzero((margin > 0.0) & (se > margin / hi)
+                                             & (se <= margin / lo))
+        assert spec.alpha == 0.5 or screened > 0
 
 
 class TestIntegerGrid:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bepower import (
     DesignSpec,
@@ -9,7 +11,9 @@ from bepower import (
     stats_from_point,
     welch_df,
 )
-from bepower.special import t_quantile
+from bepower.qrng import sobol_stream
+from bepower.special import inv_norm, t_quantile
+from bepower.tost import _mapped, _rejection_flags, _t_band
 
 
 class TestDesignSpec:
@@ -230,3 +234,56 @@ class TestEmpiricalPower:
                                 sampler=sampler)
         with pytest.raises(ValueError, match="sampler"):
             empirical_power(motivating, 5, 5, 64, seed=1, sampler="halton")
+
+
+def unscreened_flags(u, spec, n1, n2):
+    """Rejection flags with the t quantile computed at every point, as
+    the estimator decided before the band screen."""
+    se, margin, nu = _mapped(u[:, 0], u[:, 1], inv_norm(u[:, 2]), spec,
+                             float(n1), float(n2))
+    return t_quantile(1.0 - spec.alpha, nu) * se < margin
+
+
+class TestScreenedRejectionFlags:
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.5])
+    @pytest.mark.parametrize("q", [0.4, 1.0, 1.5])
+    def test_bit_identical_to_unscreened(self, alpha, q):
+        for mu in (-4.0, -16.0):
+            spec = DesignSpec(mu, 18.0, 15.0, -19.2, 19.2, alpha=alpha, q=q)
+            for seed in range(6):
+                u = sobol_stream(3, 2048, seed).points
+                for n1 in (2, 3, 4, 5, 7, 10, 15, 20, 40, 80, 200):
+                    n2 = max(2, int(round(q * n1)))
+                    np.testing.assert_array_equal(
+                        _rejection_flags(u, spec, n1, n2),
+                        unscreened_flags(u, spec, n1, n2))
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.05, 0.3])
+    def test_band_bounds_quantile_over_welch_range(self, alpha):
+        # the quantile at every df in [min(n1, n2) - 1, n1 + n2 - 2],
+        # ends included, lies inside the band
+        for n1, n2 in ((2, 2), (2, 200), (3, 5), (37, 11), (400, 400)):
+            lo, hi = _t_band(alpha, n1, n2)
+            nu = np.linspace(min(n1, n2) - 1.0, n1 + n2 - 2.0, 2001)
+            t = t_quantile(1.0 - alpha, nu)
+            assert np.all((lo <= t) & (t <= hi))
+            assert lo < hi
+
+    def test_band_is_zero_at_alpha_half(self):
+        assert _t_band(0.5, 3, 9) == (0.0, 0.0)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(mu=st.floats(-30.0, 30.0), sigma1=st.floats(0.1, 40.0),
+           sigma2=st.floats(0.1, 40.0), center=st.floats(-10.0, 10.0),
+           half=st.floats(0.5, 30.0),
+           alpha=st.one_of(st.just(0.5), st.floats(1e-4, 0.5)),
+           n1=st.integers(2, 500), n2=st.integers(2, 500),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_screened_equals_unscreened(self, mu, sigma1, sigma2,
+                                                 center, half, alpha, n1, n2,
+                                                 seed):
+        spec = DesignSpec(mu, sigma1, sigma2, center - half, center + half,
+                          alpha=alpha)
+        u = sobol_stream(3, 512, seed).points
+        np.testing.assert_array_equal(_rejection_flags(u, spec, n1, n2),
+                                      unscreened_flags(u, spec, n1, n2))
