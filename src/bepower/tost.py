@@ -15,6 +15,7 @@ points.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,20 +33,41 @@ __all__ = [
     "empirical_power",
 ]
 
+_TINY = np.finfo(float).tiny  # smallest normal double
+
+
+def _is_real(value):
+    return (isinstance(value, numbers.Real)
+            and not isinstance(value, (bool, np.bool_)))
+
+
+def _finite(value):
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
 
 def _design_problems(mu_diff, sigma1, sigma2, delta_L, delta_U, alpha, q):
-    problems = []
-    for name, value in (("mu_diff", mu_diff), ("sigma1", sigma1), ("sigma2", sigma2),
-                        ("delta_L", delta_L), ("delta_U", delta_U), ("alpha", alpha),
-                        ("q", q)):
-        if not math.isfinite(value):
-            problems.append(f"{name} must be finite")
+    fields = (("mu_diff", mu_diff), ("sigma1", sigma1), ("sigma2", sigma2),
+              ("delta_L", delta_L), ("delta_U", delta_U), ("alpha", alpha),
+              ("q", q))
+    problems = [f"{name} must be a real number" for name, value in fields
+                if not _is_real(value)]
     if problems:
         return problems
-    if sigma1 <= 0.0:
-        problems.append("sigma1 must be positive")
-    if sigma2 <= 0.0:
-        problems.append("sigma2 must be positive")
+    problems = [f"{name} must be finite" for name, value in fields
+                if not _finite(value)]
+    if problems:
+        return problems
+    for name, sigma in (("sigma1", sigma1), ("sigma2", sigma2)):
+        square = float(sigma) * float(sigma)
+        if sigma <= 0.0:
+            problems.append(f"{name} must be positive")
+        elif math.isinf(square):
+            problems.append(f"{name} ** 2 overflows")
+        elif square < _TINY:
+            problems.append(f"{name} ** 2 underflows")
     if not delta_L < delta_U:
         problems.append("delta_L must be less than delta_U")
     if not 0.0 < alpha <= 0.5:
@@ -64,7 +86,8 @@ class DesignSpec:
     mu_diff : float
         Anticipated mean difference mu1 - mu2, in response units.
     sigma1, sigma2 : float
-        Group standard deviations, positive.
+        Group standard deviations, positive, with squares in the range
+        of normal doubles (the variances are built from sigma ** 2).
     delta_L, delta_U : float
         Equivalence limits, delta_L < delta_U.
     alpha : float
@@ -78,8 +101,9 @@ class DesignSpec:
     Raises
     ------
     ValueError
-        If any constraint is violated.  The message lists every
-        violated constraint, not just the first.
+        If any field is not a real number (bools are not) or any
+        constraint is violated.  The message lists every violated
+        constraint, not just the first.
     """
 
     mu_diff: float
@@ -154,16 +178,32 @@ def welch_df(s1_sq, s2_sq, n1, n2):
     return out if out.ndim else float(out)
 
 
+def _sample_se(x1, x2, spec, n1, n2):
+    """(s1_sq, s2_sq, se) from chi-square quantiles x1 at n1 - 1 and x2
+    at n2 - 1 df.  Each rounded operation is monotone, so bounds on x1
+    and x2 give bounds on se."""
+    s1_sq = spec.sigma1 ** 2 * x1 / (n1 - 1.0)
+    s2_sq = spec.sigma2 ** 2 * x2 / (n2 - 1.0)
+    return s1_sq, s2_sq, np.sqrt(s1_sq / n1 + s2_sq / n2)
+
+
+def _d_bar(z3, spec, n1, n2):
+    return spec.mu_diff + z3 * np.sqrt(spec.sigma1 ** 2 / n1
+                                       + spec.sigma2 ** 2 / n2)
+
+
+def _margin(d_bar, spec):
+    return np.minimum(d_bar - spec.delta_L, spec.delta_U - d_bar)
+
+
 def _trial(u1, u2, z3, spec, n1, n2):
     """The point -> statistics map, (d_bar, s1_sq, s2_sq, se, nu), with
     z3 = inv_norm(u3).  Arguments broadcast like ufuncs; n1 and n2 may
     be real and may differ per element."""
-    s1_sq = spec.sigma1 ** 2 * inv_chisq(u1, n1 - 1.0) / (n1 - 1.0)
-    s2_sq = spec.sigma2 ** 2 * inv_chisq(u2, n2 - 1.0) / (n2 - 1.0)
-    d_bar = spec.mu_diff + z3 * np.sqrt(spec.sigma1 ** 2 / n1
-                                        + spec.sigma2 ** 2 / n2)
-    se = np.sqrt(s1_sq / n1 + s2_sq / n2)
-    return d_bar, s1_sq, s2_sq, se, welch_df(s1_sq, s2_sq, n1, n2)
+    s1_sq, s2_sq, se = _sample_se(inv_chisq(u1, n1 - 1.0),
+                                  inv_chisq(u2, n2 - 1.0), spec, n1, n2)
+    return (_d_bar(z3, spec, n1, n2), s1_sq, s2_sq, se,
+            welch_df(s1_sq, s2_sq, n1, n2))
 
 
 def _mapped(u1, u2, z3, spec, n1, n2):
@@ -171,7 +211,7 @@ def _mapped(u1, u2, z3, spec, n1, n2):
     rejects when margin = min(d_bar - delta_L, delta_U - d_bar) > 0 and
     t_quantile(1 - alpha, nu) * se < margin."""
     d_bar, _, _, se, nu = _trial(u1, u2, z3, spec, n1, n2)
-    return se, np.minimum(d_bar - spec.delta_L, spec.delta_U - d_bar), nu
+    return se, _margin(d_bar, spec), nu
 
 
 def stats_from_point(u, spec, n1, n2):
@@ -189,7 +229,15 @@ def stats_from_point(u, spec, n1, n2):
     Returns
     -------
     SummaryStats
+
+    Raises
+    ------
+    ValueError
+        If n1 or n2 is not a real number >= 2.
     """
+    for name, n in (("n1", n1), ("n2", n2)):
+        if not (_is_real(n) and n >= 2.0):
+            raise ValueError(f"{name} must be a real number >= 2")
     stats = _trial(float(u[0]), float(u[1]), inv_norm(float(u[2])), spec,
                    n1, n2)
     return SummaryStats(*map(float, stats))
@@ -221,9 +269,13 @@ def _unit_cube_points(m, seed, sampler):
     raise ValueError("sampler must be 'sobol' or 'prng'")
 
 
-# relative slack of the t band; far above the t kernel's error, far
-# below the spread of margin / se, so few points fall inside the band
-_T_SLACK = 1e-8
+# relative slack of the t band and of the chi-square brackets; far above
+# the kernels' error, far below the spread of margin / se, so few points
+# fall between the bounds
+_SLACK = 1e-8
+# chi-square knots j / _K; a power of two, so floor(u * _K) is exact
+_K = 1024
+_KNOTS = np.concatenate([[CLAMP_LOW], np.arange(1, _K) / _K, [CLAMP_HIGH]])
 
 
 def _t_band(alpha, n1, n2):
@@ -232,33 +284,67 @@ def _t_band(alpha, n1, n2):
 
     nu lies in [min(n1, n2) - 1, n1 + n2 - 2] and the quantile falls as
     nu grows, so the quantiles at the two ends bound it; the relative
-    slack _T_SLACK covers the kernel's ~1e-10 error and a df that
+    slack _SLACK covers the kernel's ~1e-10 error and a df that
     rounding puts a hair outside the interval.  At alpha = 0.5 both are 0.
     """
     n1, n2 = np.asarray(n1, dtype=float), np.asarray(n2, dtype=float)
     t = t_quantile(1.0 - alpha, np.stack([n1 + n2 - 2.0,
                                           np.minimum(n1, n2) - 1.0]))
-    return t[0] * (1.0 - _T_SLACK), t[1] * (1.0 + _T_SLACK)
+    return t[0] * (1.0 - _SLACK), t[1] * (1.0 + _SLACK)
+
+
+def _chisq_brackets(df):
+    """Bounds (lo, hi), each of shape (_K,), on inv_chisq(p, df) for every
+    p in [CLAMP_LOW, CLAMP_HIGH]: with i = floor(p * _K),
+    lo[i] <= inv_chisq(p, df) <= hi[i].
+
+    The quantile rises with p, so its values at knots i and i + 1 bound
+    it; the relative slack _SLACK covers the kernel's error.  The outer
+    knots are the clamp ends, not 0 and 1, so every bound is finite and
+    positive.
+    """
+    x = inv_chisq(_KNOTS, df)
+    return x[:-1] * (1.0 - _SLACK), x[1:] * (1.0 + _SLACK)
 
 
 def _rejection_flags(u, spec, n1, n2):
-    """Vectorized rejection decisions for an (m, 3) block of points.
+    """Vectorized rejection decisions for an (m, 3) block of points with
+    coordinates in [CLAMP_LOW, CLAMP_HIGH].
 
     Elementwise identical to stats_from_point followed by rejects,
-    t_quantile(1 - alpha, nu) * se < margin, without the per-point t
-    quantile for most points: with (lo, hi) from `_t_band`, a point with
-    hi * se < margin rejects and one with lo * se >= margin does not.
-    Rounded multiplication is monotone, so t * se <= hi * se whenever
-    t <= hi, and likewise for lo; these decisions are exact.  Only the
-    points between the two bounds take their own quantile.
+    t_quantile(1 - alpha, nu) * se < margin, without the chi-square and
+    t quantiles for most points.  `_chisq_brackets` bounds both of a
+    point's chi-square quantiles, and the same rounded arithmetic as
+    `_trial` carries those bounds to se_lo <= se <= se_hi; `_t_band`
+    bounds the t quantile by lo <= t <= hi.  Rounded multiplication of
+    non-negative numbers is monotone, so a point with
+    hi * se_hi < margin rejects and one with lo * se_lo >= margin does
+    not; these decisions are exact.  The other points, and those with
+    se_lo = 0 (so that a degenerate sample still raises in `welch_df`),
+    take the exact statistics; of those, the ones between the t bounds
+    take their own t quantile.
     """
-    se, margin, nu = _mapped(u[:, 0], u[:, 1], inv_norm(u[:, 2]), spec,
-                             float(n1), float(n2))
+    n1, n2 = float(n1), float(n2)
+    z3 = inv_norm(u[:, 2])
+    margin = _margin(_d_bar(z3, spec, n1, n2), spec)
     lo, hi = _t_band(spec.alpha, n1, n2)
-    flags = hi * se < margin
-    amb = np.nonzero(~flags & (lo * se < margin))[0]
-    flags[amb] = (t_quantile(1.0 - spec.alpha, nu[amb]) * se[amb]
-                  < margin[amb])
+    lo1, hi1 = _chisq_brackets(n1 - 1.0)
+    lo2, hi2 = (lo1, hi1) if n2 == n1 else _chisq_brackets(n2 - 1.0)
+    i1 = (u[:, 0] * _K).astype(np.intp)
+    i2 = (u[:, 1] * _K).astype(np.intp)
+    # an overflowing bound (inf, or 0 * inf at alpha = 0.5) settles nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        se_lo = _sample_se(lo1[i1], lo2[i2], spec, n1, n2)[2]
+        se_hi = _sample_se(hi1[i1], hi2[i2], spec, n1, n2)[2]
+        flags = hi * se_hi < margin
+        exact = np.nonzero(~(flags | (lo * se_lo >= margin))
+                           | (se_lo == 0.0))[0]
+    se, margin, nu = _mapped(u[exact, 0], u[exact, 1], z3[exact], spec,
+                             n1, n2)
+    sure = hi * se < margin
+    amb = ~sure & (lo * se < margin)
+    sure[amb] = t_quantile(1.0 - spec.alpha, nu[amb]) * se[amb] < margin[amb]
+    flags[exact] = sure
     return flags
 
 
@@ -284,6 +370,14 @@ def empirical_power(spec, n1, n2, m, seed, sampler="sobol"):
     -------
     float
         Rejection fraction; m * power is an exact integer count.
+
+    Notes
+    -----
+    Each decision is the one stats_from_point followed by rejects would
+    make, but the chi-square and t quantiles are inverted only for the
+    points whose decision depends on their exact values (see
+    `_rejection_flags`): at m = 65536 on the benchmark designs, at most
+    about 11% of the points at n = 5 and under 0.1% from n = 40 on.
     """
     # one observation cannot estimate a variance
     n1, n2 = _check_count("n1", n1, 2), _check_count("n2", n2, 2)

@@ -298,8 +298,10 @@ class TestBenchCommand:
      "--seed", "1"],
     ["bench", *DESIGN, "--grid", "3", "--m", "16", "--reps", "0",
      "--seed", "1"],
+    ["power", "--mu-diff", "-4", "--sigma1", "1e200", "--sigma2", "15",
+     "--delta", "19.2", "--n1", "5", "--n2", "5", "--seed", "1"],
 ], ids=["n_max_1", "m_0", "mu_outside_limits", "diagnose_seed",
-        "bench_seed", "group_size_1", "reps_0"])
+        "bench_seed", "group_size_1", "reps_0", "sigma_squared_overflows"])
 def test_invalid_input_fails_cleanly(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2

@@ -35,6 +35,10 @@ class TestSpecAndMapping:
             CrossoverSpec(**{**BE_KW, "F": float("nan")})
         with pytest.raises(ValueError, match="invalid crossover design"):
             CrossoverSpec(**{**BE_KW, "alpha": 0.7})
+        with pytest.raises(ValueError, match=r"sigma_D2 \*\* 2 overflows"):
+            CrossoverSpec(**{**BE_KW, "sigma_D2": 1e200})
+        with pytest.raises(ValueError, match="F must be a real number"):
+            CrossoverSpec(**{**BE_KW, "F": "0.05"})
 
 
 class TestCrossoverSampleSize:

@@ -11,9 +11,12 @@ from bepower import (
     stats_from_point,
     welch_df,
 )
-from bepower.qrng import sobol_stream
-from bepower.special import inv_norm, t_quantile
-from bepower.tost import _mapped, _rejection_flags, _t_band
+from bepower.qrng import CLAMP_HIGH, CLAMP_LOW, sobol_stream
+from bepower.special import inv_chisq, inv_norm, t_quantile
+from bepower.tost import (_K, _chisq_brackets, _mapped, _rejection_flags,
+                          _t_band, _unit_cube_points)
+
+TABLE1_GRID = (3, 5, 8, 10, 15, 20, 30, 40, 50, 60)
 
 
 class TestDesignSpec:
@@ -29,6 +32,14 @@ class TestDesignSpec:
         ("alpha", 0.0, r"alpha must lie in \(0, 0.5\]"),
         ("q", -0.5, "q must be positive"),
         ("mu_diff", np.inf, "mu_diff must be finite"),
+        ("delta_L", -10 ** 400, "delta_L must be finite"),
+        ("sigma1", 1e200, r"sigma1 \*\* 2 overflows"),
+        ("sigma2", 1e-160, r"sigma2 \*\* 2 underflows"),
+        ("mu_diff", "0", "mu_diff must be a real number"),
+        ("q", True, "q must be a real number"),
+        ("alpha", np.bool_(True), "alpha must be a real number"),
+        ("delta_U", 1.0 + 0j, "delta_U must be a real number"),
+        ("sigma1", None, "sigma1 must be a real number"),
     ])
     def test_single_violation(self, field, value, msg):
         kw = dict(mu_diff=0.0, sigma1=1.0, sigma2=1.0,
@@ -36,6 +47,23 @@ class TestDesignSpec:
         kw[field] = value
         with pytest.raises(ValueError, match=msg):
             DesignSpec(**kw)
+
+    def test_both_variances_underflowing_named(self):
+        with pytest.raises(ValueError) as exc:
+            DesignSpec(0.0, 1e-300, 1e-300, -1.0, 1.0)
+        assert ("sigma1 ** 2 underflows" in str(exc.value)
+                and "sigma2 ** 2 underflows" in str(exc.value))
+
+    def test_numpy_and_integer_fields_accepted(self):
+        spec = DesignSpec(np.float64(-4.0), 18, np.int64(15), -19.2, 19.2,
+                          alpha=np.float32(0.05), q=1)
+        assert 0.0 < empirical_power(spec, 10, 10, 256, seed=1) < 1.0
+
+    def test_wide_but_representable_scales_estimate(self):
+        for c in (1e50, 1e-50):
+            spec = DesignSpec(-4.0 * c, 18.0 * c, 15.0 * c, -19.2 * c,
+                              19.2 * c)
+            assert 0.0 < empirical_power(spec, 10, 10, 1024, seed=1) < 1.0
 
     def test_limits_must_be_ordered(self):
         with pytest.raises(ValueError, match="delta_L must be less than delta_U"):
@@ -125,6 +153,20 @@ class TestStatsFromPoint:
         assert st.d_bar == pytest.approx(-1.34253159576, rel=1e-9)
         assert st.se == pytest.approx(4.94992310197, rel=1e-9)
         assert st.nu == pytest.approx(27.0241726333, rel=1e-9)
+
+    @pytest.mark.parametrize("n1,n2,name", [
+        (1.5, 20, "n1"), (1, 20, "n1"), (float("nan"), 20, "n1"),
+        (20, 1.99, "n2"), (20, True, "n2"), (20, "20", "n2"),
+    ])
+    def test_group_size_below_two_rejected(self, motivating, n1, n2, name):
+        with pytest.raises(ValueError,
+                           match=f"{name} must be a real number >= 2"):
+            stats_from_point((0.3, 0.8, 0.5), motivating, n1, n2)
+
+    def test_real_group_sizes_accepted(self, motivating):
+        st = stats_from_point((0.3, 0.8, 0.5), motivating, 2.0,
+                              np.float64(7.5))
+        assert 1.0 <= st.nu <= 7.5
 
 
 class TestRejects:
@@ -287,3 +329,70 @@ class TestScreenedRejectionFlags:
         u = sobol_stream(3, 512, seed).points
         np.testing.assert_array_equal(_rejection_flags(u, spec, n1, n2),
                                       unscreened_flags(u, spec, n1, n2))
+
+
+def knot_neighbourhood():
+    """Every knot j / _K, its two nextafter neighbours and the clamp ends."""
+    knots = np.arange(1, _K) / _K
+    return np.concatenate([[CLAMP_LOW, np.nextafter(CLAMP_LOW, 1.0),
+                            np.nextafter(CLAMP_HIGH, 0.0), CLAMP_HIGH],
+                           knots, np.nextafter(knots, 0.0),
+                           np.nextafter(knots, 1.0)])
+
+
+class TestChisqScreen:
+    @pytest.mark.parametrize("df", [1.0, 1.5, 2.0, 4.2, 59.0, 89.0, 499.0,
+                                    1e4])
+    def test_knot_brackets_bound_quantile(self, df):
+        # dense p over [CLAMP_LOW, CLAMP_HIGH], both tails included
+        p = np.clip(np.concatenate([
+            knot_neighbourhood(), np.linspace(CLAMP_LOW, CLAMP_HIGH, 100_001),
+            np.geomspace(CLAMP_LOW, 0.5, 20_001),
+            1.0 - np.geomspace(2.0 ** -53, 0.5, 20_001)]),
+            CLAMP_LOW, CLAMP_HIGH)
+        lo, hi = _chisq_brackets(df)
+        assert lo.shape == hi.shape == (_K,)
+        assert np.all(lo > 0.0) and np.all(np.isfinite(hi))
+        i = (p * _K).astype(np.intp)
+        x = inv_chisq(p, df)
+        bad = ~((lo[i] <= x) & (x <= hi[i]))
+        assert not bad.any(), p[bad][:5]
+
+    @pytest.mark.parametrize("q", [1.0, 1.5])
+    def test_bit_identical_on_estimate_grid(self, q):
+        # the benchmark's estimate calls: m = 65536, the Table-1 grid
+        spec = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, q=q)
+        for seed in (7, 2024):
+            u = sobol_stream(3, 65536, seed).points
+            for n1 in TABLE1_GRID:
+                n2 = int(round(q * n1))
+                np.testing.assert_array_equal(
+                    _rejection_flags(u, spec, n1, n2),
+                    unscreened_flags(u, spec, n1, n2))
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5])
+    def test_bit_identical_at_knots_and_clamp_ends(self, alpha):
+        # rows on the bracket edges, where the screen's bounds are tight
+        edges = knot_neighbourhood()
+        for seed in range(3):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            u = _unit_cube_points(8192, seed, "prng")
+            u[:edges.size, 0] = edges
+            u[:edges.size, 1] = rng.permutation(edges)
+            u[edges.size:2 * edges.size, 1] = edges
+            for mu, sigma1, sigma2 in ((-4.0, 18.0, 15.0), (-16.0, 18.0, 15.0),
+                                       (2.0, 3.0, 30.0)):
+                spec = DesignSpec(mu, sigma1, sigma2, -19.2, 19.2,
+                                  alpha=alpha)
+                for n1, n2 in ((2, 2), (3, 5), (20, 20), (60, 90), (300, 7)):
+                    np.testing.assert_array_equal(
+                        _rejection_flags(u, spec, n1, n2),
+                        unscreened_flags(u, spec, n1, n2))
+
+    def test_degenerate_sample_still_raises(self):
+        # both variances underflow to zero at the clamp end, as before
+        spec = DesignSpec(0.0, 1e-150, 1e-150, -1e-140, 1e-140)
+        u = np.full((4, 3), 0.5)
+        u[2, :2] = CLAMP_LOW
+        with pytest.raises(ValueError, match="degenerate"):
+            _rejection_flags(u, spec, 2, 2)
