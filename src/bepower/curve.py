@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qrng import _check_count, sobol_stream
-from .special import _TINY, inv_norm, t_quantile
-from .tost import _mapped, require_curve_spec
+from .special import _TINY, inv_norm
+from .tost import _lambda, _mapped, require_curve_spec
 
 __all__ = [
     "CENSORED",
@@ -128,30 +128,15 @@ def _check_n_domain(n, q):
 
 def _check_solver_args(spec, B, tol):
     require_curve_spec(spec)
-    if B < 2.0:
+    if not B >= 2.0:
         raise ValueError("B must be at least 2")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if _domain_start(spec.q) > B:
         raise ValueError(
             f"censoring bound B={B:g} lies below the domain start "
             f"2/q={2.0 / spec.q:g}, where group 2 first has two subjects; "
             "raise B or q")
-
-
-def _lambda(margin, nu, alpha):
-    """Rejection threshold Lambda = margin / t_quantile(1 - alpha, nu).
-
-    Lambda is 0 where margin <= 0, and the t quantile is computed only
-    where margin > 0.  At alpha = 0.5 the quantile is 0 and Lambda is
-    +inf, so a point rejects exactly when margin > 0.
-    """
-    margin, nu = np.asarray(margin), np.asarray(nu)
-    lam = np.zeros(margin.shape)
-    inside = margin > 0.0
-    with np.errstate(divide="ignore"):
-        lam[inside] = margin[inside] / t_quantile(1.0 - alpha, nu[inside])
-    return lam
 
 
 def _g(u1, u2, z3, spec, n):
@@ -396,7 +381,8 @@ def smallest_crossing(u, spec, B=DEFAULT_B, tol=DEFAULT_TOL, point_index=0):
     ------
     ValueError
         If the spec does not satisfy delta_L < mu_diff < delta_U, or
-        B < 2, or tol <= 0, or the domain start 2/q lies above B.
+        B is not at least 2 (NaN is not), or tol is not positive and
+        finite, or the domain start 2/q lies above B.
     """
     _check_solver_args(spec, B, tol)
     g, evals = _point_g(np.asarray(u, dtype=float).reshape(1, 3), spec)
@@ -452,7 +438,8 @@ def power_curve(spec, target_power, m, seed, B=DEFAULT_B, tol=DEFAULT_TOL):
         (fraction >= 1 - target_power) the quantile itself would be
         censored and a RuntimeError names the bound.
     tol : float
-        Absolute tolerance in n for each located root, positive.
+        Absolute tolerance in n for each located root, positive and
+        finite.
 
     Returns
     -------

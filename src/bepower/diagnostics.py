@@ -20,8 +20,9 @@ import numpy as np
 
 from . import curve as _curve
 from .qrng import _check_count, _check_seed, sobol_stream
-from .special import inv_norm
-from .tost import DesignSpec, _mapped, _t_band, require_curve_spec
+from .special import inv_norm, t_quantile
+from .tost import (DesignSpec, _g_in, _mapped, _screen, _t_band,
+                   require_curve_spec)
 
 __all__ = [
     "IntersectionReport",
@@ -119,47 +120,33 @@ class SePeakReport:
 
 def _integer_grid(spec, n_max):
     """Integer n1 grid with round-half-even n2, both sizes >= 2."""
+    n_max = _check_count("n_max", n_max, 2)
     start = 2
     while int(np.rint(spec.q * start)) < 2:
         start += 1
     if start > n_max:
         raise ValueError("n_max leaves no feasible integer grid")
-    n1 = np.arange(start, int(n_max) + 1)
+    n1 = np.arange(start, n_max + 1)
     n2 = np.rint(spec.q * n1).astype(int)
     return n1, n2
-
-
-def _grid_mapped(points, spec, n1_grid, n2_grid):
-    """`_mapped` over points x grid, at the integer (n1, n2) pairs."""
-    return _mapped(points[:, 0][:, None], points[:, 1][:, None],
-                   inv_norm(points[:, 2])[:, None], spec,
-                   n1_grid[None, :].astype(float),
-                   n2_grid[None, :].astype(float))
 
 
 def _grid_matrices(points, spec, n1_grid, n2_grid):
     """In-rejection flags g <= 0 and se over points x grid.
 
-    g = se - Lambda <= 0 is se <= margin / t_quantile(1 - alpha, nu)
-    where margin > 0, and se <= 0 elsewhere.  `_t_band` bounds the t
-    quantile of each grid column by (lo, hi), so margin / hi <= Lambda
-    <= margin / lo: rounded division is monotone in the divisor.  A
-    cell with se <= margin / hi is in, one with se > margin / lo is
-    out, exactly as with its own quantile; only the cells between take
-    theirs.  At alpha = 0.5 both bounds are 0, Lambda is +inf where
-    margin > 0, and every cell is decided by the band.
+    `_screen` decides each cell from `_t_band`, the bounds on the t
+    quantiles of its grid column; only the cells it leaves open take
+    their own quantile.  At alpha = 0.5 the band decides every cell.
     """
-    se, margin, nu = _grid_mapped(points, spec, n1_grid, n2_grid)
-    lo, hi = _t_band(spec.alpha, n1_grid, n2_grid)
-    inside = margin > 0.0
-    with np.errstate(divide="ignore"):
-        lam_lo = np.divide(margin, hi, out=np.zeros(margin.shape),
-                           where=inside)
-        lam_hi = np.divide(margin, lo, out=np.zeros(margin.shape),
-                           where=inside)
-    in_rej = se <= lam_lo
-    amb = np.nonzero(~in_rej & (se <= lam_hi))
-    in_rej[amb] = se[amb] <= _curve._lambda(margin[amb], nu[amb], spec.alpha)
+    se, margin, nu = _mapped(points[:, 0][:, None], points[:, 1][:, None],
+                             inv_norm(points[:, 2])[:, None], spec,
+                             n1_grid[None, :].astype(float),
+                             n2_grid[None, :].astype(float))
+    in_rej, open_ = _screen(_g_in, se, se, margin,
+                            *_t_band(spec.alpha, n1_grid, n2_grid))
+    amb = np.nonzero(open_)
+    in_rej[amb] = _g_in(se[amb], margin[amb],
+                        t_quantile(1.0 - spec.alpha, nu[amb]))
     return in_rej, se
 
 
@@ -230,7 +217,7 @@ def scan_se_peak(u, spec, n_max, point_index=0):
     """
     n1_grid, n2_grid = _integer_grid(spec, n_max)
     pts = np.asarray(u, dtype=float)[np.newaxis, :]
-    se_row = _grid_mapped(pts, spec, n1_grid, n2_grid)[0][0]
+    se_row = _grid_matrices(pts, spec, n1_grid, n2_grid)[1][0]
     return SePeakReport(point_index=point_index,
                         argmax_n=int(n1_grid[int(np.argmax(se_row))]))
 

@@ -171,11 +171,21 @@ def welch_df(s1_sq, s2_sq, n1, n2):
     b = np.asarray(s2_sq, dtype=float) / n2
     if np.any((a == 0.0) & (b == 0.0)):
         raise ValueError("degenerate sample: both variances are zero")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = _satterthwaite(a, b, n1, n2)
+    finite = np.isfinite(out)
+    if not finite.all():
+        # a * a overflowed or underflowed; nu is scale-free, so rescale
+        c = np.maximum(a, b)
+        out = np.where(finite, out, _satterthwaite(a / c, b / c, n1, n2))
+    return out if out.ndim else float(out)
+
+
+def _satterthwaite(a, b, n1, n2):
     # s * s, not (a + b) ** 2: on a numpy scalar ** calls libm pow, which
     # can differ in the last bit from the product that arrays use
     s = a + b
-    out = s * s / (a * a / (n1 - 1.0) + b * b / (n2 - 1.0))
-    return out if out.ndim else float(out)
+    return s * s / (a * a / (n1 - 1.0) + b * b / (n2 - 1.0))
 
 
 def _sample_se(x1, x2, spec, n1, n2):
@@ -243,6 +253,55 @@ def stats_from_point(u, spec, n1, n2):
     return SummaryStats(*map(float, stats))
 
 
+def _tost_in(se, margin, t):
+    """TOST rejects: t * se < margin, with t the upper-alpha t quantile."""
+    return t * se < margin
+
+
+def _threshold(margin, t):
+    """Lambda = margin / t where margin > 0, and 0 elsewhere; +inf where
+    margin > 0 and t = 0 (alpha = 0.5)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(margin > 0.0, margin / t, 0.0)
+
+
+def _g_in(se, margin, t):
+    """g = se - Lambda <= 0: the curve solver's side of zero.  Not the
+    same as `_tost_in` in floating point; crossings follow this form."""
+    return se <= _threshold(margin, t)
+
+
+def _lambda(margin, nu, alpha):
+    """Rejection threshold Lambda = margin / t_quantile(1 - alpha, nu).
+
+    Lambda is 0 where margin <= 0, and the t quantile is computed only
+    where margin > 0.  At alpha = 0.5 the quantile is 0 and Lambda is
+    +inf, so a point rejects exactly when margin > 0.
+    """
+    margin, nu = np.asarray(margin), np.asarray(nu)
+    t = np.zeros(margin.shape)
+    inside = margin > 0.0
+    t[inside] = t_quantile(1.0 - alpha, nu[inside])
+    return _threshold(margin, t)
+
+
+def _screen(in_region, se_lo, se_hi, margin, lo, hi):
+    """Decide in_region(se, margin, t) from bounds se_lo <= se <= se_hi
+    and lo <= t <= hi; returns (decided_in, open).
+
+    Both predicates grow harder to meet as se or t grows, and rounded
+    multiplication and division are monotone, so a cell in the region
+    at the corner (se_hi, hi) is in it at every (se, t) of its bounds,
+    and one outside it at (se_lo, lo) is outside at all of them: these
+    decisions are exact.  A corner whose value is NaN (0 * inf at
+    alpha = 0.5 and se_lo = inf) reads as outside, as the exact value
+    does, since se >= se_lo = inf.  Open cells take the caller's exact
+    path.
+    """
+    decided_in = in_region(se_hi, margin, hi)
+    return decided_in, ~decided_in & in_region(se_lo, margin, lo)
+
+
 def rejects(stats, spec):
     """TOST rejection decision for one set of summary statistics.
 
@@ -257,7 +316,8 @@ def rejects(stats, spec):
     margin = min(stats.d_bar - spec.delta_L, spec.delta_U - stats.d_bar)
     if margin <= 0.0:
         return False
-    return bool(t_quantile(1.0 - spec.alpha, stats.nu) * stats.se < margin)
+    return bool(_tost_in(stats.se, margin,
+                         t_quantile(1.0 - spec.alpha, stats.nu)))
 
 
 def _unit_cube_points(m, seed, sampler):
@@ -312,39 +372,28 @@ def _rejection_flags(u, spec, n1, n2):
     coordinates in [CLAMP_LOW, CLAMP_HIGH].
 
     Elementwise identical to stats_from_point followed by rejects,
-    t_quantile(1 - alpha, nu) * se < margin, without the chi-square and
-    t quantiles for most points.  `_chisq_brackets` bounds both of a
-    point's chi-square quantiles, and the same rounded arithmetic as
-    `_trial` carries those bounds to se_lo <= se <= se_hi; `_t_band`
-    bounds the t quantile by lo <= t <= hi.  Rounded multiplication of
-    non-negative numbers is monotone, so a point with
-    hi * se_hi < margin rejects and one with lo * se_lo >= margin does
-    not; these decisions are exact.  The other points, and those with
-    se_lo = 0 (so that a degenerate sample still raises in `welch_df`),
-    take the exact statistics; of those, the ones between the t bounds
-    take their own t quantile.
+    without the chi-square and t quantiles for most points: the knot
+    brackets of `_chisq_brackets`, carried through `_sample_se`, bound
+    se, `_t_band` bounds t, and `_screen` decides from those bounds.
+    The open points, and those with se_lo = 0 (so that a degenerate
+    sample still raises in `welch_df`), take the exact statistics.
     """
     n1, n2 = float(n1), float(n2)
     z3 = inv_norm(u[:, 2])
     margin = _margin(_d_bar(z3, spec, n1, n2), spec)
-    lo, hi = _t_band(spec.alpha, n1, n2)
     lo1, hi1 = _chisq_brackets(n1 - 1.0)
     lo2, hi2 = (lo1, hi1) if n2 == n1 else _chisq_brackets(n2 - 1.0)
     i1 = (u[:, 0] * _K).astype(np.intp)
     i2 = (u[:, 1] * _K).astype(np.intp)
-    # an overflowing bound (inf, or 0 * inf at alpha = 0.5) settles nothing
     with np.errstate(over="ignore", invalid="ignore"):
         se_lo = _sample_se(lo1[i1], lo2[i2], spec, n1, n2)[2]
         se_hi = _sample_se(hi1[i1], hi2[i2], spec, n1, n2)[2]
-        flags = hi * se_hi < margin
-        exact = np.nonzero(~(flags | (lo * se_lo >= margin))
-                           | (se_lo == 0.0))[0]
+        flags, open_ = _screen(_tost_in, se_lo, se_hi, margin,
+                               *_t_band(spec.alpha, n1, n2))
+    exact = np.nonzero(open_ | (se_lo == 0.0))[0]
     se, margin, nu = _mapped(u[exact, 0], u[exact, 1], z3[exact], spec,
                              n1, n2)
-    sure = hi * se < margin
-    amb = ~sure & (lo * se < margin)
-    sure[amb] = t_quantile(1.0 - spec.alpha, nu[amb]) * se[amb] < margin[amb]
-    flags[exact] = sure
+    flags[exact] = _tost_in(se, margin, t_quantile(1.0 - spec.alpha, nu))
     return flags
 
 

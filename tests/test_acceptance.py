@@ -196,7 +196,8 @@ def test_criterion_7_property_suite(motivating):
 
     # scale and shift invariance of decisions
     base = empirical_power(motivating, 12, 12, 4096, seed=13)
-    assert empirical_power(motivating.scaled(3.7), 12, 12, 4096, 13) == base
+    for c in (3.7, 1e78, 1e-150):
+        assert empirical_power(motivating.scaled(c), 12, 12, 4096, 13) == base
     assert empirical_power(motivating.shifted(5.1), 12, 12, 4096, 13) == base
     print("scale/shift invariance: exact at m=4096")
 

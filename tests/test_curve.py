@@ -206,10 +206,12 @@ class TestSmallestCrossing:
         assert cp.crossing_n == 4.0  # smallest n with q n >= 2
 
     def test_parameter_validation(self, motivating):
-        with pytest.raises(ValueError, match="B must be"):
-            smallest_crossing((0.5, 0.5, 0.5), motivating, B=1.0)
-        with pytest.raises(ValueError, match="tol must be"):
-            smallest_crossing((0.5, 0.5, 0.5), motivating, tol=0.0)
+        for B in (1.0, math.nan):
+            with pytest.raises(ValueError, match="B must be"):
+                smallest_crossing((0.5, 0.5, 0.5), motivating, B=B)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol must be"):
+                smallest_crossing((0.5, 0.5, 0.5), motivating, tol=tol)
         tiny_q = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, q=1e-5)
         with pytest.raises(ValueError, match=r"B=65536 .*2/q=200000"):
             smallest_crossing((0.5, 0.5, 0.5), tiny_q)
@@ -311,10 +313,12 @@ class TestPowerCurve:
             power_curve(motivating, 0.8, True, seed=1)
         with pytest.raises(ValueError, match="seed must be"):
             power_curve(motivating, 0.8, 64, seed=True)
-        with pytest.raises(ValueError, match="B must be"):
-            power_curve(motivating, 0.8, 64, seed=1, B=1.0)
-        with pytest.raises(ValueError, match="tol must be"):
-            power_curve(motivating, 0.8, 64, seed=1, tol=0.0)
+        for B in (1.0, math.nan):
+            with pytest.raises(ValueError, match="B must be"):
+                power_curve(motivating, 0.8, 64, seed=1, B=B)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol must be"):
+                power_curve(motivating, 0.8, 64, seed=1, tol=tol)
         # the domain start 2/q above B: a bound error, not censoring
         tiny_q = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, q=1e-5)
         with pytest.raises(ValueError, match=r"B=65536 .*2/q=200000"):

@@ -98,6 +98,11 @@ class TestScanIntersections:
         off_center = DesignSpec(25.0, 18.0, 15.0, -19.2, 19.2)
         with pytest.raises(ValueError, match="strictly between"):
             scan_intersections((0.5, 0.5, 0.5), off_center, 50)
+        for n_max in (10.5, math.nan, True):
+            with pytest.raises(ValueError, match="n_max must be"):
+                scan_intersections((0.5, 0.5, 0.5), motivating, n_max)
+            with pytest.raises(ValueError, match="n_max must be"):
+                scan_se_peak((0.5, 0.5, 0.5), motivating, n_max)
 
 
 class TestAlphaHalfScan:
@@ -255,3 +260,6 @@ class TestScenarioSummary:
             scenario_summary(motivating, 50, m=16, reps=1.5, seed=1)
         with pytest.raises(ValueError, match="seed must be"):
             scenario_summary(motivating, 50, m=16, reps=1, seed=True)
+        for n_max in (10.5, math.nan, True, 1, "50"):
+            with pytest.raises(ValueError, match="n_max must be"):
+                scenario_summary(motivating, n_max, m=16, reps=1, seed=1)

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bepower import (
@@ -13,8 +15,9 @@ from bepower import (
 )
 from bepower.qrng import CLAMP_HIGH, CLAMP_LOW, sobol_stream
 from bepower.special import inv_chisq, inv_norm, t_quantile
-from bepower.tost import (_K, _chisq_brackets, _mapped, _rejection_flags,
-                          _t_band, _unit_cube_points)
+from bepower.tost import (_K, _chisq_brackets, _g_in, _mapped,
+                          _rejection_flags, _screen, _t_band, _tost_in,
+                          _unit_cube_points)
 
 TABLE1_GRID = (3, 5, 8, 10, 15, 20, 30, 40, 50, 60)
 
@@ -120,6 +123,18 @@ class TestWelchDf:
         scalar = [welch_df(a, b, c, d) for a, b, c, d in
                   zip(s1.tolist(), s2.tolist(), n1.tolist(), n2.tolist())]
         assert np.array_equal(arr, np.array(scalar))
+
+    def test_scale_free_beyond_the_square_range(self):
+        # a * a overflows at 1e200 and underflows at 1e-200; nu does not
+        # depend on the scale of the variances
+        for c in (1e200, 1e-200):
+            assert welch_df(324.0 * c, 225.0 * c, 20, 20) == pytest.approx(
+                36.803227485684539, rel=1e-12)
+            assert welch_df(4.0 * c, 0.0, 9, 17) == 8.0
+        arr = welch_df(np.array([324.0, 324e200, 324e-200]),
+                       np.array([225.0, 225e200, 225e-200]), 20, 20)
+        assert arr[0] == welch_df(324.0, 225.0, 20, 20)
+        assert arr[1:] == pytest.approx([36.803227485684539] * 2, rel=1e-12)
 
     def test_real_valued_sizes_and_arrays(self):
         nu = welch_df(4.0, 9.0, 2.5, 7.3)
@@ -235,9 +250,12 @@ class TestEmpiricalPower:
         assert p1 > p2  # more subjects, more power
 
     def test_scale_invariance(self, motivating):
-        a = empirical_power(motivating, 12, 12, 4096, seed=13)
-        b = empirical_power(motivating.scaled(3.7), 12, 12, 4096, seed=13)
-        assert a == b
+        # 1e78 overflows and 1e-150 underflows a * a in the Welch df
+        for n in (2, 12):
+            a = empirical_power(motivating, n, n, 4096, seed=13)
+            for c in (3.7, 1e78, 1e-150):
+                b = empirical_power(motivating.scaled(c), n, n, 4096, seed=13)
+                assert a == b
 
     def test_shift_invariance(self, motivating):
         a = empirical_power(motivating, 12, 12, 4096, seed=13)
@@ -329,6 +347,56 @@ class TestScreenedRejectionFlags:
         u = sobol_stream(3, 512, seed).points
         np.testing.assert_array_equal(_rejection_flags(u, spec, n1, n2),
                                       unscreened_flags(u, spec, n1, n2))
+
+
+INF = math.inf
+
+
+class TestScreen:
+    # three draws, sorted, give bounds lo <= hi and a value between them
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(in_region=st.sampled_from([_tost_in, _g_in]),
+           se=st.lists(st.floats(0.0, INF), min_size=3, max_size=3),
+           t=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+                      min_size=3, max_size=3),
+           margin=st.one_of(st.just(0.0), st.floats(-50.0, 50.0),
+                            st.floats(allow_nan=False, allow_infinity=False)))
+    # alpha = 0.5 (t = 0) with se_lo = inf: the NaN corner 0 * inf
+    @example(_tost_in, [INF, INF, INF], [0.0, 0.0, 0.0], 1.0)
+    @example(_g_in, [INF, INF, INF], [0.0, 0.0, 0.0], 1.0)
+    @example(_tost_in, [2.0, 5.0, INF], [0.0, 0.0, 0.0], 1.0)
+    @example(_g_in, [0.0, 1.0, INF], [0.0, 0.0, 0.0], 1.0)
+    # margin <= 0, and se_lo = se_hi as in the grid screen
+    @example(_tost_in, [3.0, 3.0, 3.0], [1.5, 2.0, 2.5], -1.0)
+    @example(_g_in, [0.0, 0.0, 0.0], [1.5, 2.0, 2.5], 0.0)
+    @example(_g_in, [2.0, 2.0, 2.0], [2.0, 3.0, 4.0], 6.0)
+    @example(_tost_in, [2.0, 2.0, 2.0], [2.0, 3.0, 4.0], 6.0)
+    def test_decisions_match_predicate(self, in_region, se, t, margin):
+        se_lo, se, se_hi = np.sort(np.array(se)).reshape(3, 1)
+        lo, t, hi = np.sort(np.array(t)).reshape(3, 1)
+        margin = np.array([margin])
+        with np.errstate(over="ignore", invalid="ignore"):
+            decided_in, open_ = _screen(in_region, se_lo, se_hi, margin,
+                                        lo, hi)
+            exact = in_region(se, margin, t)
+        if not open_[0]:
+            assert decided_in[0] == exact[0]
+
+    def test_nan_corner_decides_out(self):
+        # 0 * inf at the (se_lo, lo) corner: outside, as at every se >= inf
+        with np.errstate(invalid="ignore"):
+            decided_in, open_ = _screen(_tost_in, np.array([INF]),
+                                        np.array([INF]), np.array([1.0]),
+                                        0.0, 0.0)
+        assert not decided_in[0] and not open_[0]
+
+    def test_boundary_forms_differ(self):
+        # g's form takes se == Lambda (and se = 0 at margin <= 0) as in;
+        # TOST's takes t * se == margin as out
+        se, margin, t = (np.array([2.0, 0.0]), np.array([6.0, 0.0]),
+                         np.array([3.0, 3.0]))
+        assert _g_in(se, margin, t).tolist() == [True, True]
+        assert _tost_in(se, margin, t).tolist() == [False, False]
 
 
 def knot_neighbourhood():
