@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 _TINY = np.finfo(float).tiny  # smallest normal double
+# the largest x / df of a chi-square quantile x at df >= 1 and p <= CLAMP_HIGH
+# (x / df falls with df), so sigma ** 2 * _X_PER_DF bounds every variance
+_X_PER_DF = inv_chisq(CLAMP_HIGH, 1.0)
 
 
 def _is_real(value):
@@ -66,6 +69,9 @@ def _design_problems(mu_diff, sigma1, sigma2, delta_L, delta_U, alpha, q):
             problems.append(f"{name} must be positive")
         elif math.isinf(square):
             problems.append(f"{name} ** 2 overflows")
+        elif math.isinf(square * _X_PER_DF):
+            problems.append(f"{name} ** 2 * {_X_PER_DF:.2f}, the largest "
+                            "sample variance, overflows")
         elif square < _TINY:
             problems.append(f"{name} ** 2 underflows")
     if not delta_L < delta_U:
@@ -88,6 +94,9 @@ class DesignSpec:
     sigma1, sigma2 : float
         Group standard deviations, positive, with squares in the range
         of normal doubles (the variances are built from sigma ** 2).
+        The largest sample variance a unit-cube point can map to is
+        about 68.76 * sigma ** 2, so that product must be finite too
+        (sigma below about 1.6e153).
     delta_L, delta_U : float
         Equivalence limits, delta_L < delta_U.
     alpha : float
@@ -188,12 +197,24 @@ def _satterthwaite(a, b, n1, n2):
     return s * s / (a * a / (n1 - 1.0) + b * b / (n2 - 1.0))
 
 
+def _variance(sigma, x, n):
+    """sigma ** 2 * x / (n - 1), or sigma ** 2 * (x / (n - 1)) where the
+    product overflows; x / (n - 1) is at most _X_PER_DF for a quantile,
+    so `DesignSpec` keeps the second form finite."""
+    with np.errstate(over="ignore"):
+        s_sq = sigma ** 2 * x / (n - 1.0)
+        if np.isinf(s_sq).any():
+            s_sq = np.where(np.isinf(s_sq), sigma ** 2 * (x / (n - 1.0)),
+                            s_sq)
+    return s_sq
+
+
 def _sample_se(x1, x2, spec, n1, n2):
     """(s1_sq, s2_sq, se) from chi-square quantiles x1 at n1 - 1 and x2
     at n2 - 1 df.  Each rounded operation is monotone, so bounds on x1
     and x2 give bounds on se."""
-    s1_sq = spec.sigma1 ** 2 * x1 / (n1 - 1.0)
-    s2_sq = spec.sigma2 ** 2 * x2 / (n2 - 1.0)
+    s1_sq = _variance(spec.sigma1, x1, n1)
+    s2_sq = _variance(spec.sigma2, x2, n2)
     return s1_sq, s2_sq, np.sqrt(s1_sq / n1 + s2_sq / n2)
 
 
@@ -210,8 +231,14 @@ def _trial(u1, u2, z3, spec, n1, n2):
     """The point -> statistics map, (d_bar, s1_sq, s2_sq, se, nu), with
     z3 = inv_norm(u3).  Arguments broadcast like ufuncs; n1 and n2 may
     be real and may differ per element."""
-    s1_sq, s2_sq, se = _sample_se(inv_chisq(u1, n1 - 1.0),
-                                  inv_chisq(u2, n2 - 1.0), spec, n1, n2)
+    return _statistics(inv_chisq(u1, n1 - 1.0), inv_chisq(u2, n2 - 1.0),
+                       z3, spec, n1, n2)
+
+
+def _statistics(x1, x2, z3, spec, n1, n2):
+    """`_trial` from its chi-square quantiles x1 = inv_chisq(u1, n1 - 1)
+    and x2 = inv_chisq(u2, n2 - 1)."""
+    s1_sq, s2_sq, se = _sample_se(x1, x2, spec, n1, n2)
     return (_d_bar(z3, spec, n1, n2), s1_sq, s2_sq, se,
             welch_df(s1_sq, s2_sq, n1, n2))
 
@@ -285,21 +312,24 @@ def _lambda(margin, nu, alpha):
     return _threshold(margin, t)
 
 
-def _screen(in_region, se_lo, se_hi, margin, lo, hi):
-    """Decide in_region(se, margin, t) from bounds se_lo <= se <= se_hi
-    and lo <= t <= hi; returns (decided_in, open).
+def _screen(in_region, se, margin, t):
+    """Decide in_region(se, margin, t) from bounds, each a (lo, hi) pair:
+    se_lo <= se <= se_hi, margin_lo <= margin <= margin_hi and
+    t_lo <= t <= t_hi.  Returns (decided_in, open).
 
-    Both predicates grow harder to meet as se or t grows, and rounded
-    multiplication and division are monotone, so a cell in the region
-    at the corner (se_hi, hi) is in it at every (se, t) of its bounds,
-    and one outside it at (se_lo, lo) is outside at all of them: these
-    decisions are exact.  A corner whose value is NaN (0 * inf at
-    alpha = 0.5 and se_lo = inf) reads as outside, as the exact value
-    does, since se >= se_lo = inf.  Open cells take the caller's exact
-    path.
+    Both predicates grow harder to meet as se or t grows and easier as
+    margin grows, and rounded multiplication and division are
+    monotone, so a cell in the region at the corner
+    (se_hi, margin_lo, t_hi) is in it at every point of its bounds, and
+    one outside it at (se_lo, margin_hi, t_lo) is outside at all of
+    them: these decisions are exact.  A corner whose value is NaN
+    (0 * inf at alpha = 0.5 and se_lo = inf) reads as outside, as the
+    exact value does, since se >= se_lo = inf.  Open cells take the
+    caller's exact path.
     """
-    decided_in = in_region(se_hi, margin, hi)
-    return decided_in, ~decided_in & in_region(se_lo, margin, lo)
+    (se_lo, se_hi), (margin_lo, margin_hi), (t_lo, t_hi) = se, margin, t
+    decided_in = in_region(se_hi, margin_lo, t_hi)
+    return decided_in, ~decided_in & in_region(se_lo, margin_hi, t_lo)
 
 
 def rejects(stats, spec):
@@ -388,8 +418,8 @@ def _rejection_flags(u, spec, n1, n2):
     with np.errstate(over="ignore", invalid="ignore"):
         se_lo = _sample_se(lo1[i1], lo2[i2], spec, n1, n2)[2]
         se_hi = _sample_se(hi1[i1], hi2[i2], spec, n1, n2)[2]
-        flags, open_ = _screen(_tost_in, se_lo, se_hi, margin,
-                               *_t_band(spec.alpha, n1, n2))
+        flags, open_ = _screen(_tost_in, (se_lo, se_hi), (margin, margin),
+                               _t_band(spec.alpha, n1, n2))
     exact = np.nonzero(open_ | (se_lo == 0.0))[0]
     se, margin, nu = _mapped(u[exact, 0], u[exact, 1], z3[exact], spec,
                              n1, n2)

@@ -300,12 +300,14 @@ class TestBenchCommand:
      "--seed", "1"],
     ["power", "--mu-diff", "-4", "--sigma1", "1e200", "--sigma2", "15",
      "--delta", "19.2", "--n1", "5", "--n2", "5", "--seed", "1"],
+    ["power", "--mu-diff", "-4", "--sigma1", "18", "--sigma2", "2e153",
+     "--delta", "19.2", "--n1", "5", "--n2", "5", "--seed", "1"],
     ["curve", *DESIGN, "--m", "16", "--seed", "2", "--bound", "nan"],
     ["curve", *DESIGN, "--m", "16", "--seed", "2", "--tol", "nan"],
     ["curve", *DESIGN, "--m", "16", "--seed", "2", "--tol", "inf"],
 ], ids=["n_max_1", "m_0", "mu_outside_limits", "diagnose_seed",
         "bench_seed", "group_size_1", "reps_0", "sigma_squared_overflows",
-        "bound_nan", "tol_nan", "tol_inf"])
+        "sample_variance_overflows", "bound_nan", "tol_nan", "tol_inf"])
 def test_invalid_input_fails_cleanly(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bepower import (
     DesignSpec,
@@ -15,10 +17,12 @@ from bepower import (
 from scipy.optimize import brentq
 
 from bepower.curve import _g, _lambda
-from bepower.diagnostics import SCENARIO_COMBOS, _grid_matrices, _integer_grid
-from bepower.qrng import sobol_stream
-from bepower.special import inv_norm
-from bepower.tost import _mapped, _t_band
+from bepower.diagnostics import (SCENARIO_COMBOS, _block_bounds, _block_ends,
+                                 _grid_scan, _integer_grid)
+from bepower.qrng import CLAMP_HIGH, CLAMP_LOW, sobol_stream
+from bepower.special import inv_chisq, inv_norm, t_quantile
+from bepower.tost import (_g_in, _mapped, _screen, _statistics, _t_band,
+                          _trial)
 
 FIXTURE_U = (0.184, 0.231, 0.449)
 
@@ -131,6 +135,31 @@ class TestScanSePeak:
         assert scan_se_peak((0.9, 0.9, 0.5), motivating, 100).argmax_n == 2
 
 
+def full_grid_matrices(points, spec, n1_grid, n2_grid):
+    """In-rejection flags g <= 0 and se over points x grid, with every
+    cell evaluated on its own, as the scans did before the block screen:
+    the column's t band decides a cell where it can, else the cell's own
+    t quantile."""
+    se, margin, nu = _mapped(points[:, 0][:, None], points[:, 1][:, None],
+                             inv_norm(points[:, 2])[:, None], spec,
+                             n1_grid[None, :].astype(float),
+                             n2_grid[None, :].astype(float))
+    in_rej, open_ = _screen(_g_in, (se, se), (margin, margin),
+                            _t_band(spec.alpha, n1_grid, n2_grid))
+    amb = np.nonzero(open_)
+    in_rej[amb] = _g_in(se[amb], margin[amb],
+                        t_quantile(1.0 - spec.alpha, nu[amb]))
+    return in_rej, se
+
+
+def assert_scan_matches_full_grid(points, spec, n_max):
+    n1, n2 = _integer_grid(spec, n_max)
+    in_rej, peak = _grid_scan(points, spec, n1, n2)
+    ref_in, ref_se = full_grid_matrices(points, spec, n1, n2)
+    np.testing.assert_array_equal(in_rej, ref_in)
+    np.testing.assert_array_equal(peak, np.argmax(ref_se, axis=1))
+
+
 GRID_DESIGNS = {
     # the scan scenarios the benchmark times, and alpha = 0.5
     **{name: SCENARIOS[name] for name in ("s1_mu0", "s5_mu12", "s2_mu16")},
@@ -148,7 +177,7 @@ class TestGridMatrices:
         screened = 0
         for seed in (5, 6):
             pts = sobol_stream(3, 128, seed).points
-            in_rej, se = _grid_matrices(pts, spec, n1, n2)
+            in_rej, se = full_grid_matrices(pts, spec, n1, n2)
             ref_se, margin, nu = _mapped(
                 pts[:, 0][:, None], pts[:, 1][:, None],
                 inv_norm(pts[:, 2])[:, None], spec, n1[None, :].astype(float),
@@ -162,6 +191,97 @@ class TestGridMatrices:
                 screened += np.count_nonzero((margin > 0.0) & (se > margin / hi)
                                              & (se <= margin / lo))
         assert spec.alpha == 0.5 or screened > 0
+
+
+class TestGridScan:
+    def test_block_ends(self):
+        # one column wide while n1 < 16 (floor(n1 / 8) < 2), then
+        # floor(n1 / 8) wide; the last block ends at the grid's end
+        n1, _ = _integer_grid(DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2), 40)
+        assert n1[_block_ends(n1)].tolist() == [
+            *range(2, 17), 18, 20, 22, 24, 27, 30, 33, 37, 40]
+        assert _block_ends(n1[:1]).tolist() == [0]
+
+    @pytest.mark.parametrize("spec,n_max", [
+        SCENARIOS["s2_mu16"], SCENARIOS["s6_mu12"], SCENARIOS["s7_mu8"],
+        (DesignSpec(-4.0, 3.0, 30.0, -19.2, 19.2, q=0.3), 600),
+        (DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, alpha=0.5), 300)],
+        ids=["s2_mu16", "s6_mu12", "s7_mu8", "q_0.3", "alpha_half"])
+    def test_block_bounds_hold_at_every_interior_cell(self, spec, n_max):
+        pts = sobol_stream(3, 64, 3).points.copy()
+        pts[:2, :2] = [[CLAMP_LOW, CLAMP_HIGH], [CLAMP_HIGH, CLAMP_LOW]]
+        u1, u2 = pts[:, :1], pts[:, 1:2]
+        z3 = inv_norm(pts[:, 2:])
+        n1, n2 = (n.astype(float) for n in _integer_grid(spec, n_max))
+        ends = _block_ends(n1)
+        n1e, n2e = n1[ends], n2[ends]
+        x1, x2 = inv_chisq(u1, n1e - 1.0), inv_chisq(u2, n2e - 1.0)
+        d_bar = _statistics(x1, x2, z3, spec, n1e, n2e)[0]
+        bounds = _block_bounds(spec, n1e, n2e, x1, x2, d_bar,
+                               _t_band(spec.alpha, n1e, n2e))
+        se, margin, nu = _mapped(u1, u2, z3, spec, n1, n2)
+        values = se, margin, t_quantile(1.0 - spec.alpha, nu)
+        interior = 0
+        for k, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
+            for (lo, hi), v in zip(bounds, values):
+                cells = v[:, a + 1:b]
+                lo, hi = lo[..., k, None], hi[..., k, None]
+                assert np.all((lo <= cells) & (cells <= hi)), (k, a, b)
+            interior += b - a - 1
+        assert interior > 0.6 * len(n1)
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_matches_full_grid_on_scenario_bank(self, name):
+        spec, n_max = SCENARIOS[name]
+        for seed in (7, 2024):
+            assert_scan_matches_full_grid(sobol_stream(3, 128, seed).points,
+                                          spec, n_max)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(mu=st.floats(-25.0, 25.0), sigma1=st.floats(0.5, 40.0),
+           sigma2=st.floats(0.5, 40.0), half=st.floats(1.0, 30.0),
+           q=st.floats(0.1, 4.0),
+           alpha=st.one_of(st.just(0.5), st.floats(1e-3, 0.5)),
+           n_max=st.integers(30, 700), seed=st.integers(0, 2**32 - 1))
+    def test_property_matches_full_grid(self, mu, sigma1, sigma2, half, q,
+                                        alpha, n_max, seed):
+        spec = DesignSpec(mu, sigma1, sigma2, -half, half, alpha=alpha, q=q)
+        pts = sobol_stream(3, 48, seed).points.copy()
+        # rows at the clamp ends, where the quantiles are most extreme
+        pts[:4, :2] = [[CLAMP_LOW, CLAMP_LOW], [CLAMP_LOW, CLAMP_HIGH],
+                       [CLAMP_HIGH, CLAMP_LOW], [CLAMP_HIGH, CLAMP_HIGH]]
+        assert_scan_matches_full_grid(pts, spec, n_max)
+
+    @pytest.mark.parametrize("n", [23, 25])
+    def test_se_equal_to_lambda_is_inside(self, motivating, n):
+        # a design whose lower limit puts one point exactly on g = 0 at a
+        # block interior cell: se == Lambda counts as in-rejection in the
+        # block scan, the full grid and the crossings alike
+        n1_grid = _integer_grid(motivating, 40)[0]
+        assert n not in n1_grid[_block_ends(n1_grid)]
+        rng = np.random.Generator(np.random.PCG64(n))
+        for _ in range(400):
+            u = np.array([*rng.uniform(0.05, 0.95, 2), rng.uniform(0.2, 0.5)])
+            z3 = inv_norm(u[2])
+            d_bar, _, _, se, nu = _trial(u[0], u[1], z3, motivating,
+                                         float(n), float(n))
+            t = t_quantile(1.0 - motivating.alpha, nu)
+            spec = DesignSpec(motivating.mu_diff, motivating.sigma1,
+                              motivating.sigma2, d_bar - se * t, 40.0)
+            g = _g(u[0], u[1], z3, spec, np.arange(2.0, n + 1.0))
+            # on g = 0 at n, outside at every smaller n of the grid
+            if g[-1] == 0.0 and np.all(g[:-1] > 0.0):
+                break
+        else:
+            pytest.fail("no point on g = 0 found")
+        pts = u[np.newaxis, :]
+        n1, n2 = _integer_grid(spec, 40)
+        assert _grid_scan(pts, spec, n1, n2)[0][0, n - 2]
+        assert full_grid_matrices(pts, spec, n1, n2)[0][0, n - 2]
+        # the point enters the region at n, so its first crossing is at
+        # most n (the entry locator of the curve solver), not past it
+        r = scan_intersections(u, spec, 40)
+        assert n - 1 < r.crossings[0] <= n
 
 
 class TestIntegerGrid:

@@ -15,9 +15,9 @@ from bepower import (
 )
 from bepower.qrng import CLAMP_HIGH, CLAMP_LOW, sobol_stream
 from bepower.special import inv_chisq, inv_norm, t_quantile
-from bepower.tost import (_K, _chisq_brackets, _g_in, _mapped,
-                          _rejection_flags, _screen, _t_band, _tost_in,
-                          _unit_cube_points)
+from bepower.tost import (_K, _SLACK, _X_PER_DF, _chisq_brackets, _g_in,
+                          _mapped, _rejection_flags, _sample_se, _screen,
+                          _t_band, _tost_in, _unit_cube_points)
 
 TABLE1_GRID = (3, 5, 8, 10, 15, 20, 30, 40, 50, 60)
 
@@ -43,6 +43,8 @@ class TestDesignSpec:
         ("alpha", np.bool_(True), "alpha must be a real number"),
         ("delta_U", 1.0 + 0j, "delta_U must be a real number"),
         ("sigma1", None, "sigma1 must be a real number"),
+        ("sigma1", 1.7e153,
+         r"sigma1 \*\* 2 \* 68\.76, the largest sample variance, overflows"),
     ])
     def test_single_violation(self, field, value, msg):
         kw = dict(mu_diff=0.0, sigma1=1.0, sigma2=1.0,
@@ -67,6 +69,32 @@ class TestDesignSpec:
             spec = DesignSpec(-4.0 * c, 18.0 * c, 15.0 * c, -19.2 * c,
                               19.2 * c)
             assert 0.0 < empirical_power(spec, 10, 10, 1024, seed=1) < 1.0
+
+    def test_largest_accepted_sigma_keeps_variances_finite(self, motivating):
+        # sigma1 ** 2 * x overflows for x > 68.76 once sigma1 > 1.4e153;
+        # the variance then divides by n - 1 first, so the largest sigma
+        # DesignSpec accepts still maps every point to finite statistics
+        sigma = math.sqrt(np.finfo(float).max / _X_PER_DF)
+        while True:
+            try:
+                spec = DesignSpec(0.0, sigma, sigma, -1.0, 1.0)
+                break
+            except ValueError:
+                sigma = float(np.nextafter(sigma, 0.0))
+        assert sigma > 1.6e153
+        for n in (2.0, 10.0, 60.0, 2500.0):
+            x = inv_chisq(CLAMP_HIGH, n - 1.0)
+            assert np.isinf(sigma ** 2 * x) == (n > 2.0)
+            s1_sq, s2_sq, se = _sample_se(x, x, spec, n, n)
+            assert np.isfinite(s1_sq) and np.isfinite(se) and se > 0.0
+            assert s1_sq <= sigma ** 2 * _X_PER_DF
+        # the motivating design scaled to sigma1 = 1.53e153 estimates the
+        # scale-1 power; at n = 60 the plain product overflows for the
+        # upper-tail points
+        big = motivating.scaled(8.5e151)
+        for n in (10, 60):
+            assert (empirical_power(big, n, n, 4096, seed=1)
+                    == empirical_power(motivating, n, n, 4096, seed=1))
 
     def test_limits_must_be_ordered(self):
         with pytest.raises(ValueError, match="delta_L must be less than delta_U"):
@@ -353,41 +381,48 @@ INF = math.inf
 
 
 class TestScreen:
-    # three draws, sorted, give bounds lo <= hi and a value between them
+    # three draws each, sorted, give bounds lo <= hi and a value between
     @settings(derandomize=True, max_examples=1000, deadline=None)
     @given(in_region=st.sampled_from([_tost_in, _g_in]),
            se=st.lists(st.floats(0.0, INF), min_size=3, max_size=3),
            t=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
                       min_size=3, max_size=3),
-           margin=st.one_of(st.just(0.0), st.floats(-50.0, 50.0),
-                            st.floats(allow_nan=False, allow_infinity=False)))
+           margin=st.lists(
+               st.one_of(st.just(0.0), st.floats(-50.0, 50.0),
+                         st.floats(allow_nan=False, allow_infinity=False)),
+               min_size=3, max_size=3))
     # alpha = 0.5 (t = 0) with se_lo = inf: the NaN corner 0 * inf
-    @example(_tost_in, [INF, INF, INF], [0.0, 0.0, 0.0], 1.0)
-    @example(_g_in, [INF, INF, INF], [0.0, 0.0, 0.0], 1.0)
-    @example(_tost_in, [2.0, 5.0, INF], [0.0, 0.0, 0.0], 1.0)
-    @example(_g_in, [0.0, 1.0, INF], [0.0, 0.0, 0.0], 1.0)
+    @example(_tost_in, [INF, INF, INF], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    @example(_g_in, [INF, INF, INF], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    @example(_tost_in, [2.0, 5.0, INF], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    @example(_g_in, [0.0, 1.0, INF], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
     # margin <= 0, and se_lo = se_hi as in the grid screen
-    @example(_tost_in, [3.0, 3.0, 3.0], [1.5, 2.0, 2.5], -1.0)
-    @example(_g_in, [0.0, 0.0, 0.0], [1.5, 2.0, 2.5], 0.0)
-    @example(_g_in, [2.0, 2.0, 2.0], [2.0, 3.0, 4.0], 6.0)
-    @example(_tost_in, [2.0, 2.0, 2.0], [2.0, 3.0, 4.0], 6.0)
+    @example(_tost_in, [3.0, 3.0, 3.0], [1.5, 2.0, 2.5], [-1.0, -1.0, -1.0])
+    @example(_g_in, [0.0, 0.0, 0.0], [1.5, 2.0, 2.5], [0.0, 0.0, 0.0])
+    @example(_g_in, [2.0, 2.0, 2.0], [2.0, 3.0, 4.0], [6.0, 6.0, 6.0])
+    @example(_tost_in, [2.0, 2.0, 2.0], [2.0, 3.0, 4.0], [6.0, 6.0, 6.0])
+    # margin bounds straddling zero, as over a block where d_bar meets
+    # a limit
+    @example(_g_in, [1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [-1.0, 0.0, 2.0])
+    @example(_g_in, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 2.0])
     def test_decisions_match_predicate(self, in_region, se, t, margin):
         se_lo, se, se_hi = np.sort(np.array(se)).reshape(3, 1)
         lo, t, hi = np.sort(np.array(t)).reshape(3, 1)
-        margin = np.array([margin])
+        margin_lo, margin, margin_hi = np.sort(np.array(margin)).reshape(3, 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            decided_in, open_ = _screen(in_region, se_lo, se_hi, margin,
-                                        lo, hi)
+            decided_in, open_ = _screen(in_region, (se_lo, se_hi),
+                                        (margin_lo, margin_hi), (lo, hi))
             exact = in_region(se, margin, t)
         if not open_[0]:
             assert decided_in[0] == exact[0]
 
     def test_nan_corner_decides_out(self):
         # 0 * inf at the (se_lo, lo) corner: outside, as at every se >= inf
+        margin = np.array([1.0])
         with np.errstate(invalid="ignore"):
-            decided_in, open_ = _screen(_tost_in, np.array([INF]),
-                                        np.array([INF]), np.array([1.0]),
-                                        0.0, 0.0)
+            decided_in, open_ = _screen(_tost_in,
+                                        (np.array([INF]), np.array([INF])),
+                                        (margin, margin), (0.0, 0.0))
         assert not decided_in[0] and not open_[0]
 
     def test_boundary_forms_differ(self):
@@ -425,6 +460,33 @@ class TestChisqScreen:
         x = inv_chisq(p, df)
         bad = ~((lo[i] <= x) & (x <= hi[i]))
         assert not bad.any(), p[bad][:5]
+
+    def test_quantile_rises_with_df_within_slack(self):
+        # the block bounds of the integer scans: for df_a < df < df_b,
+        # inv_chisq(u, df_a) * (1 - _SLACK) <= inv_chisq(u, df)
+        #   <= inv_chisq(u, df_b) * (1 + _SLACK)
+        # at every knot, its neighbours and the clamp ends, over integer
+        # df (the scans' grid, fully up to 300, then every 7th) and over
+        # dense real df
+        df = np.unique(np.concatenate([
+            np.arange(1.0, 301.0), np.arange(301.0, 2501.0, 7.0), [2500.0],
+            np.linspace(1.0, 2500.0, 601), np.geomspace(1.0, 2500.0, 301)]))
+        for u in np.array_split(knot_neighbourhood(), 8):
+            x = inv_chisq(u[:, None], df[None, :])
+            below = np.maximum.accumulate(x * (1.0 - _SLACK), axis=1)
+            above = np.minimum.accumulate((x * (1.0 + _SLACK))[:, ::-1],
+                                          axis=1)[:, ::-1]
+            assert np.all(below <= x) and np.all(x <= above)
+
+    def test_quantile_per_df_falls_at_clamp_high(self):
+        # x / df at the largest coordinate falls with df, so its value at
+        # df = 1 bounds sigma ** 2 * x / (n - 1) for every n >= 2
+        df = np.unique(np.concatenate([np.linspace(1.0, 100.0, 100_001),
+                                       np.geomspace(1.0, 1e7, 100_001),
+                                       np.arange(1.0, 2501.0)]))
+        ratio = inv_chisq(CLAMP_HIGH, df) / df
+        assert ratio[0] == _X_PER_DF
+        assert np.all(np.diff(ratio) <= 0.0)
 
     @pytest.mark.parametrize("q", [1.0, 1.5])
     def test_bit_identical_on_estimate_grid(self, q):
