@@ -6,9 +6,11 @@ sample size n (group 2 gets q * n).  The trial mapped from u lands in
 the rejection region exactly where g(n) = se(n) - Lambda(n) <= 0, so
 the whole power curve is recovered from one root of g per point: the
 fraction of points whose smallest crossing lies at or below n is an
-empirical power estimate at n.  Locating one root costs O(log2(B))
-evaluations of g on a geometric bracket grid plus a Brent refinement,
-instead of a full m-point power evaluation per candidate n.
+empirical power estimate at n.  Locating one root walks O(log2(B))
+nodes of a geometric bracket grid, where the estimator's knot screen
+decides most points' side of zero, then refines the last step by
+Brent's method; g is evaluated exactly only where the screen leaves the
+side open, at both ends of the last step and at Brent's iterates.
 
 The recommended sample size is the type-1 empirical quantile of the
 crossings at the target power.  Because g can, rarely, have several
@@ -26,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qrng import _check_count, sobol_stream
+from .qrng import CLAMP_HIGH, CLAMP_LOW, _check_count, sobol_stream
 from .special import _TINY, inv_norm
-from .tost import _lambda, _mapped, require_curve_spec
+from .tost import (_d_bar, _g_in, _knot_screen, _lambda, _mapped, _margin,
+                   require_curve_spec)
 
 __all__ = [
     "CENSORED",
@@ -60,7 +63,7 @@ class CurvePoint:
 
     crossing_n is the smallest located n with g(n) <= 0, or CENSORED
     (+inf) when g stays positive on the whole bracket grid up to B.
-    g_evals counts the evaluations of g made for this point.
+    g_evals counts the exact evaluations of g made for this point.
     """
 
     point_index: int
@@ -75,11 +78,12 @@ class PowerCurve:
 
     crossings, g_evals and reinitialized are read-only arrays with one
     entry per unit-cube point: the located crossing (CENSORED when there
-    is none by B), the evaluations of g made for the point, and whether
-    the safeguard re-solved it.  n_star_initial is the target-power
-    quantile of the raw crossings, n_star_final the quantile after the
-    safeguard.  rec_n1 and rec_n2 are the integer recommendations
-    ceil(n*) and ceil(q n*).
+    is none by B), the exact evaluations of g made for the point (not
+    the walk nodes the knot screen decides), and whether the safeguard
+    re-solved it.  n_star_initial is the target-power quantile of the
+    raw crossings, n_star_final the quantile after the safeguard.
+    rec_n1 and rec_n2 are the integer recommendations ceil(n*) and
+    ceil(q n*).
     """
 
     crossings: np.ndarray
@@ -188,14 +192,32 @@ def g_at(points, spec, n):
 
 def _point_g(points, spec):
     """g over a block of points as g(k, n) for point indices k, and the
-    array counting the evaluations made for each point."""
+    array counting the exact evaluations of g made for each point.
+
+    g.side(k, n) is g(k, n) <= 0 at one n, decided by `tost._knot_screen`
+    where it can and by g elsewhere.  The knot bounds hold only for u1,
+    u2 in [CLAMP_LOW, CLAMP_HIGH], so points outside, which
+    `smallest_crossing` accepts, are screened at 0.5 and always take g.
+    """
     u1, u2, z3 = points[:, 0], points[:, 1], inv_norm(points[:, 2])
     evals = np.zeros(len(points), dtype=np.int64)
+    clamped = ((CLAMP_LOW <= u1) & (u1 <= CLAMP_HIGH)
+               & (CLAMP_LOW <= u2) & (u2 <= CLAMP_HIGH))
+    s1, s2 = np.where(clamped, u1, 0.5), np.where(clamped, u2, 0.5)
 
     def g(k, n):
         evals[k] += 1
         return _g(u1[k], u2[k], z3[k], spec, n)
 
+    def side(k, n):
+        n2 = spec.q * n
+        margin = _margin(_d_bar(z3[k], spec, n, n2), spec)
+        in_, exact = _knot_screen(_g_in, s1[k], s2[k], margin, spec, n, n2)
+        exact = np.nonzero(exact | ~clamped[k])[0]
+        in_[exact] = g(k[exact], n) <= 0.0
+        return in_
+
+    g.side = side
     if spec.alpha == 0.5:
         def smooth(k, n):
             evals[k] += 1
@@ -324,34 +346,31 @@ def _bracket_nodes(start, B):
     return nodes
 
 
-def _crossings(g, k, nodes, f0, tol, none):
+def _crossings(g, k, nodes, in0, tol, none):
     """Walk points along nodes to g's first change of side, then refine.
 
-    f0 holds g at nodes[0] for points k, all on one side of zero; one
-    array call of g per node covers the points still walking.  Nodes
-    ascend from a positive side or descend from a g <= 0 side, so the
-    root found is where g enters g <= 0 as n grows, and `_locate` puts
-    it on that side.  Points that never change side get `none`.
+    in0 holds the side g <= 0 at nodes[0] for points k, all the same;
+    one `side` call of g per node covers the points still walking.
+    Nodes ascend from g > 0 or descend from g <= 0, so the root found is
+    where g enters g <= 0 as n grows; g at both ends of each point's last
+    step goes to `_locate`, which puts the root on that side.  Points
+    that never change side get `none`.
     """
     nodes = np.asarray(nodes, dtype=float)
-    f_prev, f_next = f0.copy(), np.empty(len(k))
     step = np.zeros(len(k), dtype=np.int64)
     walking = np.arange(len(k))
     for j in range(1, len(nodes)):
         if not len(walking):
             break
-        f = g(k[walking], nodes[j])
-        crossed = (f > 0.0) != (f0[walking] > 0.0)
-        step[walking[crossed]], f_next[walking[crossed]] = j, f[crossed]
-        f_prev[walking[~crossed]] = f[~crossed]
+        crossed = g.side(k[walking], nodes[j]) != in0[walking]
+        step[walking[crossed]] = j
         walking = walking[~crossed]
     out = np.full(len(k), none)
     hit = np.nonzero(step)[0]
     a, b = nodes[step[hit] - 1], nodes[step[hit]]
-    fa, fb = f_prev[hit], f_next[hit]
     if nodes[-1] < nodes[0]:
-        a, b, fa, fb = b, a, fb, fa
-    out[hit] = _locate(g, k[hit], a, b, fa, fb, tol)
+        a, b = b, a
+    out[hit] = _locate(g, k[hit], a, b, g(k[hit], a), g(k[hit], b), tol)
     return out
 
 
@@ -359,11 +378,10 @@ def _first_crossings(g, m, spec, B, tol):
     """Smallest crossing in [start, B] of each of m points, by `_crossings`
     from the domain start; a point with g <= 0 there crosses at start."""
     nodes = _bracket_nodes(_domain_start(spec.q), B)
-    k = np.arange(m)
-    f0 = g(k, nodes[0])
+    in0 = g.side(np.arange(m), nodes[0])
     out = np.full(m, nodes[0])
-    walk = f0 > 0.0
-    out[walk] = _crossings(g, k[walk], nodes, f0[walk], tol, CENSORED)
+    walk = np.nonzero(~in0)[0]
+    out[walk] = _crossings(g, walk, nodes, in0[walk], tol, CENSORED)
     return out
 
 
@@ -407,19 +425,20 @@ def power_curve(spec, target_power, m, seed, B=DEFAULT_B, tol=DEFAULT_TOL):
     """Approximate the power curve and recommend sample sizes.
 
     Locates the smallest crossing of every point of a randomized
-    Sobol' stream, all points in lockstep: one array evaluation of g
-    per bracket node over the points still walking, then Brent's method
-    on every bracket at once.  Takes the type-1 empirical quantile of
-    the crossings at `target_power`, then applies the safeguard: g is
-    evaluated at the quantile for every point, and any point whose
-    recorded crossing disagrees with the sign of g there is re-solved
-    starting from the quantile (upward for points that claimed to have
-    crossed but test positive, downward for the reverse).  After the
-    repair the fraction of crossings at or below the quantile equals
-    the fraction of points with g <= 0 there exactly.  If the repair
-    moves the quantile, the safeguard runs again at the new value, up
-    to three rounds in total (a warning is issued if it still has not
-    stabilized, which no studied design comes close to triggering).
+    Sobol' stream, all points in lockstep: the side of zero of g at each
+    bracket node for the points still walking (from the knot screen
+    where it decides), then Brent's method on every bracket at once.
+    Takes the type-1 empirical quantile of the crossings at
+    `target_power`, then applies the safeguard: g is evaluated at the
+    quantile for every point, and any point whose recorded crossing
+    disagrees with the sign of g there is re-solved starting from the
+    quantile (upward for points that claimed to have crossed but test
+    positive, downward for the reverse).  After the repair the fraction
+    of crossings at or below the quantile equals the fraction of points
+    with g <= 0 there exactly.  If the repair moves the quantile, the
+    safeguard runs again at the new value, up to three rounds in total
+    (a warning is issued if it still has not stabilized, which no
+    studied design comes close to triggering).
 
     Parameters
     ----------
@@ -462,16 +481,16 @@ def power_curve(spec, target_power, m, seed, B=DEFAULT_B, tol=DEFAULT_TOL):
     reinitialized = np.zeros(m, dtype=bool)
     anchor = n_star_initial
     for _ in range(3):
-        g_anchor = g_at(points, spec, anchor)
+        in_anchor = g_at(points, spec, anchor) <= 0.0
         claim_crossed = crossings <= anchor
-        up = np.nonzero(claim_crossed & (g_anchor > 0.0))[0]
-        down = np.nonzero(~claim_crossed & (g_anchor <= 0.0))[0]
+        up = np.nonzero(claim_crossed & ~in_anchor)[0]
+        down = np.nonzero(~claim_crossed & in_anchor)[0]
         crossings[up] = _crossings(
             g, up, [anchor] + [c for c in nodes if c > anchor],
-            g_anchor[up], tol, CENSORED)
+            in_anchor[up], tol, CENSORED)
         crossings[down] = _crossings(
             g, down, [anchor] + [c for c in reversed(nodes) if c < anchor],
-            g_anchor[down], tol, start)
+            in_anchor[down], tol, start)
         reinitialized[up] = reinitialized[down] = True
         new_anchor = _type1_quantile(crossings, target_power)
         if new_anchor == anchor:

@@ -14,6 +14,7 @@ points.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -200,7 +201,12 @@ def _satterthwaite(a, b, n1, n2):
 def _variance(sigma, x, n):
     """sigma ** 2 * x / (n - 1), or sigma ** 2 * (x / (n - 1)) where the
     product overflows; x / (n - 1) is at most _X_PER_DF for a quantile,
-    so `DesignSpec` keeps the second form finite."""
+    so `DesignSpec` keeps the second form finite.  A quantile, or a
+    bound on one, is below 2 * _X_PER_DF * (n - 1), so the product cannot
+    overflow (nor need a check) where that times sigma ** 2 is finite."""
+    top = n.max(initial=-math.inf) if isinstance(n, np.ndarray) else n
+    if 2.0 * float(sigma) ** 2 * _X_PER_DF * (float(top) - 1.0) < math.inf:
+        return sigma ** 2 * x / (n - 1.0)
     with np.errstate(over="ignore"):
         s_sq = sigma ** 2 * x / (n - 1.0)
         if np.isinf(s_sq).any():
@@ -383,6 +389,7 @@ def _t_band(alpha, n1, n2):
     return t[0] * (1.0 - _SLACK), t[1] * (1.0 + _SLACK)
 
 
+@functools.lru_cache(maxsize=128)
 def _chisq_brackets(df):
     """Bounds (lo, hi), each of shape (_K,), on inv_chisq(p, df) for every
     p in [CLAMP_LOW, CLAMP_HIGH]: with i = floor(p * _K),
@@ -391,10 +398,36 @@ def _chisq_brackets(df):
     The quantile rises with p, so its values at knots i and i + 1 bound
     it; the relative slack _SLACK covers the kernel's error.  The outer
     knots are the clamp ends, not 0 and 1, so every bound is finite and
-    positive.
+    positive.  Tables recur across calls, so up to 128 (16 KB each) are
+    cached, read-only since every caller shares them.
     """
     x = inv_chisq(_KNOTS, df)
-    return x[:-1] * (1.0 - _SLACK), x[1:] * (1.0 + _SLACK)
+    brackets = x[:-1] * (1.0 - _SLACK), x[1:] * (1.0 + _SLACK)
+    for bound in brackets:
+        bound.setflags(write=False)
+    return brackets
+
+
+def _knot_screen(in_region, u1, u2, margin, spec, n1, n2):
+    """Decide in_region(se, margin, t) for points (u1, u2) in
+    [CLAMP_LOW, CLAMP_HIGH] at scalar sizes n1, n2 without their own
+    quantiles: the knot brackets of `_chisq_brackets`, carried through
+    `_sample_se`, bound se, `_t_band` bounds t, and `_screen` decides.
+    Returns (decided_in, exact): the open cells, and those with se_lo =
+    0 (so that a degenerate sample still raises in `welch_df`), take the
+    caller's exact path.
+    """
+    lo1, hi1 = _chisq_brackets(n1 - 1.0)
+    lo2, hi2 = (lo1, hi1) if n2 == n1 else _chisq_brackets(n2 - 1.0)
+    i1 = (u1 * _K).astype(np.intp)
+    i2 = (u2 * _K).astype(np.intp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        se_lo = _sample_se(lo1[i1], lo2[i2], spec, n1, n2)[2]
+        se_hi = _sample_se(hi1[i1], hi2[i2], spec, n1, n2)[2]
+        decided_in, open_ = _screen(in_region, (se_lo, se_hi),
+                                    (margin, margin),
+                                    _t_band(spec.alpha, n1, n2))
+    return decided_in, open_ | (se_lo == 0.0)
 
 
 def _rejection_flags(u, spec, n1, n2):
@@ -402,25 +435,16 @@ def _rejection_flags(u, spec, n1, n2):
     coordinates in [CLAMP_LOW, CLAMP_HIGH].
 
     Elementwise identical to stats_from_point followed by rejects,
-    without the chi-square and t quantiles for most points: the knot
-    brackets of `_chisq_brackets`, carried through `_sample_se`, bound
-    se, `_t_band` bounds t, and `_screen` decides from those bounds.
-    The open points, and those with se_lo = 0 (so that a degenerate
-    sample still raises in `welch_df`), take the exact statistics.
+    without the chi-square and t quantiles for most points: `_knot_screen`
+    decides from bounds, and the points it leaves take the exact
+    statistics.
     """
     n1, n2 = float(n1), float(n2)
     z3 = inv_norm(u[:, 2])
     margin = _margin(_d_bar(z3, spec, n1, n2), spec)
-    lo1, hi1 = _chisq_brackets(n1 - 1.0)
-    lo2, hi2 = (lo1, hi1) if n2 == n1 else _chisq_brackets(n2 - 1.0)
-    i1 = (u[:, 0] * _K).astype(np.intp)
-    i2 = (u[:, 1] * _K).astype(np.intp)
-    with np.errstate(over="ignore", invalid="ignore"):
-        se_lo = _sample_se(lo1[i1], lo2[i2], spec, n1, n2)[2]
-        se_hi = _sample_se(hi1[i1], hi2[i2], spec, n1, n2)[2]
-        flags, open_ = _screen(_tost_in, (se_lo, se_hi), (margin, margin),
-                               _t_band(spec.alpha, n1, n2))
-    exact = np.nonzero(open_ | (se_lo == 0.0))[0]
+    flags, exact = _knot_screen(_tost_in, u[:, 0], u[:, 1], margin, spec,
+                                n1, n2)
+    exact = np.nonzero(exact)[0]
     se, margin, nu = _mapped(u[exact, 0], u[exact, 1], z3[exact], spec,
                              n1, n2)
     flags[exact] = _tost_in(se, margin, t_quantile(1.0 - spec.alpha, nu))

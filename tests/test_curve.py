@@ -3,10 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from bepower import (
     CENSORED,
+    CrossoverSpec,
     DesignSpec,
     empirical_power,
     lambda_of_n,
@@ -14,10 +17,12 @@ from bepower import (
     se_of_n,
     smallest_crossing,
 )
-from bepower.curve import (_bracket_nodes, _crossings, _first_crossings, _g,
-                           _point_g, g_at)
-from bepower.qrng import sobol_stream
+from bepower.crossover import to_two_group
+from bepower.curve import (_bracket_nodes, _crossings, _domain_start,
+                           _first_crossings, _g, _locate, _point_g, g_at)
+from bepower.qrng import CLAMP_HIGH, CLAMP_LOW, sobol_stream
 from bepower.special import inv_chisq, inv_norm
+from bepower.tost import _K, _chisq_brackets, _d_bar, _sample_se, _t_band
 
 FIXTURE_U = (0.184, 0.231, 0.449)
 
@@ -28,6 +33,15 @@ DESIGNS = {
     "q1.5": DesignSpec(-12.0, 19.5, 13.0, -19.2, 19.2, q=1.5),
     "q1/1.5": DesignSpec(-8.0, 19.5, 13.0, -19.2, 19.2, q=1.0 / 1.5),
 }
+
+# the walk's screen also meets t = 0 (alpha = 0.5) and the README
+# crossover design's small sigmas
+WALK_DESIGNS = dict(
+    DESIGNS,
+    alpha_half=DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, alpha=0.5),
+    crossover=to_two_group(CrossoverSpec(F=0.05, sigma_D1=0.4, sigma_D2=0.4,
+                                         delta_L=-0.223, delta_U=0.223)),
+)
 
 
 def dense_g(u, spec, n_grid):
@@ -85,6 +99,66 @@ def reference_crossing(u, spec, B=65536.0, tol=1e-6):
     if _g(u[0], u[1], inv_norm(u[2]), spec, nodes[0]) <= 0.0:
         return nodes[0]
     return reference_walk(u, spec, nodes, tol, CENSORED)
+
+
+def unscreened_walk(g, k, nodes, f0, tol, none):
+    """The bracket walk before the knot screen, kept as the reference
+    for `_crossings`: g at every node for every point still walking,
+    with the walk's end values handed to `_locate`."""
+    nodes = np.asarray(nodes, dtype=float)
+    f_prev, f_next = f0.copy(), np.empty(len(k))
+    step = np.zeros(len(k), dtype=np.int64)
+    walking = np.arange(len(k))
+    for j in range(1, len(nodes)):
+        if not len(walking):
+            break
+        f = g(k[walking], nodes[j])
+        crossed = (f > 0.0) != (f0[walking] > 0.0)
+        step[walking[crossed]], f_next[walking[crossed]] = j, f[crossed]
+        f_prev[walking[~crossed]] = f[~crossed]
+        walking = walking[~crossed]
+    out = np.full(len(k), none)
+    hit = np.nonzero(step)[0]
+    a, b = nodes[step[hit] - 1], nodes[step[hit]]
+    fa, fb = f_prev[hit], f_next[hit]
+    if nodes[-1] < nodes[0]:
+        a, b, fa, fb = b, a, fb, fa
+    out[hit] = _locate(g, k[hit], a, b, fa, fb, tol)
+    return out
+
+
+def unscreened_first_crossings(points, spec, B=65536.0, tol=1e-6):
+    """`_first_crossings` on `unscreened_walk`."""
+    g, _ = _point_g(points, spec)
+    nodes = _bracket_nodes(_domain_start(spec.q), B)
+    k = np.arange(len(points))
+    f0 = g(k, nodes[0])
+    out = np.full(len(points), nodes[0])
+    walk = f0 > 0.0
+    out[walk] = unscreened_walk(g, k[walk], nodes, f0[walk], tol, CENSORED)
+    return out
+
+
+def below_clamp(n, rng):
+    """n log-uniform coordinates in (1e-60, CLAMP_LOW), outside the
+    range the knot tables cover."""
+    return np.exp(rng.uniform(math.log(1e-60), math.log(CLAMP_LOW), n))
+
+
+def edge_points(seed):
+    """Sobol' points, then rows whose u1 or u2 lies on a knot j / _K, a
+    knot's nextafter neighbour, a clamp end or below the clamp."""
+    knots = np.arange(1, _K) / _K
+    rng = np.random.Generator(np.random.PCG64(seed))
+    edges = np.concatenate([[CLAMP_LOW, CLAMP_HIGH], knots,
+                            np.nextafter(knots, 0.0), np.nextafter(knots, 1.0),
+                            below_clamp(32, rng)])
+    base = sobol_stream(3, 1024, seed).points
+    tiled = base[np.arange(edges.size) % len(base)]
+    return np.concatenate([
+        base,
+        np.column_stack([edges, rng.permutation(edges), tiled[:, 2]]),
+        np.column_stack([tiled[:, 0], edges, rng.permutation(tiled[:, 2])])])
 
 
 def test_bracket_nodes_shape():
@@ -353,13 +427,117 @@ def test_safeguard_walks_match_scalar_reference(motivating):
                          (5.0, [c for c in reversed(nodes) if c < 5.0]),
                          (2.1, [2.0])):
         walk = [anchor] + walk
-        got = _crossings(g, k, walk, g_at(pts, motivating, anchor), 1e-6,
-                         2.0)[0]
+        got = _crossings(g, k, walk, g_at(pts, motivating, anchor) <= 0.0,
+                         1e-6, 2.0)[0]
         assert got == reference_walk(FIXTURE_U, motivating, walk, 1e-6, 2.0)
         if anchor > 2.1:
             assert got == pytest.approx(3.492117957622574, abs=1e-5)
         else:
             assert got == 2.0
+
+
+@pytest.mark.parametrize("name", sorted(WALK_DESIGNS))
+def test_walk_side_is_sign_of_g(name):
+    # at every canonical node up to 4096 the screened side is g <= 0,
+    # on points at and next to the knots, at the clamp ends and below
+    # the clamp, where the knot bounds do not hold and g is always
+    # evaluated
+    spec = WALK_DESIGNS[name]
+    pts = edge_points(5)
+    g, evals = _point_g(pts, spec)
+    k = np.arange(len(pts))
+    z3 = inv_norm(pts[:, 2])
+    nodes = _bracket_nodes(_domain_start(spec.q), 4096.0)
+    for n in nodes:
+        np.testing.assert_array_equal(
+            g.side(k, n), _g(pts[:, 0], pts[:, 1], z3, spec, n) <= 0.0)
+    outside = (pts[:, :2] < CLAMP_LOW).any(axis=1)
+    assert np.count_nonzero(outside) == 3 * 32  # u1, permuted u2, u2
+    assert np.all(evals[outside] == len(nodes))
+    assert evals.sum() < 0.25 * len(nodes) * len(pts)
+
+
+def test_smallest_crossing_below_clamp_matches_unscreened():
+    # smallest_crossing accepts u1, u2 below CLAMP_LOW, where the knot
+    # bounds would be wrong: without the clamp guard 72 of these 300
+    # points move, and the frozen one from 178.397... to 0.0
+    spec = DESIGNS["near_limit"]
+    rng = np.random.Generator(np.random.PCG64(5))
+    u = np.column_stack([below_clamp(300, rng), below_clamp(300, rng),
+                         rng.uniform(0.001, 0.999, 300)])
+    got = np.array([smallest_crossing(p, spec).crossing_n for p in u])
+    ref = unscreened_first_crossings(u, spec)
+    np.testing.assert_array_equal(got, ref)
+    assert np.count_nonzero(ref > 2.0) > 100
+    frozen = (6.778601842092669e-40, 4.829169404455894e-22,
+              0.14487129349419448)
+    assert smallest_crossing(frozen, spec).crossing_n == 178.39715588968633
+
+
+def test_walk_screen_uses_g_form_at_a_tie():
+    # a cell whose upper se bound meets the threshold, se_hi == margin /
+    # t_hi in floating point: g's form se <= Lambda decides it from the
+    # bounds, TOST's form t * se < margin would not (equal there)
+    n, u3 = 12.0, 0.5  # u3 = 0.5 puts d_bar at mu_diff = 0 exactly
+    base = DesignSpec(0.0, 18.0, 15.0, -19.2, 19.2)
+    lo, hi = _chisq_brackets(n - 1.0)
+    t_hi = _t_band(base.alpha, n, n)[1]
+    for j in range(1, _K - 1):
+        u1, u2 = (j + 0.5) / _K, 0.5
+        se_hi = _sample_se(hi[j], hi[_K // 2], base, n, n)[2]
+        margin = t_hi * se_hi
+        if se_hi <= margin / t_hi:
+            break
+    else:
+        pytest.fail("no tie on the knots at n = 12")
+    spec = DesignSpec(0.0, 18.0, 15.0, -margin, 2.0 * margin)
+    assert _d_bar(inv_norm(u3), spec, n, n) == 0.0
+    assert not t_hi * se_hi < margin
+    g, evals = _point_g(np.array([[u1, u2, u3]]), spec)
+    assert g.side(np.array([0]), n).tolist() == [True]
+    assert evals[0] == 0
+    assert g(np.array([0]), n)[0] <= 0.0
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(center=st.floats(-10.0, 10.0), half=st.floats(1.0, 30.0),
+       frac=st.floats(-0.95, 0.95), sigma1=st.floats(0.5, 40.0),
+       sigma2=st.floats(0.5, 40.0), q=st.floats(0.25, 4.0),
+       alpha=st.one_of(st.just(0.5), st.floats(1e-3, 0.5)),
+       anchor=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_property_screened_walk_equals_unscreened(center, half, frac, sigma1,
+                                                  sigma2, q, alpha, anchor,
+                                                  seed):
+    # first crossings from the domain start, and the safeguard's walks up
+    # and down from an anchor, match the unscreened walk to the bit
+    spec = DesignSpec(center + frac * half, sigma1, sigma2, center - half,
+                      center + half, alpha=alpha, q=q)
+    m, B, tol = 128, 65536.0, 1e-6
+    pts = sobol_stream(3, m, seed).points
+    g, _ = _point_g(pts, spec)
+    np.testing.assert_array_equal(_first_crossings(g, m, spec, B, tol),
+                                  unscreened_first_crossings(pts, spec))
+    start = _domain_start(q)
+    nodes = _bracket_nodes(start, B)
+    anchor = start * 200.0 ** anchor
+    f0 = g_at(pts, spec, anchor)
+    for k, walk, none in (
+            (np.nonzero(f0 > 0.0)[0], [c for c in nodes if c > anchor],
+             CENSORED),
+            (np.nonzero(f0 <= 0.0)[0],
+             [c for c in reversed(nodes) if c < anchor], start)):
+        walk = [anchor] + walk
+        np.testing.assert_array_equal(
+            _crossings(g, k, walk, f0[k] <= 0.0, tol, none),
+            unscreened_walk(g, k, walk, f0[k], tol, none))
+
+
+def test_screened_walk_work_bound(motivating):
+    # exact g evaluations per point on the benchmark's motivating curve:
+    # 10.78 when every walking point took g at every node, 7.09 with the
+    # knot screen deciding the walk
+    pc = power_curve(motivating, 0.8, 1024, 2024)
+    assert pc.g_evals_total / pc.m <= 8.0
 
 
 @pytest.mark.parametrize("name,tol", [(name, 1e-6) for name in sorted(DESIGNS)]

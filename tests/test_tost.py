@@ -461,6 +461,23 @@ class TestChisqScreen:
         bad = ~((lo[i] <= x) & (x <= hi[i]))
         assert not bad.any(), p[bad][:5]
 
+    def test_brackets_are_cached_and_read_only(self):
+        # every caller shares a cached table, so none may write to it
+        lo, hi = _chisq_brackets(11.0)
+        assert _chisq_brackets(11.0)[0] is lo
+        for bound in (lo, hi):
+            with pytest.raises(ValueError, match="read-only"):
+                bound[0] = 1.0
+        assert 0 < _chisq_brackets.cache_info().maxsize <= 128
+
+    def test_cold_and_warm_cache_count_alike(self, motivating):
+        _chisq_brackets.cache_clear()
+        cold = empirical_power(motivating, 7, 9, 4096, seed=3)
+        assert _chisq_brackets.cache_info().misses == 2
+        warm = empirical_power(motivating, 7, 9, 4096, seed=3)
+        assert _chisq_brackets.cache_info().hits == 2
+        assert cold == warm
+
     def test_quantile_rises_with_df_within_slack(self):
         # the block bounds of the integer scans: for df_a < df < df_b,
         # inv_chisq(u, df_a) * (1 - _SLACK) <= inv_chisq(u, df)
