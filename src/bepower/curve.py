@@ -10,7 +10,9 @@ empirical power estimate at n.  Locating one root walks O(log2(B))
 nodes of a geometric bracket grid, where the estimator's knot screen
 decides most points' side of zero, then refines the last step by
 Brent's method; g is evaluated exactly only where the screen leaves the
-side open, at both ends of the last step and at Brent's iterates.
+side open, at both ends of the last step and at Brent's iterates.  At
+alpha = 0.5, where g jumps from se to -inf at its sign change, the
+solver's g is a continuous twin with the same sign, -margin.
 
 The recommended sample size is the type-1 empirical quantile of the
 crossings at the target power.  Because g can, rarely, have several
@@ -28,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qrng import CLAMP_HIGH, CLAMP_LOW, _check_count, sobol_stream
+from .qrng import _check_count, sobol_stream
 from .special import _TINY, inv_norm
-from .tost import (_d_bar, _g_in, _knot_screen, _lambda, _mapped, _margin,
+from .tost import (_check_point, _decide, _g_in, _lambda, _mapped,
                    require_curve_spec)
 
 __all__ = [
@@ -151,6 +153,7 @@ def _g(u1, u2, z3, spec, n):
 
 def _mapped_at(u, spec, n):
     """`_mapped` for the single point u at real n, inside the domain."""
+    u = _check_point(u)
     _check_n_domain(n, spec.q)
     n = float(n)
     return _mapped(float(u[0]), float(u[1]), inv_norm(float(u[2])), spec,
@@ -191,57 +194,35 @@ def g_at(points, spec, n):
 
 
 def _point_g(points, spec):
-    """g over a block of points as g(k, n) for point indices k, and the
-    array counting the exact evaluations of g made for each point.
+    """The solver's g over a block of points as g(k, n) for point
+    indices k, and the array counting the exact evaluations of g made
+    for each point.
 
-    g.side(k, n) is g(k, n) <= 0 at one n, decided by `tost._knot_screen`
-    where it can and by g elsewhere.  The knot bounds hold only for u1,
-    u2 in [CLAMP_LOW, CLAMP_HIGH], so points outside, which
-    `smallest_crossing` accepts, are screened at 0.5 and always take g.
+    g.side(k, n) is g(k, n) <= 0 at one n, decided by `tost._decide`;
+    only the cells it evaluates exactly count.  At alpha = 0.5 the
+    paper's g jumps from se to -inf where it changes sign, and Brent's
+    interpolation gets nothing from the jump (up to 49 evaluations a
+    bracket), so there g is a twin: -margin, continuous in n, with the
+    paper's sign exactly (margin = 0, where g = se > 0, maps to the
+    smallest normal float).
     """
     u1, u2, z3 = points[:, 0], points[:, 1], inv_norm(points[:, 2])
     evals = np.zeros(len(points), dtype=np.int64)
-    clamped = ((CLAMP_LOW <= u1) & (u1 <= CLAMP_HIGH)
-               & (CLAMP_LOW <= u2) & (u2 <= CLAMP_HIGH))
-    s1, s2 = np.where(clamped, u1, 0.5), np.where(clamped, u2, 0.5)
 
     def g(k, n):
         evals[k] += 1
-        return _g(u1[k], u2[k], z3[k], spec, n)
+        if spec.alpha < 0.5:
+            return _g(u1[k], u2[k], z3[k], spec, n)
+        margin = _mapped(u1[k], u2[k], z3[k], spec, n, spec.q * n)[1]
+        return np.where(margin > 0.0, -margin, np.maximum(-margin, _TINY))
 
     def side(k, n):
-        n2 = spec.q * n
-        margin = _margin(_d_bar(z3[k], spec, n, n2), spec)
-        in_, exact = _knot_screen(_g_in, s1[k], s2[k], margin, spec, n, n2)
-        exact = np.nonzero(exact | ~clamped[k])[0]
-        in_[exact] = g(k[exact], n) <= 0.0
+        in_, exact = _decide(_g_in, u1[k], u2[k], z3[k], spec, n, spec.q * n)
+        evals[k[exact]] += 1
         return in_
 
     g.side = side
-    if spec.alpha == 0.5:
-        def smooth(k, n):
-            evals[k] += 1
-            margin = _mapped(u1[k], u2[k], z3[k], spec, n, spec.q * n)[1]
-            return np.where(margin > 0.0, -margin, np.maximum(-margin, _TINY))
-        g.smooth = smooth
     return g, evals
-
-
-def _refine(g, k, a, b, fa, fb, tol):
-    """`_brent` on brackets of g, returning roots and a value with g's
-    sign at each.
-
-    At alpha = 0.5, g jumps from se to -inf where it changes sign, and
-    Brent's interpolation gets nothing from the jump (up to 49
-    evaluations a bracket).  There `_point_g` gives g a `smooth` twin:
-    -margin, continuous in n, with g's sign exactly (margin = 0, where
-    g = se > 0, maps to the smallest normal float).  The brackets are
-    refined on the twin, evaluated afresh at both ends.
-    """
-    smooth = getattr(g, "smooth", None)
-    if smooth is None:
-        return _brent(g, k, a, b, fa, fb, tol)
-    return _brent(smooth, k, a, b, smooth(k, a), smooth(k, b), tol)
 
 
 def _brent(g, k, a, b, fa, fb, tol):
@@ -303,7 +284,7 @@ def _brent(g, k, a, b, fa, fb, tol):
 
 
 def _locate(g, k, a, b, fa, fb, tol):
-    """`_refine` roots of brackets with g(a) > 0 >= g(b), on the g <= 0
+    """`_brent` roots of brackets with g(a) > 0 >= g(b), on the g <= 0
     side.
 
     A crossing is defined by g(n) <= 0, but Brent can stop a hair on
@@ -312,7 +293,7 @@ def _locate(g, k, a, b, fa, fb, tol):
     holds.  Otherwise the quantile itself would trip the safeguard's
     sign check about half the time.
     """
-    root, froot = _refine(g, k, a, b, fa, fb, tol)
+    root, froot = _brent(g, k, a, b, fa, fb, tol)
     for _ in range(3):
         up = np.nonzero(froot > 0.0)[0]
         if not len(up):
@@ -398,12 +379,13 @@ def smallest_crossing(u, spec, B=DEFAULT_B, tol=DEFAULT_TOL, point_index=0):
     Raises
     ------
     ValueError
-        If the spec does not satisfy delta_L < mu_diff < delta_U, or
-        B is not at least 2 (NaN is not), or tol is not positive and
-        finite, or the domain start 2/q lies above B.
+        If u is not 3 coordinates strictly inside (0, 1), or the spec
+        does not satisfy delta_L < mu_diff < delta_U, or B is not at
+        least 2 (NaN is not), or tol is not positive and finite, or the
+        domain start 2/q lies above B.
     """
     _check_solver_args(spec, B, tol)
-    g, evals = _point_g(np.asarray(u, dtype=float).reshape(1, 3), spec)
+    g, evals = _point_g(_check_point(u)[np.newaxis], spec)
     crossing = _first_crossings(g, 1, spec, B, tol)[0]
     return CurvePoint(point_index, float(crossing), False, int(evals[0]))
 

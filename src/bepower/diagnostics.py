@@ -31,9 +31,10 @@ import numpy as np
 
 from . import curve as _curve
 from .qrng import _check_count, _check_seed, sobol_stream
-from .special import inv_chisq, inv_norm, t_quantile
-from .tost import (_SLACK, DesignSpec, _g_in, _mapped, _margin, _sample_se,
-                   _screen, _statistics, _t_band, require_curve_spec)
+from .special import inv_chisq, inv_norm
+from .tost import (_SLACK, DesignSpec, _check_point, _exact_in, _g_in,
+                   _mapped, _margin, _sample_se, _screen, _statistics,
+                   _t_band, require_curve_spec)
 
 __all__ = [
     "IntersectionReport",
@@ -155,17 +156,6 @@ def _block_ends(n1_grid):
     return np.array(ends)
 
 
-def _cells_in(se, margin, nu, alpha, band):
-    """g <= 0 at cells with exact statistics: `_screen` decides a cell
-    from the t band of its column, and the cells it leaves open take
-    their own t quantile.  At alpha = 0.5 the band decides every cell."""
-    in_rej, open_ = _screen(_g_in, (se, se), (margin, margin), band)
-    amb = np.nonzero(open_)
-    in_rej[amb] = _g_in(se[amb], margin[amb],
-                        t_quantile(1.0 - alpha, nu[amb]))
-    return in_rej
-
-
 def _block_bounds(spec, n1e, n2e, x1, x2, d_bar, band):
     """Bounds over the interior of each block, as the (lo, hi) pairs
     (se, margin, t) that `_screen` takes, from a point's values at the
@@ -224,7 +214,8 @@ def _grid_scan(points, spec, n1_grid, n2_grid):
 
     in_rej = np.empty((len(points), len(n1_grid)), dtype=bool)
     in_rej[:, :-1] = block_in[:, np.repeat(np.arange(len(a)), b - a)]
-    in_rej[:, ends] = _cells_in(se, _margin(d_bar, spec), nu, alpha, band)
+    in_rej[:, ends] = _exact_in(_g_in, se, _margin(d_bar, spec), nu, alpha,
+                                band)
     se_all = np.full(in_rej.shape, -np.inf)
     se_all[:, ends] = se
 
@@ -240,7 +231,8 @@ def _grid_scan(points, spec, n1_grid, n2_grid):
                              n2[j])
     cols, col = np.unique(j, return_inverse=True)
     t_lo, t_hi = _t_band(alpha, n1[cols], n2[cols])
-    in_rej[p, j] = _cells_in(se, margin, nu, alpha, (t_lo[col], t_hi[col]))
+    in_rej[p, j] = _exact_in(_g_in, se, margin, nu, alpha,
+                             (t_lo[col], t_hi[col]))
     se_all[p, j] = se
     return in_rej, np.argmax(se_all, axis=1)
 
@@ -275,7 +267,7 @@ def scan_intersections(u, spec, n_max, tol=_curve.DEFAULT_TOL, point_index=0):
     """
     require_curve_spec(spec)
     n1_grid, n2_grid = _integer_grid(spec, n_max)
-    pts = np.asarray(u, dtype=float)[np.newaxis, :]
+    pts = _check_point(u)[np.newaxis]
     in_rej = _grid_scan(pts, spec, n1_grid, n2_grid)[0][0]
 
     crossings = [float(n1_grid[0])] if in_rej[0] else []
@@ -294,8 +286,8 @@ def scan_intersections(u, spec, n_max, tol=_curve.DEFAULT_TOL, point_index=0):
     roots[entry] = _curve._locate(cont_g, k[entry], a[entry], b[entry],
                                   ga[entry], gb[entry], tol)
     exits = (ga <= 0.0) & (gb > 0.0)
-    roots[exits] = _curve._refine(cont_g, k[exits], a[exits], b[exits],
-                                  ga[exits], gb[exits], tol)[0]
+    roots[exits] = _curve._brent(cont_g, k[exits], a[exits], b[exits],
+                                 ga[exits], gb[exits], tol)[0]
     crossings.extend(roots.tolist())
     departure_n, duration = _departure(in_rej, n1_grid)
     return IntersectionReport(point_index=point_index,
@@ -312,7 +304,7 @@ def scan_se_peak(u, spec, n_max, point_index=0):
     coordinates can push the peak to small n > 2.
     """
     n1_grid, n2_grid = _integer_grid(spec, n_max)
-    pts = np.asarray(u, dtype=float)[np.newaxis, :]
+    pts = _check_point(u)[np.newaxis]
     peak = _grid_scan(pts, spec, n1_grid, n2_grid)[1][0]
     return SePeakReport(point_index=point_index,
                         argmax_n=int(n1_grid[peak]))

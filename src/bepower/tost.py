@@ -257,6 +257,15 @@ def _mapped(u1, u2, z3, spec, n1, n2):
     return se, _margin(d_bar, spec), nu
 
 
+def _check_point(u):
+    """u as a float array of shape (3,); a ValueError unless it has 3
+    coordinates, each strictly inside (0, 1)."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (3,) or not np.all((0.0 < u) & (u < 1.0)):
+        raise ValueError("u must be 3 coordinates strictly inside (0, 1)")
+    return u
+
+
 def stats_from_point(u, spec, n1, n2):
     """Map one unit-cube point to the sufficient statistics of a trial.
 
@@ -276,8 +285,10 @@ def stats_from_point(u, spec, n1, n2):
     Raises
     ------
     ValueError
-        If n1 or n2 is not a real number >= 2.
+        If u is not 3 coordinates strictly inside (0, 1), or n1 or n2
+        is not a real number >= 2.
     """
+    u = _check_point(u)
     for name, n in (("n1", n1), ("n2", n2)):
         if not (_is_real(n) and n >= 2.0):
             raise ValueError(f"{name} must be a real number >= 2")
@@ -392,63 +403,72 @@ def _t_band(alpha, n1, n2):
 @functools.lru_cache(maxsize=128)
 def _chisq_brackets(df):
     """Bounds (lo, hi), each of shape (_K,), on inv_chisq(p, df) for every
-    p in [CLAMP_LOW, CLAMP_HIGH]: with i = floor(p * _K),
+    p in (0, 1): with i = floor(p * _K),
     lo[i] <= inv_chisq(p, df) <= hi[i].
 
     The quantile rises with p, so its values at knots i and i + 1 bound
-    it; the relative slack _SLACK covers the kernel's error.  The outer
-    knots are the clamp ends, not 0 and 1, so every bound is finite and
-    positive.  Tables recur across calls, so up to 128 (16 KB each) are
-    cached, read-only since every caller shares them.
+    it; the relative slack _SLACK covers the kernel's error.  The lowest
+    lower bound is 0, and the top knot CLAMP_HIGH is the largest double
+    below 1, so the bounds hold for every p in (0, 1), below the clamp
+    too; every other bound is finite and positive.  Tables recur across
+    calls, so up to 128 (16 KB each) are cached, read-only since every
+    caller shares them.
     """
     x = inv_chisq(_KNOTS, df)
     brackets = x[:-1] * (1.0 - _SLACK), x[1:] * (1.0 + _SLACK)
+    brackets[0][0] = 0.0
     for bound in brackets:
         bound.setflags(write=False)
     return brackets
 
 
-def _knot_screen(in_region, u1, u2, margin, spec, n1, n2):
-    """Decide in_region(se, margin, t) for points (u1, u2) in
-    [CLAMP_LOW, CLAMP_HIGH] at scalar sizes n1, n2 without their own
-    quantiles: the knot brackets of `_chisq_brackets`, carried through
+def _exact_in(in_region, se, margin, nu, alpha, band):
+    """in_region(se, margin, t) at cells with exact statistics: `_screen`
+    decides a cell from the t band, and the cells it leaves open take
+    their own t quantile.  At alpha = 0.5 the band decides every cell."""
+    flags, open_ = _screen(in_region, (se, se), (margin, margin), band)
+    amb = np.nonzero(open_)
+    flags[amb] = in_region(se[amb], margin[amb],
+                           t_quantile(1.0 - alpha, nu[amb]))
+    return flags
+
+
+def _decide(in_region, u1, u2, z3, spec, n1, n2):
+    """Decide in_region(se, margin, t) for points (u1, u2, z3 =
+    inv_norm(u3)) at scalar sizes n1, n2, with quantiles of their own
+    only where bounds leave the answer open.
+
+    The knot brackets of `_chisq_brackets`, carried through
     `_sample_se`, bound se, `_t_band` bounds t, and `_screen` decides.
-    Returns (decided_in, exact): the open cells, and those with se_lo =
-    0 (so that a degenerate sample still raises in `welch_df`), take the
-    caller's exact path.
+    The open cells, and those with se_lo = 0 (so that a degenerate
+    sample still raises in `welch_df`), take `_mapped` and `_exact_in`.
+    Returns (flags, exact), exact the indices evaluated exactly.
     """
+    margin = _margin(_d_bar(z3, spec, n1, n2), spec)
     lo1, hi1 = _chisq_brackets(n1 - 1.0)
     lo2, hi2 = (lo1, hi1) if n2 == n1 else _chisq_brackets(n2 - 1.0)
-    i1 = (u1 * _K).astype(np.intp)
-    i2 = (u2 * _K).astype(np.intp)
+    i1, i2 = (u1 * _K).astype(np.intp), (u2 * _K).astype(np.intp)
+    band = _t_band(spec.alpha, n1, n2)
     with np.errstate(over="ignore", invalid="ignore"):
         se_lo = _sample_se(lo1[i1], lo2[i2], spec, n1, n2)[2]
         se_hi = _sample_se(hi1[i1], hi2[i2], spec, n1, n2)[2]
-        decided_in, open_ = _screen(in_region, (se_lo, se_hi),
-                                    (margin, margin),
-                                    _t_band(spec.alpha, n1, n2))
-    return decided_in, open_ | (se_lo == 0.0)
+        flags, open_ = _screen(in_region, (se_lo, se_hi), (margin, margin),
+                               band)
+    exact = np.nonzero(open_ | (se_lo == 0.0))[0]
+    se, margin, nu = _mapped(u1[exact], u2[exact], z3[exact], spec, n1, n2)
+    flags[exact] = _exact_in(in_region, se, margin, nu, spec.alpha, band)
+    return flags, exact
 
 
 def _rejection_flags(u, spec, n1, n2):
-    """Vectorized rejection decisions for an (m, 3) block of points with
-    coordinates in [CLAMP_LOW, CLAMP_HIGH].
+    """Vectorized rejection decisions for an (m, 3) block of points.
 
     Elementwise identical to stats_from_point followed by rejects,
-    without the chi-square and t quantiles for most points: `_knot_screen`
-    decides from bounds, and the points it leaves take the exact
-    statistics.
+    without the chi-square and t quantiles for most points (see
+    `_decide`).
     """
-    n1, n2 = float(n1), float(n2)
-    z3 = inv_norm(u[:, 2])
-    margin = _margin(_d_bar(z3, spec, n1, n2), spec)
-    flags, exact = _knot_screen(_tost_in, u[:, 0], u[:, 1], margin, spec,
-                                n1, n2)
-    exact = np.nonzero(exact)[0]
-    se, margin, nu = _mapped(u[exact, 0], u[exact, 1], z3[exact], spec,
-                             n1, n2)
-    flags[exact] = _tost_in(se, margin, t_quantile(1.0 - spec.alpha, nu))
-    return flags
+    return _decide(_tost_in, u[:, 0], u[:, 1], inv_norm(u[:, 2]), spec,
+                   float(n1), float(n2))[0]
 
 
 def empirical_power(spec, n1, n2, m, seed, sampler="sobol"):

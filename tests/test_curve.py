@@ -440,8 +440,8 @@ def test_safeguard_walks_match_scalar_reference(motivating):
 def test_walk_side_is_sign_of_g(name):
     # at every canonical node up to 4096 the screened side is g <= 0,
     # on points at and next to the knots, at the clamp ends and below
-    # the clamp, where the knot bounds do not hold and g is always
-    # evaluated
+    # the clamp, where the lowest knot bracket reaches down to 0 and the
+    # screen decides some nodes too
     spec = WALK_DESIGNS[name]
     pts = edge_points(5)
     g, evals = _point_g(pts, spec)
@@ -453,14 +453,14 @@ def test_walk_side_is_sign_of_g(name):
             g.side(k, n), _g(pts[:, 0], pts[:, 1], z3, spec, n) <= 0.0)
     outside = (pts[:, :2] < CLAMP_LOW).any(axis=1)
     assert np.count_nonzero(outside) == 3 * 32  # u1, permuted u2, u2
-    assert np.all(evals[outside] == len(nodes))
+    assert np.any(evals[outside] < len(nodes))
     assert evals.sum() < 0.25 * len(nodes) * len(pts)
 
 
 def test_smallest_crossing_below_clamp_matches_unscreened():
-    # smallest_crossing accepts u1, u2 below CLAMP_LOW, where the knot
-    # bounds would be wrong: without the clamp guard 72 of these 300
-    # points move, and the frozen one from 178.397... to 0.0
+    # smallest_crossing accepts u1, u2 below CLAMP_LOW, where a lowest
+    # knot bound above 0 would be wrong: without the zero floor 72 of
+    # these 300 points move, and the frozen one from 178.397... to 0.0
     spec = DESIGNS["near_limit"]
     rng = np.random.Generator(np.random.PCG64(5))
     u = np.column_stack([below_clamp(300, rng), below_clamp(300, rng),
@@ -520,7 +520,7 @@ def test_property_screened_walk_equals_unscreened(center, half, frac, sigma1,
     start = _domain_start(q)
     nodes = _bracket_nodes(start, B)
     anchor = start * 200.0 ** anchor
-    f0 = g_at(pts, spec, anchor)
+    f0 = g(np.arange(m), anchor)
     for k, walk, none in (
             (np.nonzero(f0 > 0.0)[0], [c for c in nodes if c > anchor],
              CENSORED),
@@ -584,12 +584,26 @@ def test_alpha_half_refines_on_margin():
     pc = power_curve(spec, 0.8, m, seed=seed, tol=tol)
     assert pc.g_evals.max() <= 24
     assert (pc.rec_n1, pc.rec_n2) == (3, 3)
-    g, _ = _point_g(sobol_stream(3, m, seed).points, spec)
-    del g.smooth  # refine on g itself, as before
+    pts = sobol_stream(3, m, seed).points
+    z3 = inv_norm(pts[:, 2])
+
+    def g(k, n):  # refine on g itself, as before
+        return _g(pts[k, 0], pts[k, 1], z3[k], spec, n)
+
+    g.side = lambda k, n: g(k, n) <= 0.0
     on_g = _first_crossings(g, m, spec, 65536.0, tol)
     assert np.all(np.abs(pc.crossings - on_g) <= 2.0 * tol)
     assert np.count_nonzero(pc.crossings != on_g) > 0
-    pts = sobol_stream(3, m, seed).points
     inner = pc.crossings > 2.0
     assert np.all(_g(pts[inner, 0], pts[inner, 1], inv_norm(pts[inner, 2]),
                      spec, pc.crossings[inner]) <= 0.0)
+
+
+def test_alpha_half_work_bound():
+    # at alpha = 0.5 the solver's g is the -margin twin, so Brent starts
+    # from the end values of the walk's last step: 2.31 exact
+    # evaluations per point when it evaluated a separate twin afresh at
+    # both ends, 1.79 now
+    spec = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, alpha=0.5)
+    pc = power_curve(spec, 0.8, 1024, 2024)
+    assert pc.g_evals_total / pc.m <= 2.0

@@ -9,7 +9,12 @@ from bepower import (
     DesignSpec,
     SummaryStats,
     empirical_power,
+    lambda_of_n,
     rejects,
+    scan_intersections,
+    scan_se_peak,
+    se_of_n,
+    smallest_crossing,
     stats_from_point,
     welch_df,
 )
@@ -210,6 +215,29 @@ class TestStatsFromPoint:
         st = stats_from_point((0.3, 0.8, 0.5), motivating, 2.0,
                               np.float64(7.5))
         assert 1.0 <= st.nu <= 7.5
+
+
+# every public function of one unit-cube point, with valid other arguments
+POINT_FUNCTIONS = {
+    "stats_from_point": lambda u, spec: stats_from_point(u, spec, 10, 10),
+    "se_of_n": lambda u, spec: se_of_n(u, spec, 10.0),
+    "lambda_of_n": lambda u, spec: lambda_of_n(u, spec, 10.0),
+    "smallest_crossing": smallest_crossing,
+    "scan_intersections": lambda u, spec: scan_intersections(u, spec, 20),
+    "scan_se_peak": lambda u, spec: scan_se_peak(u, spec, 20),
+}
+
+
+@pytest.mark.parametrize("u", [(0.5, 0.5), (0.5, 0.5, 0.5, 0.5),
+                               (0.5, math.nan, 0.5), (0.0, 0.5, 0.5),
+                               (0.5, 0.5, 1.0)],
+                         ids=["2 coordinates", "4 coordinates", "nan", "0",
+                              "1"])
+@pytest.mark.parametrize("name", sorted(POINT_FUNCTIONS))
+def test_point_outside_open_cube_rejected(motivating, name, u):
+    with pytest.raises(ValueError,
+                       match=r"u must be 3 coordinates strictly inside"):
+        POINT_FUNCTIONS[name](u, motivating)
 
 
 class TestRejects:
@@ -447,15 +475,17 @@ class TestChisqScreen:
     @pytest.mark.parametrize("df", [1.0, 1.5, 2.0, 4.2, 59.0, 89.0, 499.0,
                                     1e4])
     def test_knot_brackets_bound_quantile(self, df):
-        # dense p over [CLAMP_LOW, CLAMP_HIGH], both tails included
-        p = np.clip(np.concatenate([
+        # dense p over [CLAMP_LOW, CLAMP_HIGH], both tails included, and
+        # below the clamp, where the lowest bracket reaches down to 0
+        p = np.concatenate([np.clip(np.concatenate([
             knot_neighbourhood(), np.linspace(CLAMP_LOW, CLAMP_HIGH, 100_001),
             np.geomspace(CLAMP_LOW, 0.5, 20_001),
             1.0 - np.geomspace(2.0 ** -53, 0.5, 20_001)]),
-            CLAMP_LOW, CLAMP_HIGH)
+            CLAMP_LOW, CLAMP_HIGH), np.geomspace(1e-300, CLAMP_LOW, 2001)])
         lo, hi = _chisq_brackets(df)
         assert lo.shape == hi.shape == (_K,)
-        assert np.all(lo > 0.0) and np.all(np.isfinite(hi))
+        assert lo[0] == 0.0 and np.all(lo[1:] > 0.0)
+        assert np.all(np.isfinite(hi))
         i = (p * _K).astype(np.intp)
         x = inv_chisq(p, df)
         bad = ~((lo[i] <= x) & (x <= hi[i]))
