@@ -16,10 +16,12 @@ solver's g is a continuous twin with the same sign, -margin.
 
 The recommended sample size is the type-1 empirical quantile of the
 crossings at the target power.  Because g can, rarely, have several
-roots, the quantile is double-checked against the sign of g for every
-point at the quantile itself; mismatched points are re-solved starting
-from the quantile (the safeguard), which restores exactness of the
-power estimate there.
+roots, every point's crossing is checked against g's side at the
+quantile itself, decided by the same screen as the walk; mismatched
+points are re-solved starting from the quantile (the safeguard), which
+restores exactness of the power estimate there.  The first solve is the
+same re-solve from the domain start, where every point is preset to
+have crossed.
 """
 
 from __future__ import annotations
@@ -65,7 +67,8 @@ class CurvePoint:
 
     crossing_n is the smallest located n with g(n) <= 0, or CENSORED
     (+inf) when g stays positive on the whole bracket grid up to B.
-    g_evals counts the exact evaluations of g made for this point.
+    g_evals counts every exact evaluation of g made for this point; the
+    walk nodes the knot screen decides cost none.
     """
 
     point_index: int
@@ -80,10 +83,11 @@ class PowerCurve:
 
     crossings, g_evals and reinitialized are read-only arrays with one
     entry per unit-cube point: the located crossing (CENSORED when there
-    is none by B), the exact evaluations of g made for the point (not
-    the walk nodes the knot screen decides), and whether the safeguard
-    re-solved it.  n_star_initial is the target-power quantile of the
-    raw crossings, n_star_final the quantile after the safeguard.
+    is none by B), every exact evaluation of g made for the point (in
+    the walk, Brent's steps and the safeguard; cells the knot screen
+    decides cost none), and whether the safeguard re-solved it.
+    n_star_initial is the target-power quantile of the raw crossings,
+    n_star_final the quantile after the safeguard.
     rec_n1 and rec_n2 are the integer recommendations ceil(n*) and
     ceil(q n*).
     """
@@ -184,13 +188,6 @@ def lambda_of_n(u, spec, n):
     require_curve_spec(spec)
     _, margin, nu = _mapped_at(u, spec, n)
     return float(_lambda(margin, nu, spec.alpha))
-
-
-def g_at(points, spec, n):
-    """Vectorized g(n) over an (m, 3) block of points at one real n."""
-    _check_n_domain(n, spec.q)
-    return _g(points[:, 0], points[:, 1], inv_norm(points[:, 2]), spec,
-              float(n))
 
 
 def _point_g(points, spec):
@@ -327,43 +324,54 @@ def _bracket_nodes(start, B):
     return nodes
 
 
-def _crossings(g, k, nodes, in0, tol, none):
+def _crossings(g, k, nodes, tol, none):
     """Walk points along nodes to g's first change of side, then refine.
 
-    in0 holds the side g <= 0 at nodes[0] for points k, all the same;
-    one `side` call of g per node covers the points still walking.
-    Nodes ascend from g > 0 or descend from g <= 0, so the root found is
-    where g enters g <= 0 as n grows; g at both ends of each point's last
-    step goes to `_locate`, which puts the root on that side.  Points
-    that never change side get `none`.
+    Nodes ascend from g > 0 or descend from g <= 0 at nodes[0] for
+    points k, so their direction gives that side; one `side` call of g
+    per node covers the points still walking.  Either way the root found
+    is where g enters g <= 0 as n grows; g at both ends of each point's
+    last step goes to `_locate`, which puts the root on that side.
+    Points that never change side get `none` (a walk of one node has no
+    direction, so the caller names it).
     """
     nodes = np.asarray(nodes, dtype=float)
+    down = nodes[-1] < nodes[0]
     step = np.zeros(len(k), dtype=np.int64)
     walking = np.arange(len(k))
     for j in range(1, len(nodes)):
         if not len(walking):
             break
-        crossed = g.side(k[walking], nodes[j]) != in0[walking]
+        crossed = g.side(k[walking], nodes[j]) != down
         step[walking[crossed]] = j
         walking = walking[~crossed]
     out = np.full(len(k), none)
     hit = np.nonzero(step)[0]
-    a, b = nodes[step[hit] - 1], nodes[step[hit]]
-    if nodes[-1] < nodes[0]:
-        a, b = b, a
-    out[hit] = _locate(g, k[hit], a, b, g(k[hit], a), g(k[hit], b), tol)
+    if len(hit):  # g on no points still costs the special calls' checks
+        a, b = np.sort([nodes[step[hit] - 1], nodes[step[hit]]], axis=0)
+        out[hit] = _locate(g, k[hit], a, b, g(k[hit], a), g(k[hit], b), tol)
     return out
 
 
-def _first_crossings(g, m, spec, B, tol):
-    """Smallest crossing in [start, B] of each of m points, by `_crossings`
-    from the domain start; a point with g <= 0 there crosses at start."""
-    nodes = _bracket_nodes(_domain_start(spec.q), B)
-    in0 = g.side(np.arange(m), nodes[0])
-    out = np.full(m, nodes[0])
-    walk = np.nonzero(~in0)[0]
-    out[walk] = _crossings(g, walk, nodes, in0[walk], tol, CENSORED)
-    return out
+def _resolve(g, crossings, anchor, nodes, tol):
+    """Re-solve, in place, every crossing that disagrees with g's side
+    at anchor, and return the indices of those points.
+
+    A point claims to have crossed by anchor when its crossing is at or
+    below it.  Claimed but g > 0 at anchor: walk up the nodes above it
+    (CENSORED if g stays positive).  Not claimed but g <= 0 at anchor:
+    walk down the nodes below it (nodes[0], the domain start, if g
+    stays <= 0).
+    """
+    side = g.side(np.arange(len(crossings)), anchor)
+    wrong = np.nonzero((crossings <= anchor) != side)[0]
+    up, down = wrong[~side[wrong]], wrong[side[wrong]]
+    crossings[up] = _crossings(
+        g, up, [anchor] + [c for c in nodes if c > anchor], tol, CENSORED)
+    crossings[down] = _crossings(
+        g, down, [anchor] + [c for c in reversed(nodes) if c < anchor], tol,
+        nodes[0])
+    return wrong
 
 
 def smallest_crossing(u, spec, B=DEFAULT_B, tol=DEFAULT_TOL, point_index=0):
@@ -386,8 +394,10 @@ def smallest_crossing(u, spec, B=DEFAULT_B, tol=DEFAULT_TOL, point_index=0):
     """
     _check_solver_args(spec, B, tol)
     g, evals = _point_g(_check_point(u)[np.newaxis], spec)
-    crossing = _first_crossings(g, 1, spec, B, tol)[0]
-    return CurvePoint(point_index, float(crossing), False, int(evals[0]))
+    start = _domain_start(spec.q)
+    crossing = np.full(1, start)
+    _resolve(g, crossing, start, _bracket_nodes(start, B), tol)
+    return CurvePoint(point_index, float(crossing[0]), False, int(evals[0]))
 
 
 def _type1_quantile(values, target_power):
@@ -411,9 +421,9 @@ def power_curve(spec, target_power, m, seed, B=DEFAULT_B, tol=DEFAULT_TOL):
     bracket node for the points still walking (from the knot screen
     where it decides), then Brent's method on every bracket at once.
     Takes the type-1 empirical quantile of the crossings at
-    `target_power`, then applies the safeguard: g is evaluated at the
-    quantile for every point, and any point whose recorded crossing
-    disagrees with the sign of g there is re-solved starting from the
+    `target_power`, then applies the safeguard: g's side at the
+    quantile is decided for every point, and any point whose recorded
+    crossing disagrees with it is re-solved starting from the
     quantile (upward for points that claimed to have crossed but test
     positive, downward for the reverse).  After the repair the fraction
     of crossings at or below the quantile equals the fraction of points
@@ -452,28 +462,18 @@ def power_curve(spec, target_power, m, seed, B=DEFAULT_B, tol=DEFAULT_TOL):
     m = _check_count("m", m)
     points = sobol_stream(3, m, seed).points
     g, evals = _point_g(points, spec)
-    crossings = _first_crossings(g, m, spec, B, tol)
+    start = _domain_start(spec.q)
+    nodes = _bracket_nodes(start, B)
+    crossings = np.full(m, start)
+    _resolve(g, crossings, start, nodes, tol)
     n_censored = int(np.count_nonzero(np.isinf(crossings)))
     if n_censored / m >= 1.0 - target_power:
         raise _censoring_error(n_censored, m, B, target_power)
 
-    n_star_initial = _type1_quantile(crossings, target_power)
-    start = _domain_start(spec.q)
-    nodes = _bracket_nodes(start, B)
+    n_star_initial = anchor = _type1_quantile(crossings, target_power)
     reinitialized = np.zeros(m, dtype=bool)
-    anchor = n_star_initial
     for _ in range(3):
-        in_anchor = g_at(points, spec, anchor) <= 0.0
-        claim_crossed = crossings <= anchor
-        up = np.nonzero(claim_crossed & ~in_anchor)[0]
-        down = np.nonzero(~claim_crossed & in_anchor)[0]
-        crossings[up] = _crossings(
-            g, up, [anchor] + [c for c in nodes if c > anchor],
-            in_anchor[up], tol, CENSORED)
-        crossings[down] = _crossings(
-            g, down, [anchor] + [c for c in reversed(nodes) if c < anchor],
-            in_anchor[down], tol, start)
-        reinitialized[up] = reinitialized[down] = True
+        reinitialized[_resolve(g, crossings, anchor, nodes, tol)] = True
         new_anchor = _type1_quantile(crossings, target_power)
         if new_anchor == anchor:
             break
@@ -483,7 +483,7 @@ def power_curve(spec, target_power, m, seed, B=DEFAULT_B, tol=DEFAULT_TOL):
                       "recommendation uses the last quantile",
                       RuntimeWarning, stacklevel=2)
 
-    n_star_final = _type1_quantile(crossings, target_power)
+    n_star_final = anchor
     if math.isinf(n_star_final):
         raise _censoring_error(int(np.count_nonzero(np.isinf(crossings))),
                                m, B, target_power)

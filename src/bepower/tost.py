@@ -446,7 +446,7 @@ def _decide(in_region, u1, u2, z3, spec, n1, n2):
     """
     margin = _margin(_d_bar(z3, spec, n1, n2), spec)
     lo1, hi1 = _chisq_brackets(n1 - 1.0)
-    lo2, hi2 = (lo1, hi1) if n2 == n1 else _chisq_brackets(n2 - 1.0)
+    lo2, hi2 = _chisq_brackets(n2 - 1.0)
     i1, i2 = (u1 * _K).astype(np.intp), (u2 * _K).astype(np.intp)
     band = _t_band(spec.alpha, n1, n2)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -28,7 +28,6 @@ from bepower import (
     scan_intersections,
     scenario_summary,
 )
-from bepower.curve import g_at
 from bepower.diagnostics import scenario_design
 from bepower.qrng import sobol_stream
 from bepower.special import inv_chisq, inv_norm, t_quantile

@@ -18,11 +18,12 @@ from bepower import (
     smallest_crossing,
 )
 from bepower.crossover import to_two_group
-from bepower.curve import (_bracket_nodes, _crossings, _domain_start,
-                           _first_crossings, _g, _locate, _point_g, g_at)
+from bepower.curve import (_bracket_nodes, _crossings, _domain_start, _g,
+                           _locate, _point_g, _resolve)
 from bepower.qrng import CLAMP_HIGH, CLAMP_LOW, sobol_stream
 from bepower.special import inv_chisq, inv_norm
-from bepower.tost import _K, _chisq_brackets, _d_bar, _sample_se, _t_band
+from bepower.tost import (_K, _chisq_brackets, _d_bar, _mapped, _sample_se,
+                          _t_band)
 
 FIXTURE_U = (0.184, 0.231, 0.449)
 
@@ -42,6 +43,21 @@ WALK_DESIGNS = dict(
     crossover=to_two_group(CrossoverSpec(F=0.05, sigma_D1=0.4, sigma_D2=0.4,
                                          delta_L=-0.223, delta_U=0.223)),
 )
+
+
+def g_at(points, spec, n):
+    """Exact g(n) over an (m, 3) block of points at one real n."""
+    return _g(points[:, 0], points[:, 1], inv_norm(points[:, 2]), spec,
+              float(n))
+
+
+def first_crossings(g, m, spec, B=65536.0, tol=1e-6):
+    """The first solve of `power_curve`: every point preset to have
+    crossed at the domain start, then `_resolve` there."""
+    start = _domain_start(spec.q)
+    out = np.full(m, start)
+    _resolve(g, out, start, _bracket_nodes(start, B), tol)
+    return out
 
 
 def dense_g(u, spec, n_grid):
@@ -128,7 +144,7 @@ def unscreened_walk(g, k, nodes, f0, tol, none):
 
 
 def unscreened_first_crossings(points, spec, B=65536.0, tol=1e-6):
-    """`_first_crossings` on `unscreened_walk`."""
+    """`first_crossings` on `unscreened_walk`."""
     g, _ = _point_g(points, spec)
     nodes = _bracket_nodes(_domain_start(spec.q), B)
     k = np.arange(len(points))
@@ -427,13 +443,64 @@ def test_safeguard_walks_match_scalar_reference(motivating):
                          (5.0, [c for c in reversed(nodes) if c < 5.0]),
                          (2.1, [2.0])):
         walk = [anchor] + walk
-        got = _crossings(g, k, walk, g_at(pts, motivating, anchor) <= 0.0,
-                         1e-6, 2.0)[0]
+        got = _crossings(g, k, walk, 1e-6, 2.0)[0]
         assert got == reference_walk(FIXTURE_U, motivating, walk, 1e-6, 2.0)
         if anchor > 2.1:
             assert got == pytest.approx(3.492117957622574, abs=1e-5)
         else:
             assert got == 2.0
+
+
+def test_resolve_repairs_only_disagreeing_points(motivating):
+    # FIXTURE_U rejects at 2, is out at 3 and back in from 4 (re-entry
+    # near 3.49); a crossing is re-solved only where it disagrees with
+    # g's side at the anchor
+    g, _ = _point_g(np.array([FIXTURE_U]), motivating)
+    nodes = _bracket_nodes(2.0, 65536.0)
+    for claimed, anchor, expected, fixed in (
+            (2.0, 3.0, 3.492117957622574, [0]),   # claimed, out: up
+            (10.0, 5.0, 3.492117957622574, [0]),  # not claimed, in: down
+            (2.0, 5.0, 2.0, []),                  # claimed, in: kept
+            (CENSORED, 2.0, 2.0, [0])):           # down from the start
+        crossings = np.array([claimed])
+        assert _resolve(g, crossings, anchor, nodes, 1e-6).tolist() == fixed
+        assert crossings[0] == expected
+
+
+@pytest.mark.parametrize("seed,target,n_initial,n_final,rec_n1", [
+    (2, 0.04638671875, 3.2642421185024846, 3.3888800432360084, 4),
+    (3, 0.03271484375, 2.694799646736909, 2.753100977407474, 3)])
+def test_safeguard_fires_end_to_end(motivating, seed, target, n_initial,
+                                    n_final, rec_n1):
+    # at low target power the quantile lands where some point has left
+    # the region after crossing at the start; the safeguard re-solves it,
+    # moves the quantile, and the crossing fraction at n* is again the
+    # fraction of points with g <= 0 there
+    m = 1024
+    pc = power_curve(motivating, target, m, seed)
+    assert pc.reinit_count == 1
+    assert (pc.n_star_initial, pc.n_star_final, pc.rec_n1) == (
+        n_initial, n_final, rec_n1)
+    pts = sobol_stream(3, m, seed).points
+    assert (np.mean(pc.crossings <= pc.n_star_final)
+            == np.mean(g_at(pts, motivating, pc.n_star_final) <= 0.0))
+
+
+@pytest.mark.parametrize("seed,target", [(2024, 0.8), (2, 0.04638671875)])
+def test_g_evals_counts_every_exact_evaluation(motivating, monkeypatch, seed,
+                                               target):
+    # every exact g, in the walk, Brent's steps and the safeguard's side
+    # at the quantile, maps its points through `_mapped` once
+    seen = [0]
+
+    def counting(u1, *args):
+        seen[0] += np.size(u1)
+        return _mapped(u1, *args)
+
+    monkeypatch.setattr("bepower.tost._mapped", counting)
+    monkeypatch.setattr("bepower.curve._mapped", counting)
+    pc = power_curve(motivating, target, 1024, seed)
+    assert pc.g_evals_total == seen[0]
 
 
 @pytest.mark.parametrize("name", sorted(WALK_DESIGNS))
@@ -515,7 +582,7 @@ def test_property_screened_walk_equals_unscreened(center, half, frac, sigma1,
     m, B, tol = 128, 65536.0, 1e-6
     pts = sobol_stream(3, m, seed).points
     g, _ = _point_g(pts, spec)
-    np.testing.assert_array_equal(_first_crossings(g, m, spec, B, tol),
+    np.testing.assert_array_equal(first_crossings(g, m, spec, B, tol),
                                   unscreened_first_crossings(pts, spec))
     start = _domain_start(q)
     nodes = _bracket_nodes(start, B)
@@ -528,14 +595,14 @@ def test_property_screened_walk_equals_unscreened(center, half, frac, sigma1,
              [c for c in reversed(nodes) if c < anchor], start)):
         walk = [anchor] + walk
         np.testing.assert_array_equal(
-            _crossings(g, k, walk, f0[k] <= 0.0, tol, none),
+            _crossings(g, k, walk, tol, none),
             unscreened_walk(g, k, walk, f0[k], tol, none))
 
 
 def test_screened_walk_work_bound(motivating):
     # exact g evaluations per point on the benchmark's motivating curve:
-    # 10.78 when every walking point took g at every node, 7.09 with the
-    # knot screen deciding the walk
+    # 10.78 when every walking point took g at every node, 7.11 with the
+    # knot screen deciding the walk and the safeguard's side at n*
     pc = power_curve(motivating, 0.8, 1024, 2024)
     assert pc.g_evals_total / pc.m <= 8.0
 
@@ -591,7 +658,7 @@ def test_alpha_half_refines_on_margin():
         return _g(pts[k, 0], pts[k, 1], z3[k], spec, n)
 
     g.side = lambda k, n: g(k, n) <= 0.0
-    on_g = _first_crossings(g, m, spec, 65536.0, tol)
+    on_g = first_crossings(g, m, spec, 65536.0, tol)
     assert np.all(np.abs(pc.crossings - on_g) <= 2.0 * tol)
     assert np.count_nonzero(pc.crossings != on_g) > 0
     inner = pc.crossings > 2.0
