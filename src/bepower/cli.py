@@ -40,7 +40,7 @@ from .curve import DEFAULT_B, DEFAULT_TOL, power_curve
 from .diagnostics import SCENARIOS, scenario_summary
 from .oracle import naive_power
 from .qrng import _check_count, _check_seed
-from .tost import DesignSpec, empirical_power
+from .tost import DesignSpec, _finite, empirical_power
 
 _TABLE1_GRID = "3,5,8,10,15,20,30,40,50,60"
 
@@ -409,7 +409,8 @@ def _cmd_diagnose(args):
 def _cmd_bench(args):
     try:
         grid = [int(tok) for tok in args.grid.split(",") if tok.strip()]
-        bad_grid = []
+        bad_grid = ([] if all(map(_finite, grid))
+                    else ["--grid values must lie in the float range"])
     except ValueError:
         grid, bad_grid = [], [f"cannot parse --grid '{args.grid}'"]
     spec = _spec(args, bad_grid)

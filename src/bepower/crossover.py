@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import curve as _curve
 from .special import t_quantile
-from .tost import DesignSpec, _design_problems
+from .tost import DesignSpec, _design_problems, _finite
 
 __all__ = [
     "CrossoverSpec",
@@ -114,10 +114,13 @@ def chow_sample_size(F, sigma_D, delta_U, alpha, beta):
     Raises
     ------
     ValueError
-        If |F| >= delta_U (no sample size can demonstrate equivalence).
+        If F, sigma_D or delta_U is not finite, or |F| >= delta_U (no
+        sample size can demonstrate equivalence).
     RuntimeError
         If no n up to 1e6 satisfies the inequality.
     """
+    if not all(map(_finite, (F, sigma_D, delta_U))):
+        raise ValueError("F, sigma_D and delta_U must be finite")
     if sigma_D <= 0.0:
         raise ValueError("sigma_D must be positive")
     if not 0.0 < alpha < 1.0 or not 0.0 < beta < 1.0:

@@ -34,8 +34,8 @@ import numpy as np
 
 from .qrng import _check_count, sobol_stream
 from .special import _TINY, inv_norm
-from .tost import (_check_point, _decide, _g_in, _lambda, _mapped,
-                   require_curve_spec)
+from .tost import (_check_point, _d_bar, _decide, _finite, _g_in, _lambda,
+                   _mapped, _margin, require_curve_spec)
 
 __all__ = [
     "CENSORED",
@@ -132,15 +132,17 @@ def _domain_start(q):
 
 
 def _check_n_domain(n, q):
-    if n < 2.0 or q * n < 2.0:
-        raise ValueError("n and q * n must both be at least 2")
+    if not (_finite(n) and n >= 2.0 and q * n >= 2.0):
+        raise ValueError("n must be finite, and n and q * n must both be "
+                         "at least 2")
 
 
 def _check_solver_args(spec, B, tol):
     require_curve_spec(spec)
-    if not B >= 2.0:
-        raise ValueError("B must be at least 2")
-    if not 0.0 < tol < math.inf:
+    if not (B >= 2.0 and (B == math.inf or _finite(B))):
+        raise ValueError("B must be at least 2 (an int beyond the float "
+                         "range is not)")
+    if not (0.0 < tol and _finite(tol)):
         raise ValueError("tol must be positive and finite")
     if _domain_start(spec.q) > B:
         raise ValueError(
@@ -201,7 +203,9 @@ def _point_g(points, spec):
     interpolation gets nothing from the jump (up to 49 evaluations a
     bracket), so there g is a twin: -margin, continuous in n, with the
     paper's sign exactly (margin = 0, where g = se > 0, maps to the
-    smallest normal float).
+    smallest normal float).  The twin needs d_bar alone, so it inverts
+    no chi-square or t quantile; a degenerate sample still raises in
+    the walk's `side`.
     """
     u1, u2, z3 = points[:, 0], points[:, 1], inv_norm(points[:, 2])
     evals = np.zeros(len(points), dtype=np.int64)
@@ -210,7 +214,7 @@ def _point_g(points, spec):
         evals[k] += 1
         if spec.alpha < 0.5:
             return _g(u1[k], u2[k], z3[k], spec, n)
-        margin = _mapped(u1[k], u2[k], z3[k], spec, n, spec.q * n)[1]
+        margin = _margin(_d_bar(z3[k], spec, n, spec.q * n), spec)
         return np.where(margin > 0.0, -margin, np.maximum(-margin, _TINY))
 
     def side(k, n):

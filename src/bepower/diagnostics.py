@@ -12,14 +12,15 @@ reproduced at any replication budget.
 
 A point's statistics are monotone segments in n: its chi-square
 quantiles rise with the degrees of freedom, 1/(n - 1) and 1/n fall,
-and d_bar moves monotonically toward mu_diff.  So the scans evaluate
-each point exactly only at the ends of geometric blocks of the grid,
-bound se, margin and the t quantile over every block's interior from
-those ends, and decide whole interiors at once; only the cells the
-bounds leave open are evaluated one by one (at m = 128 on the
-scenario bank, about 33% of the cells at n_max = 100, 11% at 500 and
-5% at 2500).  Every flag and se argmax is the one a cell-by-cell scan
-gives.
+and d_bar moves monotonically toward mu_diff.  So the scans cut the
+grid into geometric blocks, bound se over each block from the
+estimator's knot tables at the block's two ends (no quantile of the
+point's own), bound margin and the t quantile from the ends too, and
+decide whole blocks at once; only the blocks the bounds leave open,
+and those that could hold the se argmax, are evaluated cell by cell
+(at m = 128 on the scenario bank, about 9% of the cells at n_max =
+100, 4% at 500 and 3% at 2500).  Every flag and se argmax is the one a
+cell-by-cell scan gives.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ import numpy as np
 
 from . import curve as _curve
 from .qrng import _check_count, _check_seed, sobol_stream
-from .special import inv_chisq, inv_norm
-from .tost import (_SLACK, DesignSpec, _check_point, _exact_in, _g_in,
-                   _mapped, _margin, _sample_se, _screen, _statistics,
-                   _t_band, require_curve_spec)
+from .special import inv_norm
+from .tost import (DesignSpec, _check_point, _d_bar, _exact_in, _g_in,
+                   _knot_bounds, _mapped, _sample_se, _screen, _t_band,
+                   require_curve_spec)
 
 __all__ = [
     "IntersectionReport",
@@ -134,16 +135,19 @@ class SePeakReport:
 
 
 def _integer_grid(spec, n_max):
-    """Integer n1 grid with round-half-even n2, both sizes >= 2."""
+    """Integer n1 grid with round-half-even n2 (as floats, which a huge
+    q does not overflow), both sizes >= 2."""
     n_max = _check_count("n_max", n_max, 2)
-    start = 2
-    while int(np.rint(spec.q * start)) < 2:
+    # rint(q n) >= 2 exactly when q n >= 1.5; 1.5 / q may round up to
+    # the next integer, so start one below it and let the predicate
+    # itself settle the first n
+    start = max(2, math.ceil(min(1.5 / spec.q, n_max + 1.0)) - 1)
+    while start <= n_max and np.rint(spec.q * start) < 2:
         start += 1
     if start > n_max:
         raise ValueError("n_max leaves no feasible integer grid")
     n1 = np.arange(start, n_max + 1)
-    n2 = np.rint(spec.q * n1).astype(int)
-    return n1, n2
+    return n1, np.rint(spec.q * n1)
 
 
 def _block_ends(n1_grid):
@@ -156,33 +160,35 @@ def _block_ends(n1_grid):
     return np.array(ends)
 
 
-def _block_bounds(spec, n1e, n2e, x1, x2, d_bar, band):
-    """Bounds over the interior of each block, as the (lo, hi) pairs
-    (se, margin, t) that `_screen` takes, from a point's values at the
-    block ends: chi-square quantiles x1 and x2, d_bar, and the t band
-    of each end column.
+def _block_bounds(u1, u2, z3, spec, n1e, n2e):
+    """Bounds over every cell of each block, as the (lo, hi) pairs
+    (se, margin, t) that `_screen` takes, for points (u1, u2, z3 =
+    inv_norm(u3)) and block ends of sizes n1e, n2e.
 
     Over a block [a, b], n1 and n2 do not fall, so for each point
-      - se_lo <= se <= se_hi: `_sample_se` of the end quantiles widened
-        by _SLACK, at end a for se_lo and end b for se_hi, with the
+      - se_lo <= se <= se_hi: `_sample_se` of the knot bounds, lower at
+        the df of end a for se_lo and upper at the df of end b for
+        se_hi (chi-square quantiles rise with the df), with the
         n-denominators at the other end;
       - margin_lo <= margin <= margin_hi, since d_bar moves
         monotonically from its value at a to its value at b;
-      - t_lo <= t <= t_hi: the Welch df of the interior lies in
+      - t_lo <= t <= t_hi: the Welch df of the block lies in
         [min(n1a, n2a) - 1, n1b + n2b - 2], so the band at end b gives
         t_lo and at end a gives t_hi.
     """
+    lo1, hi1 = _knot_bounds(u1, n1e - 1.0)
+    lo2, hi2 = _knot_bounds(u2, n2e - 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        se_lo = _sample_se(x1[:, :-1] * (1.0 - _SLACK),
-                           x2[:, :-1] * (1.0 - _SLACK), spec,
-                           n1e[1:], n2e[1:])[2]
-        se_hi = _sample_se(x1[:, 1:] * (1.0 + _SLACK),
-                           x2[:, 1:] * (1.0 + _SLACK), spec,
-                           n1e[:-1], n2e[:-1])[2]
+        se_lo = _sample_se(lo1[:, :-1], lo2[:, :-1], spec, n1e[1:],
+                           n2e[1:])[2]
+        se_hi = _sample_se(hi1[:, 1:], hi2[:, 1:], spec, n1e[:-1],
+                           n2e[:-1])[2]
+    d_bar = _d_bar(z3[:, None], spec, n1e, n2e)
     d_lo = np.minimum(d_bar[:, :-1], d_bar[:, 1:])
     d_hi = np.maximum(d_bar[:, :-1], d_bar[:, 1:])
     margin = (np.minimum(d_lo - spec.delta_L, spec.delta_U - d_hi),
               np.minimum(d_hi - spec.delta_L, spec.delta_U - d_lo))
+    band = _t_band(spec.alpha, n1e, n2e)
     return (se_lo, se_hi), margin, (band[0][1:], band[1][:-1])
 
 
@@ -190,49 +196,33 @@ def _grid_scan(points, spec, n1_grid, n2_grid):
     """In-rejection flags g <= 0 over points x grid, and the grid index
     of each point's se argmax (ties to the smallest n).
 
-    Block screen: every point is evaluated exactly at the block ends of
-    `_block_ends`, and `_screen` decides each (point, block) pair from
-    the `_block_bounds` those ends give; a decided pair's state holds
-    at every interior cell.  The undecided pairs, and those whose se_hi
-    reaches the point's largest se at the block ends (so could hold its
+    Block screen: `_screen` decides each (point, block) pair from the
+    knot-table `_block_bounds`, and a decided pair's state holds at
+    every cell of the block.  The undecided pairs, and those whose
+    se_hi reaches the point's largest se_lo (only they can hold its se
     argmax), are evaluated cell by cell.
     """
-    alpha = spec.alpha
-    u1, u2 = points[:, 0][:, None], points[:, 1][:, None]
-    z3 = inv_norm(points[:, 2])[:, None]
+    u1, u2, z3 = points[:, 0], points[:, 1], inv_norm(points[:, 2])
     n1, n2 = n1_grid.astype(float), n2_grid.astype(float)
+    # cells ends[k] .. ends[k + 1] - 1 make block k, and the last cell
+    # closes the last block; a one-cell grid is the block [0, 0]
     ends = _block_ends(n1_grid)
-    a, b = ends[:-1], ends[1:]
-
-    # exact statistics at the block ends, one chi-square inversion each
-    n1e, n2e = n1[ends], n2[ends]
-    x1, x2 = inv_chisq(u1, n1e - 1.0), inv_chisq(u2, n2e - 1.0)
-    d_bar, _, _, se, nu = _statistics(x1, x2, z3, spec, n1e, n2e)
-    band = _t_band(alpha, n1e, n2e)
-    bounds = _block_bounds(spec, n1e, n2e, x1, x2, d_bar, band)
+    ends = np.resize(ends, max(2, len(ends)))
+    cell_block = np.append(np.repeat(np.arange(len(ends) - 1),
+                                     np.diff(ends)), len(ends) - 2)
+    bounds = _block_bounds(u1, u2, z3, spec, n1[ends], n2[ends])
     block_in, open_ = _screen(_g_in, *bounds)
+    se_lo, se_hi = bounds[0]
+    exact = open_ | (se_hi >= se_lo.max(axis=1, keepdims=True))
 
-    in_rej = np.empty((len(points), len(n1_grid)), dtype=bool)
-    in_rej[:, :-1] = block_in[:, np.repeat(np.arange(len(a)), b - a)]
-    in_rej[:, ends] = _exact_in(_g_in, se, _margin(d_bar, spec), nu, alpha,
-                                band)
-    se_all = np.full(in_rej.shape, -np.inf)
-    se_all[:, ends] = se
-
-    # the cells no block decides, flattened over (point, cell)
-    se_hi = bounds[0][1]
-    exact = (b - a > 1) & (open_ | (se_hi >= se.max(axis=1, keepdims=True)))
-    p, k = np.nonzero(exact)
-    width = b[k] - a[k] - 1
-    start = np.cumsum(width) - width
-    p = np.repeat(p, width)
-    j = np.arange(width.sum()) + np.repeat(a[k] + 1 - start, width)
-    se, margin, nu = _mapped(u1[p, 0], u2[p, 0], z3[p, 0], spec, n1[j],
-                             n2[j])
+    in_rej = block_in[:, cell_block]
+    p, j = np.nonzero(exact[:, cell_block])
+    se, margin, nu = _mapped(u1[p], u2[p], z3[p], spec, n1[j], n2[j])
     cols, col = np.unique(j, return_inverse=True)
-    t_lo, t_hi = _t_band(alpha, n1[cols], n2[cols])
-    in_rej[p, j] = _exact_in(_g_in, se, margin, nu, alpha,
+    t_lo, t_hi = _t_band(spec.alpha, n1[cols], n2[cols])
+    in_rej[p, j] = _exact_in(_g_in, se, margin, nu, spec.alpha,
                              (t_lo[col], t_hi[col]))
+    se_all = np.full(in_rej.shape, -np.inf)
     se_all[p, j] = se
     return in_rej, np.argmax(se_all, axis=1)
 

@@ -18,6 +18,7 @@ origin point.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -57,11 +58,11 @@ class SobolStream:
 
 
 def _check_count(name, value, low=1):
-    """`value` as an int; a ValueError if it is a bool, is not integral
-    or is below `low`."""
+    """`value` as an int; a ValueError if it is a bool, is not integral,
+    is below `low` or lies beyond the float range."""
     try:
         ok = (not isinstance(value, (bool, np.bool_)) and int(value) == value
-              and value >= low)
+              and value >= low and math.isfinite(value))
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:

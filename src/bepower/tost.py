@@ -237,14 +237,8 @@ def _trial(u1, u2, z3, spec, n1, n2):
     """The point -> statistics map, (d_bar, s1_sq, s2_sq, se, nu), with
     z3 = inv_norm(u3).  Arguments broadcast like ufuncs; n1 and n2 may
     be real and may differ per element."""
-    return _statistics(inv_chisq(u1, n1 - 1.0), inv_chisq(u2, n2 - 1.0),
-                       z3, spec, n1, n2)
-
-
-def _statistics(x1, x2, z3, spec, n1, n2):
-    """`_trial` from its chi-square quantiles x1 = inv_chisq(u1, n1 - 1)
-    and x2 = inv_chisq(u2, n2 - 1)."""
-    s1_sq, s2_sq, se = _sample_se(x1, x2, spec, n1, n2)
+    s1_sq, s2_sq, se = _sample_se(inv_chisq(u1, n1 - 1.0),
+                                  inv_chisq(u2, n2 - 1.0), spec, n1, n2)
     return (_d_bar(z3, spec, n1, n2), s1_sq, s2_sq, se,
             welch_df(s1_sq, s2_sq, n1, n2))
 
@@ -286,12 +280,13 @@ def stats_from_point(u, spec, n1, n2):
     ------
     ValueError
         If u is not 3 coordinates strictly inside (0, 1), or n1 or n2
-        is not a real number >= 2.
+        is not a finite real number >= 2 (an int beyond the float range
+        is not).
     """
     u = _check_point(u)
     for name, n in (("n1", n1), ("n2", n2)):
-        if not (_is_real(n) and n >= 2.0):
-            raise ValueError(f"{name} must be a real number >= 2")
+        if not (_is_real(n) and _finite(n) and n >= 2.0):
+            raise ValueError(f"{name} must be a real number >= 2, and finite")
     stats = _trial(float(u[0]), float(u[1]), inv_norm(float(u[2])), spec,
                    n1, n2)
     return SummaryStats(*map(float, stats))
@@ -400,7 +395,7 @@ def _t_band(alpha, n1, n2):
     return t[0] * (1.0 - _SLACK), t[1] * (1.0 + _SLACK)
 
 
-@functools.lru_cache(maxsize=128)
+@functools.lru_cache(maxsize=256)
 def _chisq_brackets(df):
     """Bounds (lo, hi), each of shape (_K,), on inv_chisq(p, df) for every
     p in (0, 1): with i = floor(p * _K),
@@ -410,9 +405,16 @@ def _chisq_brackets(df):
     it; the relative slack _SLACK covers the kernel's error.  The lowest
     lower bound is 0, and the top knot CLAMP_HIGH is the largest double
     below 1, so the bounds hold for every p in (0, 1), below the clamp
-    too; every other bound is finite and positive.  Tables recur across
-    calls, so up to 128 (16 KB each) are cached, read-only since every
-    caller shares them.
+    too; every other bound is finite and positive.
+
+    Three screens read the tables, through `_knot_bounds`: the
+    estimator and the curve walk at the sizes of each `_decide` call,
+    and the integer scans at every block end of their grid.  The
+    tables recur across calls, so up to 256 (16 KB each, 4 MB in all)
+    are cached, read-only since every caller shares them.  A scan needs
+    one table per distinct end df: 165 for q = 1.5 at n_max = 1e5,
+    about as long a grid as a chunk of scan points holds in memory, so
+    one scan never evicts a table it needs again.
     """
     x = inv_chisq(_KNOTS, df)
     brackets = x[:-1] * (1.0 - _SLACK), x[1:] * (1.0 + _SLACK)
@@ -420,6 +422,18 @@ def _chisq_brackets(df):
     for bound in brackets:
         bound.setflags(write=False)
     return brackets
+
+
+def _knot_bounds(u, df):
+    """Bounds (lo, hi) on inv_chisq(u, df) from the knot tables of
+    `_chisq_brackets`: elementwise over u at a scalar df, and of shape
+    (len(u), len(df)) for a 1-d array of df."""
+    i = (u * _K).astype(np.intp)
+    if np.ndim(df) == 0:
+        lo, hi = _chisq_brackets(df)
+        return lo[i], hi[i]
+    tables = [_chisq_brackets(d) for d in df]
+    return tuple(np.array([t[side][i] for t in tables]).T for side in (0, 1))
 
 
 def _exact_in(in_region, se, margin, nu, alpha, band):
@@ -445,13 +459,12 @@ def _decide(in_region, u1, u2, z3, spec, n1, n2):
     Returns (flags, exact), exact the indices evaluated exactly.
     """
     margin = _margin(_d_bar(z3, spec, n1, n2), spec)
-    lo1, hi1 = _chisq_brackets(n1 - 1.0)
-    lo2, hi2 = _chisq_brackets(n2 - 1.0)
-    i1, i2 = (u1 * _K).astype(np.intp), (u2 * _K).astype(np.intp)
+    lo1, hi1 = _knot_bounds(u1, n1 - 1.0)
+    lo2, hi2 = _knot_bounds(u2, n2 - 1.0)
     band = _t_band(spec.alpha, n1, n2)
     with np.errstate(over="ignore", invalid="ignore"):
-        se_lo = _sample_se(lo1[i1], lo2[i2], spec, n1, n2)[2]
-        se_hi = _sample_se(hi1[i1], hi2[i2], spec, n1, n2)[2]
+        se_lo = _sample_se(lo1, lo2, spec, n1, n2)[2]
+        se_hi = _sample_se(hi1, hi2, spec, n1, n2)[2]
         flags, open_ = _screen(in_region, (se_lo, se_hi), (margin, margin),
                                band)
     exact = np.nonzero(open_ | (se_lo == 0.0))[0]

@@ -305,9 +305,13 @@ class TestBenchCommand:
     ["curve", *DESIGN, "--m", "16", "--seed", "2", "--bound", "nan"],
     ["curve", *DESIGN, "--m", "16", "--seed", "2", "--tol", "nan"],
     ["curve", *DESIGN, "--m", "16", "--seed", "2", "--tol", "inf"],
+    ["power", *DESIGN, "--n1", "1" + "0" * 400, "--n2", "5", "--seed", "1"],
+    ["bench", *DESIGN, "--grid", "1" + "0" * 400, "--m", "16", "--reps",
+     "1", "--seed", "1"],
 ], ids=["n_max_1", "m_0", "mu_outside_limits", "diagnose_seed",
         "bench_seed", "group_size_1", "reps_0", "sigma_squared_overflows",
-        "sample_variance_overflows", "bound_nan", "tol_nan", "tol_inf"])
+        "sample_variance_overflows", "bound_nan", "tol_nan", "tol_inf",
+        "n1_beyond_float_range", "grid_beyond_float_range"])
 def test_invalid_input_fails_cleanly(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from bepower import (
@@ -65,6 +67,13 @@ class TestCrossoverSampleSize:
         cspec = CrossoverSpec(**{**BE_KW, "F": 0.3})
         with pytest.raises(ValueError, match="strictly between"):
             crossover_sample_size(cspec, 0.8, 64, seed=1)
+
+    def test_ints_beyond_float_range_rejected(self):
+        cspec = CrossoverSpec(**BE_KW)
+        with pytest.raises(ValueError, match="B must be"):
+            crossover_sample_size(cspec, 0.8, 64, seed=1, B=10 ** 400)
+        with pytest.raises(ValueError, match="tol must be"):
+            crossover_sample_size(cspec, 0.8, 64, seed=1, tol=10 ** 400)
 
     def test_censoring_bound_error(self):
         with pytest.raises(RuntimeError, match="B=4"):
@@ -137,6 +146,15 @@ class TestChowSampleSize:
     def test_no_n_up_to_a_million(self):
         with pytest.raises(RuntimeError, match="1000000"):
             chow_sample_size(0.2229999, 0.4, 0.223, 0.05, 0.2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_non_finite_inputs_rejected(self, field, bad):
+        # F, sigma_D, delta_U; NaN used to search up to n = 1e6
+        args = [0.05, 0.4, 0.223, 0.05, 0.2]
+        args[field] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            chow_sample_size(*args)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="sigma_D"):

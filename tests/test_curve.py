@@ -17,11 +17,12 @@ from bepower import (
     se_of_n,
     smallest_crossing,
 )
+from bepower import tost
 from bepower.crossover import to_two_group
 from bepower.curve import (_bracket_nodes, _crossings, _domain_start, _g,
                            _locate, _point_g, _resolve)
 from bepower.qrng import CLAMP_HIGH, CLAMP_LOW, sobol_stream
-from bepower.special import inv_chisq, inv_norm
+from bepower.special import _TINY, inv_chisq, inv_norm
 from bepower.tost import (_K, _chisq_brackets, _d_bar, _mapped, _sample_se,
                           _t_band)
 
@@ -248,6 +249,11 @@ def test_domain_validation(motivating):
     off_center = DesignSpec(25.0, 18.0, 15.0, -19.2, 19.2)
     with pytest.raises(ValueError, match="strictly between"):
         lambda_of_n((0.5, 0.5, 0.5), off_center, 10.0)
+    # an int beyond the float range, and NaN, are no size either
+    for n in (10 ** 400, math.nan):
+        for fn in (se_of_n, lambda_of_n):
+            with pytest.raises(ValueError, match="n must be finite"):
+                fn((0.5, 0.5, 0.5), motivating, n)
 
 
 class TestSmallestCrossing:
@@ -296,10 +302,10 @@ class TestSmallestCrossing:
         assert cp.crossing_n == 4.0  # smallest n with q n >= 2
 
     def test_parameter_validation(self, motivating):
-        for B in (1.0, math.nan):
+        for B in (1.0, math.nan, 10 ** 400):
             with pytest.raises(ValueError, match="B must be"):
                 smallest_crossing((0.5, 0.5, 0.5), motivating, B=B)
-        for tol in (0.0, math.nan, math.inf):
+        for tol in (0.0, math.nan, math.inf, 10 ** 400):
             with pytest.raises(ValueError, match="tol must be"):
                 smallest_crossing((0.5, 0.5, 0.5), motivating, tol=tol)
         tiny_q = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, q=1e-5)
@@ -403,10 +409,10 @@ class TestPowerCurve:
             power_curve(motivating, 0.8, True, seed=1)
         with pytest.raises(ValueError, match="seed must be"):
             power_curve(motivating, 0.8, 64, seed=True)
-        for B in (1.0, math.nan):
+        for B in (1.0, math.nan, 10 ** 400):
             with pytest.raises(ValueError, match="B must be"):
                 power_curve(motivating, 0.8, 64, seed=1, B=B)
-        for tol in (0.0, math.nan, math.inf):
+        for tol in (0.0, math.nan, math.inf, 10 ** 400):
             with pytest.raises(ValueError, match="tol must be"):
                 power_curve(motivating, 0.8, 64, seed=1, tol=tol)
         # the domain start 2/q above B: a bound error, not censoring
@@ -664,6 +670,32 @@ def test_alpha_half_refines_on_margin():
     inner = pc.crossings > 2.0
     assert np.all(_g(pts[inner, 0], pts[inner, 1], inv_norm(pts[inner, 2]),
                      spec, pc.crossings[inner]) <= 0.0)
+
+
+def test_alpha_half_twin_inverts_no_chisq(monkeypatch):
+    # Brent's g at alpha = 0.5 is -margin, which needs d_bar alone
+    spec = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, alpha=0.5)
+    pts = sobol_stream(3, 64, 5).points
+    margin = _mapped(pts[:, 0], pts[:, 1], inv_norm(pts[:, 2]), spec, 7.5,
+                     7.5)[1]
+    g, evals = _point_g(pts, spec)
+
+    def no_chisq(*args):
+        raise AssertionError("inv_chisq called")
+
+    monkeypatch.setattr(tost, "inv_chisq", no_chisq)
+    values = g(np.arange(64), np.full(64, 7.5))
+    assert np.array_equal(values, np.where(margin > 0.0, -margin,
+                                           np.maximum(-margin, _TINY)))
+    assert evals.tolist() == [1] * 64
+
+
+def test_alpha_half_degenerate_sample_raises():
+    # the twin no longer maps the variances, so the walk's side is what
+    # meets a sample with both variances zero
+    spec = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, alpha=0.5)
+    with pytest.raises(ValueError, match="degenerate sample"):
+        smallest_crossing((1e-300, 1e-300, 0.5), spec)
 
 
 def test_alpha_half_work_bound():

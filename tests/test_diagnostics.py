@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from bepower.curve import _g, _lambda
 from bepower.diagnostics import (SCENARIO_COMBOS, _block_bounds, _block_ends,
                                  _grid_scan, _integer_grid)
 from bepower.qrng import CLAMP_HIGH, CLAMP_LOW, sobol_stream
-from bepower.special import inv_chisq, inv_norm, t_quantile
-from bepower.tost import (_g_in, _mapped, _screen, _statistics, _t_band,
+from bepower.special import inv_norm, t_quantile
+from bepower.tost import (_chisq_brackets, _g_in, _mapped, _screen, _t_band,
                           _trial)
 
 FIXTURE_U = (0.184, 0.231, 0.449)
@@ -193,6 +194,13 @@ class TestGridMatrices:
         assert spec.alpha == 0.5 or screened > 0
 
 
+def end_dfs(spec, n_max):
+    """The distinct chi-square df at the block ends of a scan's grid."""
+    n1, n2 = _integer_grid(spec, n_max)
+    ends = _block_ends(n1)
+    return set((n1[ends] - 1.0).tolist()) | set((n2[ends] - 1.0).tolist())
+
+
 class TestGridScan:
     def test_block_ends(self):
         # one column wide while n1 < 16 (floor(n1 / 8) < 2), then
@@ -208,27 +216,52 @@ class TestGridScan:
         (DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, alpha=0.5), 300)],
         ids=["s2_mu16", "s6_mu12", "s7_mu8", "q_0.3", "alpha_half"])
     def test_block_bounds_hold_at_every_interior_cell(self, spec, n_max):
+        # the knot-table bounds of each block hold at every cell of the
+        # block, both ends included
         pts = sobol_stream(3, 64, 3).points.copy()
         pts[:2, :2] = [[CLAMP_LOW, CLAMP_HIGH], [CLAMP_HIGH, CLAMP_LOW]]
-        u1, u2 = pts[:, :1], pts[:, 1:2]
-        z3 = inv_norm(pts[:, 2:])
+        u1, u2, z3 = pts[:, 0], pts[:, 1], inv_norm(pts[:, 2])
         n1, n2 = (n.astype(float) for n in _integer_grid(spec, n_max))
         ends = _block_ends(n1)
-        n1e, n2e = n1[ends], n2[ends]
-        x1, x2 = inv_chisq(u1, n1e - 1.0), inv_chisq(u2, n2e - 1.0)
-        d_bar = _statistics(x1, x2, z3, spec, n1e, n2e)[0]
-        bounds = _block_bounds(spec, n1e, n2e, x1, x2, d_bar,
-                               _t_band(spec.alpha, n1e, n2e))
-        se, margin, nu = _mapped(u1, u2, z3, spec, n1, n2)
+        bounds = _block_bounds(u1, u2, z3, spec, n1[ends], n2[ends])
+        se, margin, nu = _mapped(u1[:, None], u2[:, None], z3[:, None], spec,
+                                 n1, n2)
         values = se, margin, t_quantile(1.0 - spec.alpha, nu)
         interior = 0
         for k, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
             for (lo, hi), v in zip(bounds, values):
-                cells = v[:, a + 1:b]
+                cells = v[:, a:b + 1]
                 lo, hi = lo[..., k, None], hi[..., k, None]
                 assert np.all((lo <= cells) & (cells <= hi)), (k, a, b)
             interior += b - a - 1
         assert interior > 0.6 * len(n1)
+
+    @pytest.mark.parametrize("n_max", [2, 3])
+    def test_one_and_two_cell_grids(self, motivating, n_max):
+        # a one-cell grid is one block [0, 0]; two cells make one block
+        assert len(_integer_grid(motivating, n_max)[0]) == n_max - 1
+        assert_scan_matches_full_grid(sobol_stream(3, 64, 9).points,
+                                      motivating, n_max)
+
+    def test_degenerate_sample_still_raises(self, motivating):
+        # both variances are zero at n = 2: every se_lo is 0, so every
+        # block can hold the se argmax and takes the exact path
+        for scan in (scan_intersections, scan_se_peak):
+            with pytest.raises(ValueError, match="degenerate sample"):
+                scan((1e-300, 1e-300, 0.5), motivating, 100)
+
+    def test_one_table_per_end_df(self):
+        # one summary builds each knot table of its block ends once; the
+        # presets' grids, and q = 1.5 at n_max = 1e5, fit the cache
+        maxsize = _chisq_brackets.cache_info().maxsize
+        assert max(len(end_dfs(*p)) for p in SCENARIOS.values()) <= maxsize
+        spec = SCENARIOS["s7_mu16"][0]
+        for n_max, m in ((2500, 128), (10 ** 5, 4)):
+            dfs = end_dfs(spec, n_max)
+            _chisq_brackets.cache_clear()
+            scenario_summary(spec, n_max, m=m, reps=1, seed=1)
+            assert _chisq_brackets.cache_info().misses == len(dfs) <= maxsize
+        assert len(dfs) > 128  # more than a 128-table cache holds
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_matches_full_grid_on_scenario_bank(self, name):
@@ -304,6 +337,37 @@ class TestIntegerGrid:
         assert n1[0] == 3
         with pytest.raises(ValueError, match="no feasible integer grid"):
             scan_intersections((0.5, 0.5, 0.5), spec, 2)
+
+    @pytest.mark.parametrize("q", [0.1, 0.3, 1.0 / 1.5, 0.75, 1e-3])
+    def test_start_is_first_feasible_n(self, q):
+        # the first n >= 2 with round(q n) >= 2, found by stepping up
+        spec = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, q=q)
+        start = 2
+        while int(np.rint(q * start)) < 2:
+            start += 1
+        assert _integer_grid(spec, start + 5)[0][0] == start
+        if start > 2:
+            with pytest.raises(ValueError, match="no feasible integer grid"):
+                _integer_grid(spec, start - 1)
+
+    def test_tiny_q_raises_at_once(self):
+        # stepping up one n at a time from 2 would never end here
+        spec = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, q=1e-300)
+        for scan in (scan_intersections, scan_se_peak):
+            with pytest.raises(ValueError, match="no feasible integer grid"):
+                scan((0.5, 0.5, 0.5), spec, 100)
+        with pytest.raises(ValueError, match="no feasible integer grid"):
+            scenario_summary(spec, 10 ** 15, m=16, reps=1, seed=1)
+
+    def test_huge_q_keeps_float_sizes(self):
+        # q n overflows int64; the group-2 sizes stay floats
+        spec = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, q=1e20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            n1, n2 = _integer_grid(spec, 40)
+            assert n1[0] == 2 and n2[0] == 2e20
+            scan_se_peak((0.5, 0.5, 0.5), spec, 40)
+            scenario_summary(spec, 40, m=16, reps=1, seed=1)
 
 
 class TestScenarioBank:

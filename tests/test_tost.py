@@ -205,6 +205,7 @@ class TestStatsFromPoint:
     @pytest.mark.parametrize("n1,n2,name", [
         (1.5, 20, "n1"), (1, 20, "n1"), (float("nan"), 20, "n1"),
         (20, 1.99, "n2"), (20, True, "n2"), (20, "20", "n2"),
+        (10 ** 400, 20, "n1"), (20, 10 ** 400, "n2"),
     ])
     def test_group_size_below_two_rejected(self, motivating, n1, n2, name):
         with pytest.raises(ValueError,
@@ -334,7 +335,8 @@ class TestEmpiricalPower:
         assert abs(p_sobol - p_prng) < 0.02
 
     @pytest.mark.parametrize("n1,n2", [(1, 20), (20, 1), (2.5, 20), (0, 0),
-                                       (True, 20), (20, "20")])
+                                       (True, 20), (20, "20"), (10 ** 400, 2),
+                                       (2, 10 ** 400)])
     def test_group_size_validation(self, motivating, n1, n2):
         with pytest.raises(ValueError, match="must be an integer >= 2"):
             empirical_power(motivating, n1, n2, 64, seed=1)
@@ -498,7 +500,7 @@ class TestChisqScreen:
         for bound in (lo, hi):
             with pytest.raises(ValueError, match="read-only"):
                 bound[0] = 1.0
-        assert 0 < _chisq_brackets.cache_info().maxsize <= 128
+        assert 0 < _chisq_brackets.cache_info().maxsize <= 256
 
     def test_cold_and_warm_cache_count_alike(self, motivating):
         _chisq_brackets.cache_clear()
