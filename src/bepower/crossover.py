@@ -127,7 +127,10 @@ def chow_sample_size(F, sigma_D, delta_U, alpha, beta):
         raise ValueError("alpha and beta must lie in (0, 1)")
     if abs(F) >= delta_U:
         raise ValueError("infeasible: |F| must be smaller than delta_U")
-    scale = sigma_D ** 2 / (2.0 * (delta_U - abs(F)) ** 2)
+    # from the ratio, so the scale is free of the units' magnitude; a
+    # ratio that overflows gives inf, which no n satisfies
+    r = sigma_D / (delta_U - abs(F))
+    scale = r * r / 2.0
 
     def holds(n):
         df = 2 * n - 2

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qrng import _check_count, sobol_stream
-from .special import _TINY, inv_norm
-from .tost import (_check_point, _d_bar, _decide, _finite, _g_in, _lambda,
-                   _mapped, _margin, require_curve_spec)
+from .special import _TINY, inv_norm, t_quantile
+from .tost import (_check_point, _d_bar, _decide, _finite, _g_in, _mapped,
+                   _margin, _threshold, require_curve_spec)
 
 __all__ = [
     "CENSORED",
@@ -137,13 +137,17 @@ def _check_n_domain(n, q):
                          "at least 2")
 
 
+def _check_tol(tol):
+    if not (0.0 < tol and _finite(tol)):
+        raise ValueError("tol must be positive and finite")
+
+
 def _check_solver_args(spec, B, tol):
     require_curve_spec(spec)
     if not (B >= 2.0 and (B == math.inf or _finite(B))):
         raise ValueError("B must be at least 2 (an int beyond the float "
                          "range is not)")
-    if not (0.0 < tol and _finite(tol)):
-        raise ValueError("tol must be positive and finite")
+    _check_tol(tol)
     if _domain_start(spec.q) > B:
         raise ValueError(
             f"censoring bound B={B:g} lies below the domain start "
@@ -154,7 +158,7 @@ def _check_solver_args(spec, B, tol):
 def _g(u1, u2, z3, spec, n):
     """g(n) = se(n) - Lambda(n), elementwise; group 2 gets q n."""
     se, margin, nu = _mapped(u1, u2, z3, spec, n, spec.q * n)
-    return se - _lambda(margin, nu, spec.alpha)
+    return se - _threshold(margin, t_quantile(1.0 - spec.alpha, nu))
 
 
 def _mapped_at(u, spec, n):
@@ -189,7 +193,7 @@ def lambda_of_n(u, spec, n):
     """
     require_curve_spec(spec)
     _, margin, nu = _mapped_at(u, spec, n)
-    return float(_lambda(margin, nu, spec.alpha))
+    return float(_threshold(margin, t_quantile(1.0 - spec.alpha, nu)))
 
 
 def _point_g(points, spec):

@@ -19,8 +19,10 @@ point's own), bound margin and the t quantile from the ends too, and
 decide whole blocks at once; only the blocks the bounds leave open,
 and those that could hold the se argmax, are evaluated cell by cell
 (at m = 128 on the scenario bank, about 9% of the cells at n_max =
-100, 4% at 500 and 3% at 2500).  Every flag and se argmax is the one a
-cell-by-cell scan gives.
+100, 4% at 500 and 3% at 2500).  Those cells are decided against
+their block's t band, and take a t quantile of their own only where
+it leaves them open; each point's se peak is taken from them alone.
+Every flag and se argmax is the one a cell-by-cell scan gives.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from . import curve as _curve
 from .qrng import _check_count, _check_seed, sobol_stream
 from .special import inv_norm
 from .tost import (DesignSpec, _check_point, _d_bar, _exact_in, _g_in,
-                   _knot_bounds, _mapped, _sample_se, _screen, _t_band,
+                   _knot_bounds, _sample_se, _screen, _t_band,
                    require_curve_spec)
 
 __all__ = [
@@ -200,7 +202,9 @@ def _grid_scan(points, spec, n1_grid, n2_grid):
     knot-table `_block_bounds`, and a decided pair's state holds at
     every cell of the block.  The undecided pairs, and those whose
     se_hi reaches the point's largest se_lo (only they can hold its se
-    argmax), are evaluated cell by cell.
+    argmax), are evaluated cell by cell by `_exact_in`, against the
+    block's t band, which holds at every cell of the block.  The se
+    argmax is taken over these exact cells alone.
     """
     u1, u2, z3 = points[:, 0], points[:, 1], inv_norm(points[:, 2])
     n1, n2 = n1_grid.astype(float), n2_grid.astype(float)
@@ -217,14 +221,15 @@ def _grid_scan(points, spec, n1_grid, n2_grid):
 
     in_rej = block_in[:, cell_block]
     p, j = np.nonzero(exact[:, cell_block])
-    se, margin, nu = _mapped(u1[p], u2[p], z3[p], spec, n1[j], n2[j])
-    cols, col = np.unique(j, return_inverse=True)
-    t_lo, t_hi = _t_band(spec.alpha, n1[cols], n2[cols])
-    in_rej[p, j] = _exact_in(_g_in, se, margin, nu, spec.alpha,
-                             (t_lo[col], t_hi[col]))
-    se_all = np.full(in_rej.shape, -np.inf)
-    se_all[p, j] = se
-    return in_rej, np.argmax(se_all, axis=1)
+    band = tuple(side[cell_block[j]] for side in bounds[2])
+    in_rej[p, j], se = _exact_in(_g_in, u1[p], u2[p], z3[p], spec, n1[j],
+                                 n2[j], band)
+    # (p, j) is row-major, so a stable sort by (p, -se) puts each row's
+    # largest se first, ties on the smallest n; every row has exact
+    # cells, in the block of its largest se_lo
+    order = np.lexsort((-se, p))
+    first = np.unique(p[order], return_index=True)[1]
+    return in_rej, j[order[first]]
 
 
 def _departure(in_rej, n1_grid):
@@ -254,8 +259,17 @@ def scan_intersections(u, spec, n_max, tol=_curve.DEFAULT_TOL, point_index=0):
     Returns
     -------
     IntersectionReport
+
+    Raises
+    ------
+    ValueError
+        If the spec does not satisfy delta_L < mu_diff < delta_U, tol
+        is not positive and finite, n_max is not an integer or leaves
+        no feasible grid, or u is not 3 coordinates strictly inside
+        (0, 1).
     """
     require_curve_spec(spec)
+    _curve._check_tol(tol)
     n1_grid, n2_grid = _integer_grid(spec, n_max)
     pts = _check_point(u)[np.newaxis]
     in_rej = _grid_scan(pts, spec, n1_grid, n2_grid)[0][0]

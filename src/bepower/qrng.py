@@ -127,7 +127,7 @@ def digital_shift(points, seed):
     Parameters
     ----------
     points : ndarray, shape (m, dimension)
-        Output of `sobol_raw`.
+        Output of `sobol_raw`: finite coordinates in [0, 1).
     seed : int
         Unsigned 64-bit seed.  The same (points, seed) pair always
         produces bit-identical output.
@@ -136,10 +136,18 @@ def digital_shift(points, seed):
     -------
     ndarray, shape (m, dimension)
         Shifted points clamped to [2**-64, 1 - 2**-53].
+
+    Raises
+    ------
+    ValueError
+        If points is not a 2-d array of finite coordinates in [0, 1),
+        or seed is not an unsigned 64-bit integer.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array")
+    if not np.all((0.0 <= pts) & (pts < 1.0)):
+        raise ValueError("points must be finite and lie in [0, 1)")
     shifts = _shifts_from_seed(_check_seed(seed), pts.shape[1])
     return _apply_shift(pts, shifts)
 
@@ -150,6 +158,7 @@ def sobol_stream(dimension, m, seed):
     Equivalent to ``digital_shift(sobol_raw(dimension, m), seed)``
     wrapped in a `SobolStream` record with a read-only points array.
     """
-    pts = digital_shift(sobol_raw(dimension, m), seed)
+    raw = sobol_raw(dimension, m)  # in [0, 1) by construction
+    pts = _apply_shift(raw, _shifts_from_seed(_check_seed(seed), raw.shape[1]))
     pts.flags.writeable = False
     return SobolStream(dimension=int(dimension), m=int(m), seed=int(seed), points=pts)

@@ -310,20 +310,6 @@ def _g_in(se, margin, t):
     return se <= _threshold(margin, t)
 
 
-def _lambda(margin, nu, alpha):
-    """Rejection threshold Lambda = margin / t_quantile(1 - alpha, nu).
-
-    Lambda is 0 where margin <= 0, and the t quantile is computed only
-    where margin > 0.  At alpha = 0.5 the quantile is 0 and Lambda is
-    +inf, so a point rejects exactly when margin > 0.
-    """
-    margin, nu = np.asarray(margin), np.asarray(nu)
-    t = np.zeros(margin.shape)
-    inside = margin > 0.0
-    t[inside] = t_quantile(1.0 - alpha, nu[inside])
-    return _threshold(margin, t)
-
-
 def _screen(in_region, se, margin, t):
     """Decide in_region(se, margin, t) from bounds, each a (lo, hi) pair:
     se_lo <= se <= se_hi, margin_lo <= margin <= margin_hi and
@@ -436,15 +422,21 @@ def _knot_bounds(u, df):
     return tuple(np.array([t[side][i] for t in tables]).T for side in (0, 1))
 
 
-def _exact_in(in_region, se, margin, nu, alpha, band):
-    """in_region(se, margin, t) at cells with exact statistics: `_screen`
-    decides a cell from the t band, and the cells it leaves open take
-    their own t quantile.  At alpha = 0.5 the band decides every cell."""
+def _exact_in(in_region, u1, u2, z3, spec, n1, n2, band):
+    """in_region(se, margin, t) for cells (u1, u2, z3 = inv_norm(u3)) at
+    sizes n1, n2 (arrays broadcast), from their exact statistics, and
+    their se.
+
+    `_screen` decides a cell from the caller's t band (lo, hi), which
+    must bound t at the cell, and the cells it leaves open take their
+    own t quantile.  At alpha = 0.5 the band decides every cell.
+    """
+    se, margin, nu = _mapped(u1, u2, z3, spec, n1, n2)
     flags, open_ = _screen(in_region, (se, se), (margin, margin), band)
     amb = np.nonzero(open_)
     flags[amb] = in_region(se[amb], margin[amb],
-                           t_quantile(1.0 - alpha, nu[amb]))
-    return flags
+                           t_quantile(1.0 - spec.alpha, nu[amb]))
+    return flags, se
 
 
 def _decide(in_region, u1, u2, z3, spec, n1, n2):
@@ -455,8 +447,8 @@ def _decide(in_region, u1, u2, z3, spec, n1, n2):
     The knot brackets of `_chisq_brackets`, carried through
     `_sample_se`, bound se, `_t_band` bounds t, and `_screen` decides.
     The open cells, and those with se_lo = 0 (so that a degenerate
-    sample still raises in `welch_df`), take `_mapped` and `_exact_in`.
-    Returns (flags, exact), exact the indices evaluated exactly.
+    sample still raises in `welch_df`), take `_exact_in` with the same
+    band.  Returns (flags, exact), exact the indices evaluated exactly.
     """
     margin = _margin(_d_bar(z3, spec, n1, n2), spec)
     lo1, hi1 = _knot_bounds(u1, n1 - 1.0)
@@ -468,8 +460,8 @@ def _decide(in_region, u1, u2, z3, spec, n1, n2):
         flags, open_ = _screen(in_region, (se_lo, se_hi), (margin, margin),
                                band)
     exact = np.nonzero(open_ | (se_lo == 0.0))[0]
-    se, margin, nu = _mapped(u1[exact], u2[exact], z3[exact], spec, n1, n2)
-    flags[exact] = _exact_in(in_region, se, margin, nu, spec.alpha, band)
+    flags[exact] = _exact_in(in_region, u1[exact], u2[exact], z3[exact], spec,
+                             n1, n2, band)[0]
     return flags, exact
 
 

@@ -196,6 +196,16 @@ class TestCrossoverCommand:
         assert rec["inputs"]["tol"] == 1e-6
         assert 2 <= rec["results"]["rec_n1"] <= rec["results"]["chow_n"]
 
+    def test_chow_comparator_at_huge_scale(self, capsys):
+        # sigma_D ** 2 overflowed in the closed form, with a traceback
+        code, out, err = run(capsys, "crossover", "--effect", "0",
+                             "--sigma-d1", "1e153", "--sigma-d2", "1e153",
+                             "--delta", "1e155", "--compare-chow", "--seed",
+                             "1", "--m", "256")
+        assert code == 0
+        assert "Traceback" not in err
+        assert "closed form: 2 per sequence" in out
+
     def test_missing_effect(self, capsys):
         code, _, err = run(capsys, "crossover", "--sigma-d1", "0.4",
                            "--sigma-d2", "0.3", "--delta", "0.223",

@@ -156,6 +156,22 @@ class TestChowSampleSize:
         with pytest.raises(ValueError, match="must be finite"):
             chow_sample_size(*args)
 
+    @pytest.mark.parametrize("F,sigma_D,delta_U", [
+        (0.0, 0.4, 1e-200),  # (delta_U - |F|) ** 2 underflows to 0
+        (0.0, 1e300, 0.223),  # sigma_D ** 2 overflows
+    ])
+    def test_scale_beyond_float_range_needs_no_n(self, F, sigma_D, delta_U):
+        # these leaked ZeroDivisionError and OverflowError
+        with pytest.raises(RuntimeError, match="1000000"):
+            chow_sample_size(F, sigma_D, delta_U, 0.05, 0.2)
+
+    def test_scale_free_in_the_units(self):
+        # the CLI's huge crossover design needs what its unit-scale twin does
+        assert (chow_sample_size(0.0, 1e153, 1e155, 0.05, 0.2)
+                == chow_sample_size(0.0, 0.01, 1.0, 0.05, 0.2) == 2)
+        assert chow_sample_size(0.05e150, 0.4e150, 0.223e150, 0.05,
+                                0.2) == 24
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="sigma_D"):
             chow_sample_size(0.05, 0.0, 0.223, 0.05, 0.2)

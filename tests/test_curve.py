@@ -605,6 +605,26 @@ def test_property_screened_walk_equals_unscreened(center, half, frac, sigma1,
             unscreened_walk(g, k, walk, f0[k], tol, none))
 
 
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(center=st.floats(-10.0, 10.0), half=st.floats(1.0, 30.0),
+       frac=st.floats(-0.9, 0.9), ratio1=st.floats(0.1, 2.0),
+       ratio2=st.floats(0.1, 2.0), q=st.floats(0.25, 4.0),
+       alpha=st.one_of(st.just(0.5), st.floats(1e-3, 0.5)),
+       target=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
+def test_property_curve_crossings_equal_smallest_crossing(
+        center, half, frac, ratio1, ratio2, q, alpha, target, seed):
+    # every point the safeguard did not re-solve keeps the crossing that
+    # the single-point solver finds, to the bit
+    spec = DesignSpec(center + frac * half, ratio1 * half, ratio2 * half,
+                      center - half, center + half, alpha=alpha, q=q)
+    pc = power_curve(spec, target, 64, seed)
+    pts = sobol_stream(3, 64, seed).points
+    kept = np.nonzero(~pc.reinitialized)[0]
+    assert len(kept) > 0
+    for i in kept:
+        assert smallest_crossing(pts[i], spec).crossing_n == pc.crossings[i]
+
+
 def test_screened_walk_work_bound(motivating):
     # exact g evaluations per point on the benchmark's motivating curve:
     # 10.78 when every walking point took g at every node, 7.11 with the

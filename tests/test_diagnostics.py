@@ -17,13 +17,14 @@ from bepower import (
 )
 from scipy.optimize import brentq
 
-from bepower.curve import _g, _lambda
+from bepower import diagnostics
+from bepower.curve import _g
 from bepower.diagnostics import (SCENARIO_COMBOS, _block_bounds, _block_ends,
                                  _grid_scan, _integer_grid)
 from bepower.qrng import CLAMP_HIGH, CLAMP_LOW, sobol_stream
 from bepower.special import inv_norm, t_quantile
 from bepower.tost import (_chisq_brackets, _g_in, _mapped, _screen, _t_band,
-                          _trial)
+                          _threshold, _trial)
 
 FIXTURE_U = (0.184, 0.231, 0.449)
 
@@ -108,6 +109,12 @@ class TestScanIntersections:
                 scan_intersections((0.5, 0.5, 0.5), motivating, n_max)
             with pytest.raises(ValueError, match="n_max must be"):
                 scan_se_peak((0.5, 0.5, 0.5), motivating, n_max)
+        # NaN raised "df must be positive", inf reported the grid ends as
+        # crossings, and -1 passed
+        for tol in (math.nan, math.inf, -1.0, 0.0):
+            with pytest.raises(ValueError,
+                               match="tol must be positive and finite"):
+                scan_intersections(FIXTURE_U, motivating, 100, tol=tol)
 
 
 class TestAlphaHalfScan:
@@ -183,7 +190,7 @@ class TestGridMatrices:
                 pts[:, 0][:, None], pts[:, 1][:, None],
                 inv_norm(pts[:, 2])[:, None], spec, n1[None, :].astype(float),
                 n2[None, :].astype(float))
-            g = ref_se - _lambda(margin, nu, spec.alpha)
+            g = ref_se - _threshold(margin, t_quantile(1 - spec.alpha, nu))
             np.testing.assert_array_equal(in_rej, g <= 0.0)
             np.testing.assert_array_equal(se, ref_se)
             lo, hi = _t_band(spec.alpha, n1, n2)
@@ -315,6 +322,31 @@ class TestGridScan:
         # most n (the entry locator of the curve solver), not past it
         r = scan_intersections(u, spec, 40)
         assert n - 1 < r.crossings[0] <= n
+
+    def test_se_ties_go_to_the_smallest_n(self, monkeypatch):
+        # with every exact cell's se equal, the peak is each row's first
+        # exact cell, as the argmax of a dense se matrix gives
+        spec, n_max = SCENARIOS["s5_mu12"]
+        n1, n2 = _integer_grid(spec, n_max)
+        pts = sobol_stream(3, 128, 3).points.copy()
+        pts[:, :2] *= 0.02  # lower-tail variances: exact cells past the start
+        calls = []
+        exact_in = diagnostics._exact_in
+
+        def tied(in_region, u1, u2, z3, spec, a, b, band):
+            calls.append((u1, a))
+            flags, se = exact_in(in_region, u1, u2, z3, spec, a, b, band)
+            return flags, np.ones_like(se)
+
+        monkeypatch.setattr(diagnostics, "_exact_in", tied)
+        peak = _grid_scan(pts, spec, n1, n2)[1]
+        (u1, a), = calls
+        order = np.argsort(pts[:, 0])
+        dense = np.full((len(pts), len(n1)), -np.inf)
+        dense[order[np.searchsorted(pts[order, 0], u1)],
+              np.searchsorted(n1, a)] = 1.0
+        np.testing.assert_array_equal(peak, np.argmax(dense, axis=1))
+        assert np.count_nonzero(peak) > 10
 
 
 class TestIntegerGrid:
