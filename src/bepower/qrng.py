@@ -158,7 +158,6 @@ def sobol_stream(dimension, m, seed):
     Equivalent to ``digital_shift(sobol_raw(dimension, m), seed)``
     wrapped in a `SobolStream` record with a read-only points array.
     """
-    raw = sobol_raw(dimension, m)  # in [0, 1) by construction
-    pts = _apply_shift(raw, _shifts_from_seed(_check_seed(seed), raw.shape[1]))
+    pts = digital_shift(sobol_raw(dimension, m), seed)
     pts.flags.writeable = False
     return SobolStream(dimension=int(dimension), m=int(m), seed=int(seed), points=pts)

@@ -117,11 +117,3 @@ def test_digital_shift_rejects_points_outside_unit_interval(points):
     # such points used to shift to 1.0 (and NaN warned) without complaint
     with pytest.raises(ValueError, match=r"finite and lie in \[0, 1\)"):
         digital_shift(points, 1)
-
-
-def test_stream_is_the_shift_of_raw_points():
-    # the stream shifts its own raw points, which need no range check
-    for seed in (0, 7):
-        np.testing.assert_array_equal(
-            sobol_stream(3, 512, seed).points,
-            digital_shift(sobol_raw(3, 512), seed))
