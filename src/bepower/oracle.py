@@ -21,7 +21,7 @@ from scipy.special import ndtri
 
 from .qrng import CLAMP_LOW, _check_count, _check_seed
 from .special import t_quantile
-from .tost import welch_df
+from .tost import _t_band, welch_df
 
 __all__ = ["naive_power"]
 
@@ -58,10 +58,17 @@ def _chunk_rejections(spec, n1, n2, reps, child_seed):
     s2_sq = y2.var(axis=1, ddof=1)
     se = np.sqrt(s1_sq / n1 + s2_sq / n2)
     nu = welch_df(s1_sq, s2_sq, float(n1), float(n2))
-    threshold = t_quantile(1.0 - spec.alpha, nu)
     t_lower = (d_bar - spec.delta_L) / se
     t_upper = (spec.delta_U - d_bar) / se
-    return int(np.count_nonzero((t_lower > threshold) & (t_upper > threshold)))
+    # both tests reject when the smaller statistic beats the threshold;
+    # the threshold lies in the band over nu's range, so a trial needs
+    # its own quantile only where its statistic lies inside the band
+    t_min = np.minimum(t_lower, t_upper)
+    lo, hi = _t_band(spec.alpha, n1, n2)
+    rejected = t_min > hi
+    open_ = np.nonzero((t_min > lo) & ~rejected)
+    rejected[open_] = t_min[open_] > t_quantile(1.0 - spec.alpha, nu[open_])
+    return int(np.count_nonzero(rejected))
 
 
 def naive_power(spec, n1, n2, m, seed):

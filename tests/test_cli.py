@@ -292,6 +292,39 @@ class TestBenchCommand:
         assert records[0] == records[1]
 
 
+    def test_outputs_frozen_and_independent_of_cache_state(self, capsys,
+                                                           tmp_path):
+        # the segment engine runs the grid inside each replicate seed; the
+        # stdout, CSV and JSON results are those of running the seeds
+        # inside each n, and do not depend on what the stream cache holds
+        from bepower.tost import _cached_points
+        stdout = (
+            "n1=   3  segment=0.0573 (sd 2.3e-03)  naive=0.0586 (sd 2.9e-02)\n"
+            "n1=   5  segment=0.2109 (sd 1.7e-02)  naive=0.1875 (sd 2.4e-02)\n"
+            "n1=   8  segment=0.4779 (sd 2.3e-03)  naive=0.4870 (sd 2.2e-02)\n")
+        csv = ("n1,n2,mean_segment,sd_segment,mean_naive,sd_naive\n"
+               "3,4,0.05729166667,0.002255274489,0.05859375,0.02949154076\n"
+               "5,8,0.2109375,0.017026949,0.1875,0.02376079113\n"
+               "8,12,0.4778645833,0.002255274489,0.4869791667,0.02151394745\n")
+        rows = [[3, 4, 0.057291666666666664, 0.0022552744890219755,
+                 0.05859375, 0.029491540762776366],
+                [5, 8, 0.2109375, 0.017026948998205758, 0.1875,
+                 0.02376079113397742],
+                [8, 12, 0.4778645833333333, 0.0022552744890219755,
+                 0.4869791666666667, 0.021513947450336336]]
+        for warm in (False, True):
+            if not warm:
+                _cached_points.cache_clear()
+            c, j = tmp_path / f"{warm}.csv", tmp_path / f"{warm}.json"
+            code, out, _ = run(capsys, "bench", *DESIGN, "--q", "1.5",
+                               "--grid", "3,5,8", "--m", "256", "--reps", "3",
+                               "--seed", "8", "--csv", str(c), "--json", str(j))
+            assert code == 0
+            assert out == stdout
+            assert c.read_text() == csv
+            assert read_json(j)["results"]["rows"] == rows
+
+
 @pytest.mark.parametrize("argv", [
     ["diagnose", *DESIGN, "--n-max", "1", "--m", "16", "--reps", "1",
      "--seed", "4"],

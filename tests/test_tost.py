@@ -20,9 +20,10 @@ from bepower import (
 )
 from bepower.qrng import CLAMP_HIGH, CLAMP_LOW, sobol_stream
 from bepower.special import inv_chisq, inv_norm, t_quantile
-from bepower.tost import (_K, _SLACK, _X_PER_DF, _chisq_brackets, _g_in,
-                          _mapped, _rejection_flags, _sample_se, _screen,
-                          _t_band, _tost_in, _unit_cube_points)
+from bepower.tost import (_K, _SLACK, _X_PER_DF, _cached_points,
+                          _chisq_brackets, _g_in, _mapped, _rejection_flags,
+                          _sample_se, _screen, _t_band, _tost_in,
+                          _unit_cube_points)
 
 TABLE1_GRID = (3, 5, 8, 10, 15, 20, 30, 40, 50, 60)
 
@@ -287,8 +288,7 @@ class TestEmpiricalPower:
     def test_matches_scalar_path(self, motivating):
         # the vectorized estimator must agree with mapping each point
         # through stats_from_point and rejects one at a time
-        from bepower.tost import _unit_cube_points
-        u = _unit_cube_points(64, 21, "sobol")
+        u, _ = _unit_cube_points(64, 21, "sobol")
         slow = np.mean([
             rejects(stats_from_point(row, motivating, 10, 12), motivating)
             for row in u])
@@ -362,6 +362,66 @@ def unscreened_flags(u, spec, n1, n2):
     return t_quantile(1.0 - spec.alpha, nu) * se < margin
 
 
+def fresh_points(m, seed, sampler):
+    """The unit-cube points of (m, seed, sampler), built afresh and
+    writable: the reference for the cached points."""
+    if sampler == "sobol":
+        return sobol_stream(3, m, seed).points
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return np.clip(rng.random((m, 3)), CLAMP_LOW, CLAMP_HIGH)
+
+
+class TestPointCache:
+    def test_points_and_z3_are_cached_and_read_only(self):
+        # every call at one (m, seed, sampler) shares the arrays, so none
+        # may write to them
+        for sampler in ("sobol", "prng"):
+            u, z3 = _unit_cube_points(256, 5, sampler)
+            assert _unit_cube_points(256, 5, sampler)[0] is u
+            np.testing.assert_array_equal(u, fresh_points(256, 5, sampler))
+            np.testing.assert_array_equal(z3, inv_norm(u[:, 2]))
+            for arr in (u, z3):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.5
+        assert _cached_points.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("sampler", ["sobol", "prng"])
+    @pytest.mark.parametrize("q", [1.0, 1.5])
+    def test_cold_and_warm_calls_count_alike(self, sampler, q):
+        # the Table-1 grid at one seed, each n cold and then warm, against
+        # the unscreened decision on points built afresh
+        spec = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, q=q)
+        for seed in (1, 7):
+            u = fresh_points(4096, seed, sampler)
+            for n1 in TABLE1_GRID:
+                n2 = int(round(q * n1))
+                expected = np.count_nonzero(unscreened_flags(u, spec, n1, n2))
+                _cached_points.cache_clear()
+                cold = empirical_power(spec, n1, n2, 4096, seed, sampler)
+                warm = empirical_power(spec, n1, n2, 4096, seed, sampler)
+                assert _cached_points.cache_info().hits == 1
+                assert cold * 4096 == warm * 4096 == expected
+
+    @pytest.mark.parametrize("change", [
+        {"seed": True}, {"seed": 1.0}, {"seed": np.float64(1)}, {"seed": -1},
+        {"seed": 2 ** 64}, {"m": 1.5}, {"sampler": "SOBOL"},
+        {"sampler": ["sobol"]}], ids=repr)
+    def test_invalid_arguments_raise_with_a_warm_entry(self, motivating,
+                                                       change):
+        # seed=True and seed=1.0 hash as the warm key 1, and a list is
+        # unhashable; the checks come before the lookup
+        empirical_power(motivating, 5, 5, 64, seed=1)
+        args = {"m": 64, "seed": 1, "sampler": "sobol", **change}
+        with pytest.raises(ValueError, match="m must|seed must|sampler must"):
+            empirical_power(motivating, 5, 5, **args)
+
+    def test_sobol_stream_is_not_cached(self):
+        a, b = sobol_stream(3, 64, 1), sobol_stream(3, 64, 1)
+        assert a.points is not b.points
+        assert not np.shares_memory(a.points, b.points)
+        np.testing.assert_array_equal(a.points, b.points)
+
+
 class TestScreenedRejectionFlags:
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.5])
     @pytest.mark.parametrize("q", [0.4, 1.0, 1.5])
@@ -369,11 +429,11 @@ class TestScreenedRejectionFlags:
         for mu in (-4.0, -16.0):
             spec = DesignSpec(mu, 18.0, 15.0, -19.2, 19.2, alpha=alpha, q=q)
             for seed in range(6):
-                u = sobol_stream(3, 2048, seed).points
+                u, z3 = _unit_cube_points(2048, seed, "sobol")
                 for n1 in (2, 3, 4, 5, 7, 10, 15, 20, 40, 80, 200):
                     n2 = max(2, int(round(q * n1)))
                     np.testing.assert_array_equal(
-                        _rejection_flags(u, spec, n1, n2),
+                        _rejection_flags(u, z3, spec, n1, n2),
                         unscreened_flags(u, spec, n1, n2))
 
     @pytest.mark.parametrize("alpha", [0.001, 0.05, 0.3])
@@ -402,8 +462,8 @@ class TestScreenedRejectionFlags:
                                                  seed):
         spec = DesignSpec(mu, sigma1, sigma2, center - half, center + half,
                           alpha=alpha)
-        u = sobol_stream(3, 512, seed).points
-        np.testing.assert_array_equal(_rejection_flags(u, spec, n1, n2),
+        u, z3 = _unit_cube_points(512, seed, "sobol")
+        np.testing.assert_array_equal(_rejection_flags(u, z3, spec, n1, n2),
                                       unscreened_flags(u, spec, n1, n2))
 
 
@@ -542,11 +602,11 @@ class TestChisqScreen:
         # the benchmark's estimate calls: m = 65536, the Table-1 grid
         spec = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, q=q)
         for seed in (7, 2024):
-            u = sobol_stream(3, 65536, seed).points
+            u, z3 = _unit_cube_points(65536, seed, "sobol")
             for n1 in TABLE1_GRID:
                 n2 = int(round(q * n1))
                 np.testing.assert_array_equal(
-                    _rejection_flags(u, spec, n1, n2),
+                    _rejection_flags(u, z3, spec, n1, n2),
                     unscreened_flags(u, spec, n1, n2))
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5])
@@ -555,7 +615,10 @@ class TestChisqScreen:
         edges = knot_neighbourhood()
         for seed in range(3):
             rng = np.random.Generator(np.random.PCG64(seed))
-            u = _unit_cube_points(8192, seed, "prng")
+            # the cached points are read-only; write edge rows into a
+            # copy (columns 0 and 1 only, so z3 still holds)
+            u, z3 = _unit_cube_points(8192, seed, "prng")
+            u = u.copy()
             u[:edges.size, 0] = edges
             u[:edges.size, 1] = rng.permutation(edges)
             u[edges.size:2 * edges.size, 1] = edges
@@ -565,7 +628,7 @@ class TestChisqScreen:
                                   alpha=alpha)
                 for n1, n2 in ((2, 2), (3, 5), (20, 20), (60, 90), (300, 7)):
                     np.testing.assert_array_equal(
-                        _rejection_flags(u, spec, n1, n2),
+                        _rejection_flags(u, z3, spec, n1, n2),
                         unscreened_flags(u, spec, n1, n2))
 
     def test_degenerate_sample_still_raises(self):
@@ -574,4 +637,4 @@ class TestChisqScreen:
         u = np.full((4, 3), 0.5)
         u[2, :2] = CLAMP_LOW
         with pytest.raises(ValueError, match="degenerate"):
-            _rejection_flags(u, spec, 2, 2)
+            _rejection_flags(u, inv_norm(u[:, 2]), spec, 2, 2)
