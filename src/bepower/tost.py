@@ -384,6 +384,8 @@ _SLACK = 1e-8
 # chi-square knots j / _K; a power of two, so floor(u * _K) is exact
 _K = 1024
 _KNOTS = np.concatenate([[CLAMP_LOW], np.arange(1, _K) / _K, [CLAMP_HIGH]])
+# t knots per table of `_t_table`, evenly spaced in df
+_J = 64
 
 
 def _t_band(alpha, n1, n2):
@@ -399,6 +401,59 @@ def _t_band(alpha, n1, n2):
     t = t_quantile(1.0 - alpha, np.stack([n1 + n2 - 2.0,
                                           np.minimum(n1, n2) - 1.0]))
     return t[0] * (1.0 - _SLACK), t[1] * (1.0 + _SLACK)
+
+
+@functools.lru_cache(maxsize=256)
+def _t_table(alpha, n1, n2):
+    """t_quantile(1 - alpha, nu) at _J + 1 evenly spaced knots nu over
+    the Welch range [min(n1, n2) - 1, n1 + n2 - 2] of scalar sizes n1,
+    n2.  Both end knots are exact, so the ends are the quantiles of
+    `_t_band`.  The estimator and the curve walk meet the same sizes
+    call after call, so the tables are cached, read-only since every
+    caller shares them.
+    """
+    nu = np.linspace(min(n1, n2) - 1.0, n1 + n2 - 2.0, _J + 1)
+    t = t_quantile(1.0 - alpha, nu)
+    t.setflags(write=False)
+    return t
+
+
+def _cell_t_band(alpha, n1, n2, s1_sq, s2_sq):
+    """Bounds (lo, hi) on t_quantile(1 - alpha, nu) for cells whose
+    variances lie in s1_sq = (lo, hi) and s2_sq = (lo, hi), at scalar
+    sizes n1, n2, read from the knots of `_t_table`.
+
+    With a = s1_sq / n1 and b = s2_sq / n2, the Welch df depends on
+    w = a / (a + b) alone, nu = 1 / (w ** 2 / (n1 - 1)
+    + (1 - w) ** 2 / (n2 - 1)): it rises from n2 - 1 at w = 0 to
+    n1 + n2 - 2 at w* = (n1 - 1) / (n1 + n2 - 2), then falls to n1 - 1
+    at w = 1.  w rises with a and falls with b, so nu is lowest at one
+    end of [w_lo, w_hi] and highest at w* if that holds it, else at an
+    end.  w is formed as 1 / (1 + b / a), which no scale of the
+    variances overflows; a zero a_lo gives w_lo = 0 and a zero b_lo
+    w_hi = 1, their limits, and 0 / 0 the whole of [0, 1].  The df
+    bounds widen by _SLACK, and the quantiles at the knots around them,
+    widened by _SLACK too, bound t.
+    """
+    (s1_lo, s1_hi), (s2_lo, s2_hi) = s1_sq, s2_sq
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w_lo = np.fmax(1.0 / (1.0 + (s2_hi / n2) / (s1_lo / n1)), 0.0)
+        w_hi = np.fmin(1.0 / (1.0 + (s2_lo / n2) / (s1_hi / n1)), 1.0)
+    nu_lo, nu_hi = min(n1, n2) - 1.0, n1 + n2 - 2.0
+    nu = [1.0 / (w * w / (n1 - 1.0) + (1.0 - w) * (1.0 - w) / (n2 - 1.0))
+          for w in (w_lo, w_hi)]
+    peak = (w_lo <= (n1 - 1.0) / nu_hi) & ((n1 - 1.0) / nu_hi <= w_hi)
+    lo = np.fmax(np.minimum(*nu) * (1.0 - _SLACK), nu_lo)
+    hi = np.where(peak, nu_hi, np.fmin(np.maximum(*nu) * (1.0 + _SLACK),
+                                       nu_hi))
+    # the quantile falls as nu grows: the knot at or below lo bounds it
+    # from above, the knot at or above hi from below
+    scale = _J / (nu_hi - nu_lo)
+    t = _t_table(alpha, n1, n2)
+    return (t[np.minimum(np.ceil((hi - nu_lo) * scale), _J).astype(np.intp)]
+            * (1.0 - _SLACK),
+            t[np.floor((lo - nu_lo) * scale).astype(np.intp)]
+            * (1.0 + _SLACK))
 
 
 @functools.lru_cache(maxsize=256)
@@ -465,23 +520,37 @@ def _decide(in_region, u1, u2, z3, spec, n1, n2):
     only where bounds leave the answer open.
 
     The knot brackets of `_chisq_brackets`, carried through
-    `_sample_se`, bound se, `_t_band` bounds t, and `_screen` decides.
-    The open cells, and those with se_lo = 0 (so that a degenerate
-    sample still raises in `welch_df`), take `_exact_in` with the same
-    band.  Returns (flags, exact), exact the indices evaluated exactly.
+    `_sample_se`, bound se, the end knots of `_t_table` bound t over the
+    whole Welch range, and `_screen` decides.  The cells that band
+    leaves open, and those with se_lo = 0 (so that a degenerate sample
+    still raises in `welch_df`), are screened again with the t band of
+    their own df bounds (`_cell_t_band`), and only the cells still open
+    take `_exact_in`, each with its band.  At m = 65536 on the benchmark
+    designs the first band leaves up to about 11% of the cells open (at
+    n = 5, q = 1.5) and the second under 0.3%.  Returns (flags, exact),
+    exact the indices evaluated exactly.
     """
     margin = _margin(_d_bar(z3, spec, n1, n2), spec)
     lo1, hi1 = _knot_bounds(u1, n1 - 1.0)
     lo2, hi2 = _knot_bounds(u2, n2 - 1.0)
-    band = _t_band(spec.alpha, n1, n2)
+    t = _t_table(spec.alpha, n1, n2)
     with np.errstate(over="ignore", invalid="ignore"):
-        se_lo = _sample_se(lo1, lo2, spec, n1, n2)[2]
-        se_hi = _sample_se(hi1, hi2, spec, n1, n2)[2]
+        s1_lo, s2_lo, se_lo = _sample_se(lo1, lo2, spec, n1, n2)
+        s1_hi, s2_hi, se_hi = _sample_se(hi1, hi2, spec, n1, n2)
         flags, open_ = _screen(in_region, (se_lo, se_hi), (margin, margin),
-                               band)
-    exact = np.nonzero(open_ | (se_lo == 0.0))[0]
-    flags[exact] = _exact_in(in_region, u1[exact], u2[exact], z3[exact], spec,
-                             n1, n2, band)[0]
+                               (t[-1] * (1.0 - _SLACK), t[0] * (1.0 + _SLACK)))
+        zero = se_lo == 0.0
+        k = np.nonzero(open_ | zero)[0]
+        band = _cell_t_band(spec.alpha, n1, n2, (s1_lo[k], s1_hi[k]),
+                            (s2_lo[k], s2_hi[k]))
+        flags[k], open_ = _screen(in_region, (se_lo[k], se_hi[k]),
+                                  (margin[k], margin[k]), band)
+    keep = open_ | zero[k]
+    exact = k[keep]
+    if len(exact):  # an empty call still pays the kernels' checks
+        flags[exact] = _exact_in(in_region, u1[exact], u2[exact], z3[exact],
+                                 spec, n1, n2,
+                                 (band[0][keep], band[1][keep]))[0]
     return flags, exact
 
 
@@ -526,7 +595,8 @@ def empirical_power(spec, n1, n2, m, seed, sampler="sobol"):
     make, but the chi-square and t quantiles are inverted only for the
     points whose decision depends on their exact values (see
     `_rejection_flags`): at m = 65536 on the benchmark designs, at most
-    about 11% of the points at n = 5 and under 0.1% from n = 40 on.
+    about 0.3% of the points (n = 3 to 20) and under 0.1% from n = 30
+    on.
 
     The points and the normal quantiles of their third coordinate
     depend only on (m, seed, sampler), so those of the last such triple

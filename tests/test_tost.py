@@ -20,9 +20,10 @@ from bepower import (
 )
 from bepower.qrng import CLAMP_HIGH, CLAMP_LOW, sobol_stream
 from bepower.special import inv_chisq, inv_norm, t_quantile
-from bepower.tost import (_K, _SLACK, _X_PER_DF, _cached_points,
-                          _chisq_brackets, _g_in, _mapped, _rejection_flags,
-                          _sample_se, _screen, _t_band, _tost_in,
+from bepower.tost import (_J, _K, _SLACK, _X_PER_DF, _cached_points,
+                          _cell_t_band, _chisq_brackets, _decide, _g_in,
+                          _knot_bounds, _mapped, _rejection_flags, _sample_se,
+                          _screen, _t_band, _t_table, _tost_in,
                           _unit_cube_points)
 
 TABLE1_GRID = (3, 5, 8, 10, 15, 20, 30, 40, 50, 60)
@@ -465,6 +466,110 @@ class TestScreenedRejectionFlags:
         u, z3 = _unit_cube_points(512, seed, "sobol")
         np.testing.assert_array_equal(_rejection_flags(u, z3, spec, n1, n2),
                                       unscreened_flags(u, spec, n1, n2))
+
+
+# group scales (c1, c2) of sigma1 = 18 * c1 and sigma2 = 15 * c2: equal,
+# both extremes, and the two mixed ones, whose variances differ by 1e600
+SCALES = ((1.0, 1.0), (1e-150, 1e-150), (1e150, 1e150), (1e150, 1e-150),
+          (1e-150, 1e150))
+
+
+def size_pairs(q):
+    """(n1, n2 = max(2, q * n1)) over n1 from 2 up, both at most 5000,
+    real sizes (as in the curve walk) included."""
+    pairs = [(n1, max(2.0, q * n1)) for n1 in (2.0, 3.0, 5.0, 7.3, 20.0,
+                                               200.0, 5000.0)]
+    return [(n1, n2) for n1, n2 in pairs if n2 <= 5000.0]
+
+
+def band_cells(seed):
+    """(u1, u2): the knot neighbourhoods against each other (never both
+    at the clamp end), the whole knot-0 bracket, where the lower bound is
+    0, and pseudorandom rows."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    edges = knot_neighbourhood()
+    low = np.geomspace(CLAMP_LOW, 1.0 / _K, 513)
+    mid = rng.random(low.size)
+    u1 = np.concatenate([edges, np.roll(edges, edges.size // 2), low, mid,
+                         rng.random(4096)])
+    u2 = np.concatenate([np.roll(edges, edges.size // 2), edges, mid, low,
+                         rng.random(4096)])
+    return u1, u2
+
+
+class TestCellTBand:
+    @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.5])
+    @pytest.mark.parametrize("q", [0.01, 1.0, 100.0])
+    def test_band_bounds_quantile_at_exact_df(self, alpha, q):
+        # t_quantile(1 - alpha, welch_df) of a cell's exact variances lies
+        # in the band of its knot-bracket variances, and that band inside
+        # the band over the whole Welch range
+        u1, u2 = band_cells(3)
+        for c1, c2 in SCALES:
+            spec = DesignSpec(0.0, 18.0 * c1, 15.0 * c2, -1.0, 1.0,
+                              alpha=alpha)
+            for n1, n2 in size_pairs(q):
+                lo1, hi1 = _knot_bounds(u1, n1 - 1.0)
+                lo2, hi2 = _knot_bounds(u2, n2 - 1.0)
+                s1_lo, s2_lo, _ = _sample_se(lo1, lo2, spec, n1, n2)
+                s1_hi, s2_hi, _ = _sample_se(hi1, hi2, spec, n1, n2)
+                lo, hi = _cell_t_band(alpha, n1, n2, (s1_lo, s1_hi),
+                                      (s2_lo, s2_hi))
+                s1, s2, _ = _sample_se(inv_chisq(u1, n1 - 1.0),
+                                       inv_chisq(u2, n2 - 1.0), spec, n1, n2)
+                # both variances zero: no df (welch_df raises there)
+                ok = (s1 > 0.0) | (s2 > 0.0)
+                assert ok.mean() > 0.99
+                t = t_quantile(1.0 - alpha, welch_df(s1[ok], s2[ok], n1, n2))
+                bad = ~((lo[ok] <= t) & (t <= hi[ok]))
+                assert not bad.any(), (c1, c2, n1, n2, u1[ok][bad][:3])
+                whole_lo, whole_hi = _t_band(alpha, n1, n2)
+                assert np.all((whole_lo <= lo) & (hi <= whole_hi))
+
+    @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.3, 0.5])
+    def test_table_ends_are_the_whole_range_band(self, alpha):
+        # bit for bit: the estimator's first screen is unchanged
+        for n1, n2 in ((2.0, 2.0), (2.0, 5000.0), (5.0, 8.0), (7.3, 10.95),
+                       (60.0, 90.0), (5000.0, 50.0)):
+            t = _t_table(alpha, n1, n2)
+            assert t.shape == (_J + 1,)
+            np.testing.assert_array_equal(
+                t, t_quantile(1.0 - alpha, np.linspace(min(n1, n2) - 1.0,
+                                                       n1 + n2 - 2.0, _J + 1)))
+            lo, hi = _t_band(alpha, n1, n2)
+            assert t[-1] * (1.0 - _SLACK) == lo
+            assert t[0] * (1.0 + _SLACK) == hi
+
+    def test_table_is_cached_and_read_only(self):
+        t = _t_table(0.05, 9.0, 13.0)
+        assert _t_table(0.05, 9.0, 13.0) is t
+        with pytest.raises(ValueError, match="read-only"):
+            t[0] = 1.0
+        assert _t_table.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.5])
+    @pytest.mark.parametrize("q", [0.01, 1.0, 100.0])
+    def test_flags_bit_identical_to_unscreened(self, alpha, q):
+        # the band's grid, with margins where the decisions are mixed
+        u1, u2 = band_cells(4)
+        u3 = np.random.Generator(np.random.PCG64(6)).random(u1.size)
+        u, z3 = np.column_stack([u1, u2, u3]), inv_norm(u3)
+        for c1, c2 in SCALES:
+            c = max(c1, c2)
+            spec = DesignSpec(-4.0 * c, 18.0 * c1, 15.0 * c2, -19.2 * c,
+                              19.2 * c, alpha=alpha)
+            for n1, n2 in size_pairs(q):
+                np.testing.assert_array_equal(
+                    _rejection_flags(u, z3, spec, n1, n2),
+                    unscreened_flags(u, spec, n1, n2))
+
+    def test_few_cells_exact_at_small_n(self):
+        # m = 65536, seed 7, q = 1.5, n = 5: the whole-range band leaves
+        # about 11% open, the cells' own bands 0.24%
+        spec = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, q=1.5)
+        u, z3 = _unit_cube_points(65536, 7, "sobol")
+        _, exact = _decide(_tost_in, u[:, 0], u[:, 1], z3, spec, 5.0, 8.0)
+        assert len(exact) < 0.005 * len(u)
 
 
 INF = math.inf
