@@ -114,8 +114,10 @@ def chow_sample_size(F, sigma_D, delta_U, alpha, beta):
     Raises
     ------
     ValueError
-        If F, sigma_D or delta_U is not finite, or |F| >= delta_U (no
-        sample size can demonstrate equivalence).
+        If F, sigma_D or delta_U is not finite, |F| >= delta_U (no
+        sample size can demonstrate equivalence), or alpha or beta lies
+        outside (0, 1) or is so small that 1 - alpha or 1 - beta / 2
+        rounds to 1.
     RuntimeError
         If no n up to 1e6 satisfies the inequality.
     """
@@ -125,6 +127,12 @@ def chow_sample_size(F, sigma_D, delta_U, alpha, beta):
         raise ValueError("sigma_D must be positive")
     if not 0.0 < alpha < 1.0 or not 0.0 < beta < 1.0:
         raise ValueError("alpha and beta must lie in (0, 1)")
+    if 1.0 - alpha == 1.0:
+        raise ValueError("alpha must exceed 2 ** -54, or 1 - alpha rounds "
+                         "to 1")
+    if 1.0 - beta / 2.0 == 1.0:
+        raise ValueError("beta must exceed 2 ** -53, or 1 - beta / 2 "
+                         "rounds to 1")
     if abs(F) >= delta_U:
         raise ValueError("infeasible: |F| must be smaller than delta_U")
     # from the ratio, so the scale is free of the units' magnitude; a

@@ -13,16 +13,21 @@ reproduced at any replication budget.
 A point's statistics are monotone segments in n: its chi-square
 quantiles rise with the degrees of freedom, 1/(n - 1) and 1/n fall,
 and d_bar moves monotonically toward mu_diff.  So the scans cut the
-grid into geometric blocks, bound se over each block from the
-estimator's knot tables at the block's two ends (no quantile of the
-point's own), bound margin and the t quantile from the ends too, and
-decide whole blocks at once; only the blocks the bounds leave open,
-and those that could hold the se argmax, are evaluated cell by cell
-(at m = 128 on the scenario bank, about 9% of the cells at n_max =
-100, 4% at 500 and 3% at 2500).  Those cells are decided against
-their block's t band, and take a t quantile of their own only where
-it leaves them open; each point's se peak is taken from them alone.
-Every flag and se argmax is the one a cell-by-cell scan gives.
+grid into geometric blocks, bound se over each block's own cells from
+the estimator's knot tables at the block ends (no quantile of the
+point's own), bound margin and the t quantile from the block's first
+and last cells, and decide whole blocks at once.  The blocks that
+could hold the se argmax are evaluated cell by cell, and each point's
+se peak is taken from them.  Any other block the bounds leave open is
+cut into sub-segments of about sqrt(W) of its W cells, evaluated at
+their ends only; the exact chi-square quantiles there bound the
+sub-segments' interiors, and only the interiors still open are
+evaluated cell by cell.  At m = 128 on the scenario bank, about 2.6%
+of the cells are evaluated exactly at n_max = 100, 1.6% at 500 and
+0.9% at 2500 (9%, 4% and 3% when open blocks were evaluated whole).
+Exact cells are decided against their block's t band, and take a t
+quantile of their own only where it leaves them open.  Every flag and
+se argmax is the one a cell-by-cell scan gives.
 """
 
 from __future__ import annotations
@@ -35,8 +40,8 @@ import numpy as np
 from . import curve as _curve
 from .qrng import _check_count, _check_seed, sobol_stream
 from .special import inv_norm
-from .tost import (DesignSpec, _check_point, _d_bar, _exact_in, _g_in,
-                   _knot_bounds, _sample_se, _screen, _t_band,
+from .tost import (_SLACK, DesignSpec, _check_point, _d_bar, _exact_in,
+                   _g_in, _knot_bounds, _sample_se, _screen, _t_band,
                    require_curve_spec)
 
 __all__ = [
@@ -162,36 +167,78 @@ def _block_ends(n1_grid):
     return np.array(ends)
 
 
-def _block_bounds(u1, u2, z3, spec, n1e, n2e):
-    """Bounds over every cell of each block, as the (lo, hi) pairs
-    (se, margin, t) that `_screen` takes, for points (u1, u2, z3 =
-    inv_norm(u3)) and block ends of sizes n1e, n2e.
+def _span_bounds(x_lo, x_hi, z3, spec, n1, n2, a, b):
+    """Bounds on se and margin, as the (lo, hi) pairs that `_screen`
+    takes, over the grid cells a to b of points with z3 = inv_norm(u3)
+    (arrays broadcast), given x_lo = (x1, x2) at most and x_hi at least
+    the chi-square quantiles of every cell.
 
-    Over a block [a, b], n1 and n2 do not fall, so for each point
-      - se_lo <= se <= se_hi: `_sample_se` of the knot bounds, lower at
-        the df of end a for se_lo and upper at the df of end b for
-        se_hi (chi-square quantiles rise with the df), with the
-        n-denominators at the other end;
-      - margin_lo <= margin <= margin_hi, since d_bar moves
-        monotonically from its value at a to its value at b;
-      - t_lo <= t <= t_hi: the Welch df of the block lies in
-        [min(n1a, n2a) - 1, n1b + n2b - 2], so the band at end b gives
-        t_lo and at end a gives t_hi.
+    n1 and n2 do not fall along the grid, so se_lo is `_sample_se` of
+    x_lo with the n-denominators of cell b and se_hi that of x_hi with
+    those of cell a; d_bar moves monotonically from its value at a to
+    its value at b, which bound margin.
     """
-    lo1, hi1 = _knot_bounds(u1, n1e - 1.0)
-    lo2, hi2 = _knot_bounds(u2, n2e - 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        se_lo = _sample_se(lo1[:, :-1], lo2[:, :-1], spec, n1e[1:],
-                           n2e[1:])[2]
-        se_hi = _sample_se(hi1[:, 1:], hi2[:, 1:], spec, n1e[:-1],
-                           n2e[:-1])[2]
-    d_bar = _d_bar(z3[:, None], spec, n1e, n2e)
-    d_lo = np.minimum(d_bar[:, :-1], d_bar[:, 1:])
-    d_hi = np.maximum(d_bar[:, :-1], d_bar[:, 1:])
-    margin = (np.minimum(d_lo - spec.delta_L, spec.delta_U - d_hi),
-              np.minimum(d_hi - spec.delta_L, spec.delta_U - d_lo))
-    band = _t_band(spec.alpha, n1e, n2e)
-    return (se_lo, se_hi), margin, (band[0][1:], band[1][:-1])
+        se = (_sample_se(*x_lo, spec, n1[b], n2[b])[2],
+              _sample_se(*x_hi, spec, n1[a], n2[a])[2])
+    d_a, d_b = _d_bar(z3, spec, n1[a], n2[a]), _d_bar(z3, spec, n1[b], n2[b])
+    d_lo, d_hi = np.minimum(d_a, d_b), np.maximum(d_a, d_b)
+    return se, (np.minimum(d_lo - spec.delta_L, spec.delta_U - d_hi),
+                np.minimum(d_hi - spec.delta_L, spec.delta_U - d_lo))
+
+
+def _block_cells(ends):
+    """(first, last): the grid indices of each block's first and last
+    cell.  Block k holds the cells ends[k] to ends[k + 1] - 1, and the
+    last block the grid's last cell too."""
+    return ends[:-1], np.append(ends[1:-1] - 1, ends[-1])
+
+
+def _sub_segment_ends(ends):
+    """Grid indices of the cells that end a sub-segment: every
+    ceil(sqrt(W))-th cell of a W-cell block, from its first, and its
+    last cell.  Blocks of one or two cells are all ends, and a block of
+    three has one interior cell, its middle one."""
+    first, last = _block_cells(ends)
+    stride = np.ceil(np.sqrt(last - first + 1.0)).astype(np.intp)
+    cell = np.arange(ends[-1] + 1)
+    block = np.searchsorted(last, cell)
+    return np.nonzero(((cell - first[block]) % stride[block] == 0)
+                      | (cell == last[block]))[0]
+
+
+def _ranges(start, count):
+    """The integer ranges start[i] .. start[i] + count[i] - 1, one after
+    the other."""
+    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count)
+                                              + count, count)
+
+
+def _block_bounds(u1, u2, z3, spec, n1, n2, ends):
+    """Bounds over the cells of each block (see `_block_cells`), as the
+    (lo, hi) pairs (se, margin, t) that `_screen` takes, for points
+    (u1, u2, z3 = inv_norm(u3)) on the grid n1, n2 with block ends
+    `ends`.
+
+    Chi-square quantiles rise with the df, so the knot tables at
+    block k's first cell bound them from below, and those at ends[k + 1]
+    from above (at the cell itself for a one-cell block).
+    `_span_bounds` turns them into se and margin bounds with the
+    n-denominators and d_bar of the block's own first and last cells,
+    which cost no quantile.  The block's Welch df lie in
+    [min(n1, n2) - 1, n1 + n2 - 2] of its first and last cells, so the
+    t band at its last cell gives t_lo and at its first t_hi.
+    """
+    first, last = _block_cells(ends)
+    k = np.arange(len(first))
+    top = np.where(last == first, k, k + 1)
+    lo1, hi1 = _knot_bounds(u1, n1[ends] - 1.0)
+    lo2, hi2 = _knot_bounds(u2, n2[ends] - 1.0)
+    se, margin = _span_bounds((lo1[:, k], lo2[:, k]),
+                              (hi1[:, top], hi2[:, top]), z3[:, None], spec,
+                              n1, n2, first, last)
+    return se, margin, (_t_band(spec.alpha, n1[last], n2[last])[0],
+                        _t_band(spec.alpha, n1[first], n2[first])[1])
 
 
 def _grid_scan(points, spec, n1_grid, n2_grid):
@@ -200,36 +247,70 @@ def _grid_scan(points, spec, n1_grid, n2_grid):
 
     Block screen: `_screen` decides each (point, block) pair from the
     knot-table `_block_bounds`, and a decided pair's state holds at
-    every cell of the block.  The undecided pairs, and those whose
-    se_hi reaches the point's largest se_lo (only they can hold its se
-    argmax), are evaluated cell by cell by `_exact_in`, against the
-    block's t band, which holds at every cell of the block.  The se
-    argmax is taken over these exact cells alone.
+    every cell of the block.  The pairs whose se_hi reaches the point's
+    largest se_lo (only they can hold its se argmax) are evaluated cell
+    by cell.  Every other open pair is split into sub-segments of
+    ceil(sqrt(W)) cells, W the block's width, and only their ends are
+    evaluated, in the same `_exact_in` call, over whose cells the se
+    argmax is taken.  A sub-segment's interior is bounded by
+    `_span_bounds` from the chi-square quantiles at its two ends,
+    widened by _SLACK, and decided by `_screen`; the interiors left
+    open take a second `_exact_in` call.  Every exact cell is decided
+    against its block's t band, which holds at every cell of the block.
     """
     u1, u2, z3 = points[:, 0], points[:, 1], inv_norm(points[:, 2])
     n1, n2 = n1_grid.astype(float), n2_grid.astype(float)
-    # cells ends[k] .. ends[k + 1] - 1 make block k, and the last cell
-    # closes the last block; a one-cell grid is the block [0, 0]
+    # a one-cell grid is the block [0, 0]
     ends = _block_ends(n1_grid)
     ends = np.resize(ends, max(2, len(ends)))
-    cell_block = np.append(np.repeat(np.arange(len(ends) - 1),
-                                     np.diff(ends)), len(ends) - 2)
-    bounds = _block_bounds(u1, u2, z3, spec, n1[ends], n2[ends])
+    first, last = _block_cells(ends)
+    width = last - first + 1
+    bounds = _block_bounds(u1, u2, z3, spec, n1, n2, ends)
     block_in, open_ = _screen(_g_in, *bounds)
     se_lo, se_hi = bounds[0]
-    exact = open_ | (se_hi >= se_lo.max(axis=1, keepdims=True))
+    t_lo, t_hi = bounds[2]
+    peak = se_hi >= se_lo.max(axis=1, keepdims=True)
+    in_rej = np.repeat(block_in, width, axis=1)
 
-    in_rej = block_in[:, cell_block]
-    p, j = np.nonzero(exact[:, cell_block])
-    band = tuple(side[cell_block[j]] for side in bounds[2])
-    in_rej[p, j], se = _exact_in(_g_in, u1[p], u2[p], z3[p], spec, n1[j],
-                                 n2[j], band)
-    # (p, j) is row-major, so a stable sort by (p, -se) puts each row's
-    # largest se first, ties on the smallest n; every row has exact
-    # cells, in the block of its largest se_lo
+    def exact(p, j, k):
+        in_rej[p, j], se, x = _exact_in(_g_in, u1[p], u2[p], z3[p], spec,
+                                        n1[j], n2[j], (t_lo[k], t_hi[k]))
+        return se, x
+
+    # the exact cells (p, j) of blocks k, row-major: every cell of a pair
+    # that can hold the se argmax, the sub-segment ends of another open
+    # pair, each a run of the grid's cells followed by the ends
+    cuts = _sub_segment_ends(ends)
+    cut0 = np.searchsorted(cuts, first)
+    p, k = np.nonzero(peak | open_)
+    whole = peak[p, k]
+    count = np.where(whole, width[k], np.diff(cut0, append=len(cuts))[k])
+    j = np.append(np.arange(len(n1)), cuts)[_ranges(
+        np.where(whole, first[k], len(n1) + cut0[k]), count)]
+    p, k = np.repeat(p, count), np.repeat(k, count)
+    se, (x1, x2) = exact(p, j, k)
+    # a stable sort by (p, -se) puts each row's largest se first, ties on
+    # the smallest n; every row has exact cells, in the block of its
+    # largest se_lo
     order = np.lexsort((-se, p))
-    first = np.unique(p[order], return_index=True)[1]
-    return in_rej, j[order[first]]
+    argmax = j[order[np.unique(p[order], return_index=True)[1]]]
+
+    # the interiors a .. b of the sub-segments: between two consecutive
+    # exact cells of one pair that are not neighbours
+    i = np.nonzero((p[1:] == p[:-1]) & (k[1:] == k[:-1])
+                   & (j[1:] - j[:-1] > 1))[0]
+    a, b = j[i] + 1, j[i + 1] - 1
+    sub_in, sub_open = _screen(_g_in, *_span_bounds(
+        (x1[i] * (1.0 - _SLACK), x2[i] * (1.0 - _SLACK)),
+        (x1[i + 1] * (1.0 + _SLACK), x2[i + 1] * (1.0 + _SLACK)),
+        z3[p[i]], spec, n1, n2, a, b), (t_lo[k[i]], t_hi[k[i]]))
+    count = b - a + 1
+    p, j, k = np.repeat(p[i], count), _ranges(a, count), np.repeat(k[i], count)
+    in_rej[p, j] = np.repeat(sub_in, count)
+    keep = np.repeat(sub_open, count)
+    if keep.any():
+        exact(p[keep], j[keep], k[keep])
+    return in_rej, argmax
 
 
 def _departure(in_rej, n1_grid):

@@ -79,6 +79,9 @@ def _design_problems(mu_diff, sigma1, sigma2, delta_L, delta_U, alpha, q):
         problems.append("delta_L must be less than delta_U")
     if not 0.0 < alpha <= 0.5:
         problems.append("alpha must lie in (0, 0.5]")
+    elif 1.0 - alpha == 1.0:
+        problems.append("alpha must exceed 2 ** -54, or 1 - alpha rounds "
+                        "to 1")
     if q <= 0.0:
         problems.append("q must be positive")
     return problems
@@ -103,7 +106,8 @@ class DesignSpec:
     alpha : float
         Significance level of each one-sided test, in (0, 0.5].  Values
         above 0.5 would flip the sign of the t threshold and with it the
-        geometry of the rejection region, so they are rejected.
+        geometry of the rejection region, so they are rejected, and so
+        are values up to 2 ** -54, for which 1 - alpha rounds to 1.
     q : float
         Allocation ratio: a trial with n subjects in group 1 assigns
         q * n to group 2.
@@ -183,11 +187,13 @@ def welch_df(s1_sq, s2_sq, n1, n2):
         raise ValueError("degenerate sample: both variances are zero")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         out = _satterthwaite(a, b, n1, n2)
-    finite = np.isfinite(out)
-    if not finite.all():
-        # a * a overflowed or underflowed; nu is scale-free, so rescale
-        c = np.maximum(a, b)
-        out = np.where(finite, out, _satterthwaite(a / c, b / c, n1, n2))
+        finite = np.isfinite(out)
+        if not finite.all():
+            # a * a overflowed or underflowed; nu is scale-free, so
+            # rescale; at n near the float range nu itself overflows,
+            # and inf is its rounding
+            c = np.maximum(a, b)
+            out = np.where(finite, out, _satterthwaite(a / c, b / c, n1, n2))
     return out if out.ndim else float(out)
 
 
@@ -233,22 +239,25 @@ def _margin(d_bar, spec):
     return np.minimum(d_bar - spec.delta_L, spec.delta_U - d_bar)
 
 
-def _trial(u1, u2, z3, spec, n1, n2):
+def _trial(u1, u2, z3, spec, n1, n2, quantiles=False):
     """The point -> statistics map, (d_bar, s1_sq, s2_sq, se, nu), with
-    z3 = inv_norm(u3).  Arguments broadcast like ufuncs; n1 and n2 may
-    be real and may differ per element."""
-    s1_sq, s2_sq, se = _sample_se(inv_chisq(u1, n1 - 1.0),
-                                  inv_chisq(u2, n2 - 1.0), spec, n1, n2)
-    return (_d_bar(z3, spec, n1, n2), s1_sq, s2_sq, se,
-            welch_df(s1_sq, s2_sq, n1, n2))
+    z3 = inv_norm(u3), and with quantiles the chi-square quantiles
+    (x1, x2) of u1 and u2 after them.  Arguments broadcast like ufuncs;
+    n1 and n2 may be real and may differ per element."""
+    x = inv_chisq(u1, n1 - 1.0), inv_chisq(u2, n2 - 1.0)
+    s1_sq, s2_sq, se = _sample_se(*x, spec, n1, n2)
+    stats = (_d_bar(z3, spec, n1, n2), s1_sq, s2_sq, se,
+             welch_df(s1_sq, s2_sq, n1, n2))
+    return (*stats, x) if quantiles else stats
 
 
-def _mapped(u1, u2, z3, spec, n1, n2):
-    """The array kernel of mapped statistics, (se, margin, nu): a trial
-    rejects when margin = min(d_bar - delta_L, delta_U - d_bar) > 0 and
+def _mapped(u1, u2, z3, spec, n1, n2, quantiles=False):
+    """The array kernel of mapped statistics, (se, margin, nu), and with
+    quantiles (x1, x2) as in `_trial`: a trial rejects when margin =
+    min(d_bar - delta_L, delta_U - d_bar) > 0 and
     t_quantile(1 - alpha, nu) * se < margin."""
-    d_bar, _, _, se, nu = _trial(u1, u2, z3, spec, n1, n2)
-    return se, _margin(d_bar, spec), nu
+    d_bar, _, _, se, nu, *x = _trial(u1, u2, z3, spec, n1, n2, quantiles)
+    return (se, _margin(d_bar, spec), nu, *x)
 
 
 def _check_point(u):
@@ -499,19 +508,19 @@ def _knot_bounds(u, df):
 
 def _exact_in(in_region, u1, u2, z3, spec, n1, n2, band):
     """in_region(se, margin, t) for cells (u1, u2, z3 = inv_norm(u3)) at
-    sizes n1, n2 (arrays broadcast), from their exact statistics, and
-    their se.
+    sizes n1, n2 (arrays broadcast), from their exact statistics, with
+    their se and the chi-square quantiles (x1, x2) behind it.
 
     `_screen` decides a cell from the caller's t band (lo, hi), which
     must bound t at the cell, and the cells it leaves open take their
     own t quantile.  At alpha = 0.5 the band decides every cell.
     """
-    se, margin, nu = _mapped(u1, u2, z3, spec, n1, n2)
+    se, margin, nu, x = _mapped(u1, u2, z3, spec, n1, n2, quantiles=True)
     flags, open_ = _screen(in_region, (se, se), (margin, margin), band)
     amb = np.nonzero(open_)
     flags[amb] = in_region(se[amb], margin[amb],
                            t_quantile(1.0 - spec.alpha, nu[amb]))
-    return flags, se
+    return flags, se, x
 
 
 def _decide(in_region, u1, u2, z3, spec, n1, n2):

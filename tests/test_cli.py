@@ -48,6 +48,20 @@ class TestPowerCommand:
         assert code == 2
         assert "(0, 0.5]" in err
 
+    @pytest.mark.parametrize("command,extra", [
+        ("power", ["--n1", "10", "--n2", "10"]),
+        ("curve", ["--m", "64"]),
+    ])
+    def test_alpha_whose_complement_rounds_to_one(self, capsys, command,
+                                                  extra):
+        # these used to fail inside t_quantile with "p must lie strictly
+        # inside (0, 1)"
+        for alpha in ("1e-300", "1e-17"):
+            code, out, err = run(capsys, command, *DESIGN, "--alpha", alpha,
+                                 *extra, "--seed", "1")
+            assert code == 2 and out == ""
+            assert "alpha must exceed 2 ** -54" in err
+
     def test_missing_seed(self, capsys):
         code, _, err = run(capsys, "power", *DESIGN, "--n1", "10",
                            "--n2", "10")
@@ -205,6 +219,14 @@ class TestCrossoverCommand:
         assert code == 0
         assert "Traceback" not in err
         assert "closed form: 2 per sequence" in out
+
+    def test_alpha_whose_complement_rounds_to_one(self, capsys):
+        code, out, err = run(capsys, "crossover", "--effect", "0.05",
+                             "--sigma-d1", "0.4", "--sigma-d2", "0.3",
+                             "--delta", "0.223", "--alpha", "1e-17",
+                             "--compare-chow", "--seed", "1", "--m", "64")
+        assert code == 2 and out == ""
+        assert "alpha must exceed 2 ** -54" in err
 
     def test_missing_effect(self, capsys):
         code, _, err = run(capsys, "crossover", "--sigma-d1", "0.4",

@@ -37,6 +37,8 @@ class TestSpecAndMapping:
             CrossoverSpec(**{**BE_KW, "F": float("nan")})
         with pytest.raises(ValueError, match="invalid crossover design"):
             CrossoverSpec(**{**BE_KW, "alpha": 0.7})
+        with pytest.raises(ValueError, match=r"alpha must exceed 2 \*\* -54"):
+            CrossoverSpec(**{**BE_KW, "alpha": 1e-17})
         with pytest.raises(ValueError, match=r"sigma_D2 \*\* 2 overflows"):
             CrossoverSpec(**{**BE_KW, "sigma_D2": 1e200})
         with pytest.raises(ValueError, match="F must be a real number"):
@@ -177,3 +179,16 @@ class TestChowSampleSize:
             chow_sample_size(0.05, 0.0, 0.223, 0.05, 0.2)
         with pytest.raises(ValueError, match="alpha and beta"):
             chow_sample_size(0.05, 0.4, 0.223, 0.0, 0.2)
+
+    @pytest.mark.parametrize("alpha,beta,msg", [
+        (1e-300, 0.2, r"alpha must exceed 2 \*\* -54"),
+        (2.0 ** -54, 0.2, r"alpha must exceed 2 \*\* -54"),
+        (0.05, 1e-17, r"beta must exceed 2 \*\* -53"),
+        (0.05, 2.0 ** -53, r"beta must exceed 2 \*\* -53"),
+    ])
+    def test_levels_whose_complement_rounds_to_one(self, alpha, beta, msg):
+        # t_quantile(1 - alpha) or t_quantile(1 - beta / 2) would get p = 1
+        with pytest.raises(ValueError, match=msg):
+            chow_sample_size(0.05, 0.4, 0.223, alpha, beta)
+        # the next doubles up work
+        assert chow_sample_size(0.05, 0.4, 0.223, 2.0 ** -53, 2.0 ** -52) > 2

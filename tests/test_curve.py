@@ -240,6 +240,18 @@ def test_lambda_large_n_limit(motivating):
     assert errs[0] > errs[1] > errs[2]
 
 
+def test_lambda_at_n_near_the_float_range(motivating):
+    # nu is 2e300 at n = 1e300 and overflows to inf at n = 1e308; both
+    # give the normal-quantile limit, and no warning escapes
+    limit = (motivating.delta_U - abs(motivating.mu_diff)) / inv_norm(0.95)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (1e300, 1e308):
+            assert lambda_of_n((0.5, 0.5, 0.5), motivating, n) == (
+                pytest.approx(limit, rel=1e-15))
+            assert se_of_n((0.5, 0.5, 0.5), motivating, n) > 0.0
+
+
 def test_domain_validation(motivating):
     with pytest.raises(ValueError, match="at least 2"):
         se_of_n((0.5, 0.5, 0.5), motivating, 1.9)
@@ -499,9 +511,9 @@ def test_g_evals_counts_every_exact_evaluation(motivating, monkeypatch, seed,
     # at the quantile, maps its points through `_mapped` once
     seen = [0]
 
-    def counting(u1, *args):
+    def counting(u1, *args, **kwargs):
         seen[0] += np.size(u1)
-        return _mapped(u1, *args)
+        return _mapped(u1, *args, **kwargs)
 
     monkeypatch.setattr("bepower.tost._mapped", counting)
     monkeypatch.setattr("bepower.curve._mapped", counting)

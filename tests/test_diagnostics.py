@@ -17,14 +17,15 @@ from bepower import (
 )
 from scipy.optimize import brentq
 
-from bepower import diagnostics
+from bepower import diagnostics, tost
 from bepower.curve import _g
 from bepower.diagnostics import (SCENARIO_COMBOS, _block_bounds, _block_ends,
-                                 _grid_scan, _integer_grid)
+                                 _grid_scan, _integer_grid, _span_bounds,
+                                 _sub_segment_ends)
 from bepower.qrng import CLAMP_HIGH, CLAMP_LOW, sobol_stream
 from bepower.special import inv_norm, t_quantile
-from bepower.tost import (_chisq_brackets, _g_in, _mapped, _screen, _t_band,
-                          _threshold, _trial)
+from bepower.tost import (_SLACK, _chisq_brackets, _g_in, _mapped, _screen,
+                          _t_band, _threshold, _trial)
 
 FIXTURE_U = (0.184, 0.231, 0.449)
 
@@ -230,18 +231,81 @@ class TestGridScan:
         u1, u2, z3 = pts[:, 0], pts[:, 1], inv_norm(pts[:, 2])
         n1, n2 = (n.astype(float) for n in _integer_grid(spec, n_max))
         ends = _block_ends(n1)
-        bounds = _block_bounds(u1, u2, z3, spec, n1[ends], n2[ends])
+        bounds = _block_bounds(u1, u2, z3, spec, n1, n2, ends)
         se, margin, nu = _mapped(u1[:, None], u2[:, None], z3[:, None], spec,
                                  n1, n2)
         values = se, margin, t_quantile(1.0 - spec.alpha, nu)
         interior = 0
-        for k, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
+        # block k is the cells ends[k] .. ends[k + 1] - 1, and the last
+        # block holds the grid's last cell too
+        lasts = [*(ends[1:-1] - 1), ends[-1]]
+        for k, (a, b) in enumerate(zip(ends[:-1], lasts)):
             for (lo, hi), v in zip(bounds, values):
                 cells = v[:, a:b + 1]
                 lo, hi = lo[..., k, None], hi[..., k, None]
                 assert np.all((lo <= cells) & (cells <= hi)), (k, a, b)
             interior += b - a - 1
         assert interior > 0.6 * len(n1)
+
+    @pytest.mark.parametrize("spec,n_max", [
+        SCENARIOS["s2_mu16"], SCENARIOS["s6_mu12"], SCENARIOS["s7_mu8"],
+        (DesignSpec(-4.0, 3.0, 30.0, -19.2, 19.2, q=0.3), 600),
+        (DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, alpha=0.5), 300)],
+        ids=["s2_mu16", "s6_mu12", "s7_mu8", "q_0.3", "alpha_half"])
+    def test_sub_segment_bounds_hold_at_every_interior_cell(self, spec,
+                                                            n_max):
+        # a W-cell block is cut every ceil(sqrt(W)) cells and at its last
+        # cell, and the bounds from the exact chi-square quantiles at two
+        # neighbouring cuts, widened by _SLACK, hold at every cell between
+        pts = sobol_stream(3, 64, 3).points.copy()
+        pts[:2, :2] = [[CLAMP_LOW, CLAMP_HIGH], [CLAMP_HIGH, CLAMP_LOW]]
+        u1, u2, z3 = pts[:, 0], pts[:, 1], inv_norm(pts[:, 2])
+        n1, n2 = (n.astype(float) for n in _integer_grid(spec, n_max))
+        ends = _block_ends(n1)
+        se, margin, _, (x1, x2) = _mapped(u1[:, None], u2[:, None],
+                                          z3[:, None], spec, n1, n2,
+                                          quantiles=True)
+        cut = _sub_segment_ends(ends)
+        widths, interior = set(), 0
+        for first, last in zip(ends[:-1], [*(ends[1:-1] - 1), ends[-1]]):
+            width = last - first + 1
+            widths.add(width)
+            cuts = cut[(first <= cut) & (cut <= last)]
+            np.testing.assert_array_equal(cuts, np.union1d(np.arange(
+                first, last + 1, math.ceil(math.sqrt(width))), last))
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                bounds = _span_bounds(
+                    (x1[:, a] * (1.0 - _SLACK), x2[:, a] * (1.0 - _SLACK)),
+                    (x1[:, b] * (1.0 + _SLACK), x2[:, b] * (1.0 + _SLACK)),
+                    z3, spec, n1, n2, a + 1, b - 1)
+                for (lo, hi), v in zip(bounds, (se, margin)):
+                    cells = v[:, a + 1:b]
+                    assert np.all((lo[:, None] <= cells)
+                                  & (cells <= hi[:, None])), (a, b)
+                interior += b - a - 1
+        # one-, two- and three-cell blocks, and widths that are no square
+        assert {1, 2, 3} <= widths
+        assert widths - {k * k for k in range(100)}
+        assert interior > 0.3 * len(n1)
+
+    def test_chi_square_elements_of_the_longest_scan(self, monkeypatch):
+        # the benchmark's s2_mu16 summary (m = 128, seed 7) with warm knot
+        # tables made 17,608 chi-square elements when every open block
+        # was evaluated cell by cell
+        spec, n_max = SCENARIOS["s2_mu16"]
+        ref = scenario_summary(spec, n_max, m=128, reps=1, seed=7)
+        elements = [0]
+        inv_chisq = tost.inv_chisq
+
+        def counting(p, df):
+            x = inv_chisq(p, df)
+            elements[0] += np.size(x)
+            return x
+
+        monkeypatch.setattr(tost, "inv_chisq", counting)
+        assert repr(scenario_summary(spec, n_max, m=128, reps=1,
+                                     seed=7)) == repr(ref)
+        assert 0 < elements[0] <= 8000
 
     @pytest.mark.parametrize("n_max", [2, 3])
     def test_one_and_two_cell_grids(self, motivating, n_max):
@@ -335,12 +399,12 @@ class TestGridScan:
 
         def tied(in_region, u1, u2, z3, spec, a, b, band):
             calls.append((u1, a))
-            flags, se = exact_in(in_region, u1, u2, z3, spec, a, b, band)
-            return flags, np.ones_like(se)
+            flags, se, x = exact_in(in_region, u1, u2, z3, spec, a, b, band)
+            return flags, np.ones_like(se), x
 
         monkeypatch.setattr(diagnostics, "_exact_in", tied)
         peak = _grid_scan(pts, spec, n1, n2)[1]
-        (u1, a), = calls
+        u1, a = (np.concatenate(c) for c in zip(*calls))
         order = np.argsort(pts[:, 0])
         dense = np.full((len(pts), len(n1)), -np.inf)
         dense[order[np.searchsorted(pts[order, 0], u1)],

@@ -1,9 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special as sp
 
-from bepower.special import inv_chisq, inv_norm, t_quantile
+from bepower.special import _TINY, inv_chisq, inv_norm, t_quantile
 
 from oracles import chi2_cdf, norm_cdf, t_cdf
 
@@ -56,6 +58,56 @@ def test_symmetry():
 def test_t_approaches_normal():
     for p in (0.01, 0.05, 0.5, 0.9, 0.99):
         assert abs(t_quantile(p, 1e6) - inv_norm(p)) <= 1e-4
+
+
+def hill_t(p, df):
+    """The t quantile from Hill's expansion in 1 / df (Abramowitz and
+    Stegun 26.7.5) at 40 digits: four terms leave a relative error near
+    z ** 11 / df ** 5, below 1e-20 from df = 1e6 on."""
+    with mp.workdps(40):
+        z = mp.sqrt(2) * mp.erfinv(2 * mp.mpf(p) - 1)
+        g = ((z ** 3 + z) / 4,
+             (5 * z ** 5 + 16 * z ** 3 + 3 * z) / 96,
+             (3 * z ** 7 + 19 * z ** 5 + 17 * z ** 3 - 15 * z) / 384,
+             (79 * z ** 9 + 776 * z ** 7 + 1482 * z ** 5 - 1920 * z ** 3
+              - 945 * z) / 92160)
+        return float(z + sum(c / mp.mpf(df) ** k for k, c in enumerate(g, 1)))
+
+
+@pytest.mark.parametrize("df", [1e6, 1e10, 1e17])
+def test_t_at_large_df_matches_mpmath(df):
+    # 1 - w cancelled here: 5e-10 relative at df = 1e8, t = 0 from 1e17
+    for p in (1e-6, 0.025, 0.5 + 1e-9, 0.6, 0.95, 1 - 1e-6):
+        ref = hill_t(p, df)
+        assert t_quantile(p, df) == pytest.approx(ref, rel=2e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("df", [1e200, 1e300, math.inf])
+def test_t_at_huge_df_is_the_normal_quantile(df):
+    for p in (1e-6, 0.025, 0.5 + 1e-9, 0.95, 1 - 1e-6):
+        assert t_quantile(p, df) == pytest.approx(inv_norm(p), rel=2e-15)
+
+
+def test_t_keeps_its_bits_below_df_1e6():
+    # every df below 1e6 takes the w form, bit for bit
+    df = np.concatenate([np.geomspace(0.5, 1e6, 2001)[:-1],
+                         [131071.0, 999999.0, np.nextafter(1e6, 0.0)]])
+    for p in (1e-6, 0.025, 0.6, 0.95, 1 - 1e-6):
+        w = np.maximum(sp.betaincinv(0.5 * df, 0.5, 2.0 * min(p, 1 - p)),
+                       _TINY)
+        t = np.sqrt(df * (1.0 - w) / w)
+        assert np.array_equal(t_quantile(p, df), t if p > 0.5 else -t)
+
+
+def test_t_falls_with_df_across_the_switch():
+    # the screens bound t by its values at the ends of a df range, with
+    # a relative slack of 1e-8; the two forms meet far inside it
+    df = np.geomspace(1e3, 1e300, 4001)
+    for p in (0.6, 0.95, 1 - 1e-6):
+        t = t_quantile(p, np.concatenate([df, [np.nextafter(1e6, 0.0),
+                                               1e6]]))
+        assert np.all(np.diff(t[:-2]) <= 1e-12 * t[1:-2])
+        assert t[-1] == pytest.approx(t[-2], rel=1e-10)
 
 
 def test_vectorized_and_monotone():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,8 @@ class TestDesignSpec:
         ("sigma1", None, "sigma1 must be a real number"),
         ("sigma1", 1.7e153,
          r"sigma1 \*\* 2 \* 68\.76, the largest sample variance, overflows"),
+        ("alpha", 1e-300, r"alpha must exceed 2 \*\* -54"),
+        ("alpha", 2.0 ** -54, r"alpha must exceed 2 \*\* -54"),
     ])
     def test_single_violation(self, field, value, msg):
         kw = dict(mu_diff=0.0, sigma1=1.0, sigma2=1.0,
@@ -139,6 +142,18 @@ class TestWelchDf:
     def test_both_zero_raises(self):
         with pytest.raises(ValueError, match="degenerate"):
             welch_df(0.0, 0.0, 5, 5)
+
+    def test_nu_beyond_float_range_is_inf_without_warning(self, motivating):
+        # the rescaled Satterthwaite form overflows too; inf is its rounding
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert welch_df(1.0, 1.0, 1e308, 1e308) == math.inf
+            assert np.all(welch_df(np.array([1.0, 1.0]), 1.0,
+                                   np.array([1e308, 12.0]), 1e308)
+                          == [math.inf, 11.0])
+            stats = stats_from_point((0.5, 0.5, 0.5), motivating, 1e308,
+                                     1e308)
+            assert stats.nu == math.inf and stats.d_bar == motivating.mu_diff
 
     def test_bounds_on_random_inputs(self):
         rng = np.random.Generator(np.random.PCG64(4))
