@@ -34,8 +34,9 @@ import numpy as np
 
 from .qrng import _check_count, sobol_stream
 from .special import _TINY, inv_norm, t_quantile
-from .tost import (_check_point, _d_bar, _decide, _finite, _g_in, _mapped,
-                   _margin, _threshold, require_curve_spec)
+from .tost import (_check_point, _d_bar, _decide, _finite, _g_in,
+                   _knot_index, _mapped, _margin, _threshold,
+                   require_curve_spec)
 
 __all__ = [
     "CENSORED",
@@ -201,8 +202,9 @@ def _point_g(points, spec):
     indices k, and the array counting the exact evaluations of g made
     for each point.
 
-    g.side(k, n) is g(k, n) <= 0 at one n, decided by `tost._decide`;
-    only the cells it evaluates exactly count.  At alpha = 0.5 the
+    g.side(k, n) is g(k, n) <= 0 at one n, decided by `tost._decide`
+    from the points' knot indices, computed once per curve; only the
+    cells it evaluates exactly count.  At alpha = 0.5 the
     paper's g jumps from se to -inf where it changes sign, and Brent's
     interpolation gets nothing from the jump (up to 49 evaluations a
     bracket), so there g is a twin: -margin, continuous in n, with the
@@ -212,6 +214,7 @@ def _point_g(points, spec):
     the walk's `side`.
     """
     u1, u2, z3 = points[:, 0], points[:, 1], inv_norm(points[:, 2])
+    i1, i2 = _knot_index(u1), _knot_index(u2)
     evals = np.zeros(len(points), dtype=np.int64)
 
     def g(k, n):
@@ -222,7 +225,8 @@ def _point_g(points, spec):
         return np.where(margin > 0.0, -margin, np.maximum(-margin, _TINY))
 
     def side(k, n):
-        in_, exact = _decide(_g_in, u1[k], u2[k], z3[k], spec, n, spec.q * n)
+        in_, exact = _decide(_g_in, u1[k], u2[k], z3[k], spec, n, spec.q * n,
+                             (i1[k], i2[k]))
         evals[k[exact]] += 1
         return in_
 

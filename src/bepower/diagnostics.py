@@ -39,9 +39,9 @@ import numpy as np
 
 from . import curve as _curve
 from .qrng import _check_count, _check_seed, sobol_stream
-from .special import inv_norm
+from .special import inv_norm, t_quantile
 from .tost import (_SLACK, DesignSpec, _check_point, _d_bar, _exact_in,
-                   _g_in, _knot_bounds, _sample_se, _screen, _t_band,
+                   _g_in, _knot_bounds, _sample_se, _screen,
                    require_curve_spec)
 
 __all__ = [
@@ -225,9 +225,11 @@ def _block_bounds(u1, u2, z3, spec, n1, n2, ends):
     from above (at the cell itself for a one-cell block).
     `_span_bounds` turns them into se and margin bounds with the
     n-denominators and d_bar of the block's own first and last cells,
-    which cost no quantile.  The block's Welch df lie in
-    [min(n1, n2) - 1, n1 + n2 - 2] of its first and last cells, so the
-    t band at its last cell gives t_lo and at its first t_hi.
+    which cost no quantile.  The block's Welch df lie between
+    min(n1, n2) - 1 at its first cell and n1 + n2 - 2 at its last, and
+    the t quantile falls as the df grow, so one `t_quantile` call at
+    those ends gives t_lo and t_hi, widened by _SLACK as in
+    `tost._t_band`.
     """
     first, last = _block_cells(ends)
     k = np.arange(len(first))
@@ -237,8 +239,10 @@ def _block_bounds(u1, u2, z3, spec, n1, n2, ends):
     se, margin = _span_bounds((lo1[:, k], lo2[:, k]),
                               (hi1[:, top], hi2[:, top]), z3[:, None], spec,
                               n1, n2, first, last)
-    return se, margin, (_t_band(spec.alpha, n1[last], n2[last])[0],
-                        _t_band(spec.alpha, n1[first], n2[first])[1])
+    t = t_quantile(1.0 - spec.alpha,
+                   np.stack([n1[last] + n2[last] - 2.0,
+                             np.minimum(n1[first], n2[first]) - 1.0]))
+    return se, margin, (t[0] * (1.0 - _SLACK), t[1] * (1.0 + _SLACK))
 
 
 def _grid_scan(points, spec, n1_grid, n2_grid):

@@ -18,6 +18,7 @@ origin point.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -113,12 +114,30 @@ def _shifts_from_seed(seed, dimension):
     return rng.integers(0, 1 << _BITS, size=dimension, dtype=np.uint64)
 
 
+def _to_ints(points):
+    """Raw coordinates as their 53-bit integers k, for k / 2**53."""
+    return np.round(points * _SCALE).astype(np.uint64)
+
+
+def _shifted(ints, shifts):
+    """XOR the 53-bit integers with the shifts, then clamp away from 0
+    and 1."""
+    out = (ints ^ shifts[np.newaxis, :]).astype(float) / _SCALE
+    return np.clip(out, CLAMP_LOW, CLAMP_HIGH)
+
+
 def _apply_shift(points, shifts):
     """XOR fixed-precision digital shift, then clamp away from 0 and 1."""
-    ints = np.round(np.asarray(points, dtype=float) * _SCALE).astype(np.uint64)
-    ints ^= shifts[np.newaxis, :]
-    out = ints.astype(float) / _SCALE
-    return np.clip(out, CLAMP_LOW, CLAMP_HIGH)
+    return _shifted(_to_ints(np.asarray(points, dtype=float)), shifts)
+
+
+def _checked_points(points):
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise ValueError("points must be a 2-d array")
+    if not np.all((0.0 <= pts) & (pts < 1.0)):
+        raise ValueError("points must be finite and lie in [0, 1)")
+    return pts
 
 
 def digital_shift(points, seed):
@@ -143,13 +162,23 @@ def digital_shift(points, seed):
         If points is not a 2-d array of finite coordinates in [0, 1),
         or seed is not an unsigned 64-bit integer.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("points must be a 2-d array")
-    if not np.all((0.0 <= pts) & (pts < 1.0)):
-        raise ValueError("points must be finite and lie in [0, 1)")
+    pts = _checked_points(points)
     shifts = _shifts_from_seed(_check_seed(seed), pts.shape[1])
     return _apply_shift(pts, shifts)
+
+
+@functools.lru_cache(maxsize=4)
+def _raw_ints(dimension, m):
+    """The 53-bit integers of `sobol_raw(dimension, m)`, read-only.
+
+    The raw sequence does not depend on the seed, so `sobol_stream`
+    keeps the integers of its last few (dimension, m) pairs (1.5 MB at
+    (3, 65536)) and a new seed only XORs, converts and clamps.  The
+    points are checked to lie in [0, 1) once, here.
+    """
+    ints = _to_ints(_checked_points(sobol_raw(dimension, m)))
+    ints.setflags(write=False)
+    return ints
 
 
 def sobol_stream(dimension, m, seed):
@@ -157,7 +186,12 @@ def sobol_stream(dimension, m, seed):
 
     Equivalent to ``digital_shift(sobol_raw(dimension, m), seed)``
     wrapped in a `SobolStream` record with a read-only points array.
+    The raw sequence of a (dimension, m) pair is built once and kept
+    (see `_raw_ints`); the points array is new on every call.
     """
-    pts = digital_shift(sobol_raw(dimension, m), seed)
+    # normalized before the lookup, so that True cannot pass as the key 1
+    dimension, m = _check_count("dimension", dimension), _check_count("m", m)
+    seed = _check_seed(seed)
+    pts = _shifted(_raw_ints(dimension, m), _shifts_from_seed(seed, dimension))
     pts.flags.writeable = False
-    return SobolStream(dimension=int(dimension), m=int(m), seed=int(seed), points=pts)
+    return SobolStream(dimension=dimension, m=m, seed=seed, points=pts)

@@ -358,12 +358,13 @@ def rejects(stats, spec):
 
 
 def _unit_cube_points(m, seed, sampler):
-    """The (m, 3) unit-cube points of (m, seed, sampler) and z3 =
-    inv_norm of their third coordinate, both read-only.
+    """The (m, 3) unit-cube points of (m, seed, sampler), z3 = inv_norm
+    of their third coordinate, and the knot indices (i1, i2) of their
+    first two (see `_knot_index`), all read-only.
 
     Only the quantiles of the sizes depend on n, so every call at one
     (m, seed, sampler) maps the same points: the last one's arrays are
-    cached (about 2 MB at m = 65536).  The arguments are checked and
+    cached (about 3 MB at m = 65536).  The arguments are checked and
     normalized first, so that seed=True or 1.0 cannot pass as the key 1
     and an unhashable sampler raises ValueError, not TypeError.
     """
@@ -382,8 +383,10 @@ def _cached_points(m, seed, sampler):
         u = np.clip(rng.random((m, 3)), CLAMP_LOW, CLAMP_HIGH)
         u.setflags(write=False)
     z3 = inv_norm(u[:, 2])
-    z3.setflags(write=False)
-    return u, z3
+    knots = _knot_index(u[:, 0]), _knot_index(u[:, 1])
+    for arr in (z3, *knots):
+        arr.setflags(write=False)
+    return u, z3, knots
 
 
 # relative slack of the t band and of the chi-square brackets; far above
@@ -477,14 +480,15 @@ def _chisq_brackets(df):
     below 1, so the bounds hold for every p in (0, 1), below the clamp
     too; every other bound is finite and positive.
 
-    Three screens read the tables, through `_knot_bounds`: the
-    estimator and the curve walk at the sizes of each `_decide` call,
-    and the integer scans at every block end of their grid.  The
-    tables recur across calls, so up to 256 (16 KB each, 4 MB in all)
-    are cached, read-only since every caller shares them.  A scan needs
-    one table per distinct end df: 165 for q = 1.5 at n_max = 1e5,
-    about as long a grid as a chunk of scan points holds in memory, so
-    one scan never evicts a table it needs again.
+    Three screens read the tables: the estimator and the curve walk
+    through the variance tables of `_variance_brackets`, at the sizes
+    of each `_decide` call, and the integer scans through
+    `_knot_bounds`, at every block end of their grid.  The tables recur
+    across calls, so up to 256 (16 KB each, 4 MB in all) are cached,
+    read-only since every caller shares them.  A scan needs one table
+    per distinct end df: 165 for q = 1.5 at n_max = 1e5, about as long
+    a grid as a chunk of scan points holds in memory, so one scan never
+    evicts a table it needs again.
     """
     x = inv_chisq(_KNOTS, df)
     brackets = x[:-1] * (1.0 - _SLACK), x[1:] * (1.0 + _SLACK)
@@ -494,11 +498,40 @@ def _chisq_brackets(df):
     return brackets
 
 
+@functools.lru_cache(maxsize=128)
+def _variance_brackets(sigma, n):
+    """Bounds on the sample variance of a group of n at sd sigma, and
+    on its term of se ** 2, at every knot bracket of
+    `_chisq_brackets(n - 1)`: (s_lo, s_hi, a_lo, a_hi), each of shape
+    (_K,), with s = `_variance` of the brackets and a = s / n.
+
+    `_decide` gathers them by knot index: sqrt(a1[i1] + a2[i2]) is,
+    bit for bit, the se of `_sample_se` on the gathered brackets, since
+    elementwise IEEE operations give the same result before or after a
+    gather.  So the estimator and the curve walk transform 1024 knots
+    per table, not one bound per point.  They meet the same sizes call
+    after call, so up to 128 sets (32 KB each, 4 MB in all) are cached,
+    read-only since every caller shares them.
+    """
+    s = [_variance(sigma, x, n) for x in _chisq_brackets(n - 1.0)]
+    tables = (*s, s[0] / n, s[1] / n)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _knot_index(u):
+    """i = floor(u * _K), the index of u's knot bracket in the tables
+    of `_chisq_brackets`."""
+    return (u * _K).astype(np.intp)
+
+
 def _knot_bounds(u, df):
     """Bounds (lo, hi) on inv_chisq(u, df) from the knot tables of
     `_chisq_brackets`: elementwise over u at a scalar df, and of shape
-    (len(u), len(df)) for a 1-d array of df."""
-    i = (u * _K).astype(np.intp)
+    (len(u), len(df)) for a 1-d array of df.  The integer scans read
+    them here; `_decide` reads `_variance_brackets` instead."""
+    i = _knot_index(u)
     if np.ndim(df) == 0:
         lo, hi = _chisq_brackets(df)
         return lo[i], hi[i]
@@ -523,35 +556,40 @@ def _exact_in(in_region, u1, u2, z3, spec, n1, n2, band):
     return flags, se, x
 
 
-def _decide(in_region, u1, u2, z3, spec, n1, n2):
+def _decide(in_region, u1, u2, z3, spec, n1, n2, knots=None):
     """Decide in_region(se, margin, t) for points (u1, u2, z3 =
     inv_norm(u3)) at scalar sizes n1, n2, with quantiles of their own
-    only where bounds leave the answer open.
+    only where bounds leave the answer open.  knots are the points'
+    indices (i1, i2) of `_knot_index`, computed here if not given.
 
-    The knot brackets of `_chisq_brackets`, carried through
-    `_sample_se`, bound se, the end knots of `_t_table` bound t over the
-    whole Welch range, and `_screen` decides.  The cells that band
+    se is bounded from the knot tables of `_variance_brackets`,
+    gathered by knot index, the end knots of `_t_table` bound t over
+    the whole Welch range, and `_screen` decides.  The cells that band
     leaves open, and those with se_lo = 0 (so that a degenerate sample
     still raises in `welch_df`), are screened again with the t band of
-    their own df bounds (`_cell_t_band`), and only the cells still open
-    take `_exact_in`, each with its band.  At m = 65536 on the benchmark
-    designs the first band leaves up to about 11% of the cells open (at
-    n = 5, q = 1.5) and the second under 0.3%.  Returns (flags, exact),
-    exact the indices evaluated exactly.
+    their own df bounds (`_cell_t_band`), from their gathered variance
+    bounds, and only the cells still open take `_exact_in`, each with
+    its band.  At m = 65536 on the benchmark designs the first band
+    leaves up to about 11% of the cells open (at n = 5, q = 1.5) and
+    the second under 0.3%.  Returns (flags, exact), exact the indices
+    evaluated exactly.
     """
+    i1, i2 = knots if knots is not None else (_knot_index(u1),
+                                              _knot_index(u2))
+    s1_lo, s1_hi, a1_lo, a1_hi = _variance_brackets(spec.sigma1, n1)
+    s2_lo, s2_hi, a2_lo, a2_hi = _variance_brackets(spec.sigma2, n2)
     margin = _margin(_d_bar(z3, spec, n1, n2), spec)
-    lo1, hi1 = _knot_bounds(u1, n1 - 1.0)
-    lo2, hi2 = _knot_bounds(u2, n2 - 1.0)
     t = _t_table(spec.alpha, n1, n2)
     with np.errstate(over="ignore", invalid="ignore"):
-        s1_lo, s2_lo, se_lo = _sample_se(lo1, lo2, spec, n1, n2)
-        s1_hi, s2_hi, se_hi = _sample_se(hi1, hi2, spec, n1, n2)
+        se_lo = np.sqrt(a1_lo[i1] + a2_lo[i2])
+        se_hi = np.sqrt(a1_hi[i1] + a2_hi[i2])
         flags, open_ = _screen(in_region, (se_lo, se_hi), (margin, margin),
                                (t[-1] * (1.0 - _SLACK), t[0] * (1.0 + _SLACK)))
         zero = se_lo == 0.0
         k = np.nonzero(open_ | zero)[0]
-        band = _cell_t_band(spec.alpha, n1, n2, (s1_lo[k], s1_hi[k]),
-                            (s2_lo[k], s2_hi[k]))
+        j1, j2 = i1[k], i2[k]
+        band = _cell_t_band(spec.alpha, n1, n2, (s1_lo[j1], s1_hi[j1]),
+                            (s2_lo[j2], s2_hi[j2]))
         flags[k], open_ = _screen(in_region, (se_lo[k], se_hi[k]),
                                   (margin[k], margin[k]), band)
     keep = open_ | zero[k]
@@ -563,16 +601,16 @@ def _decide(in_region, u1, u2, z3, spec, n1, n2):
     return flags, exact
 
 
-def _rejection_flags(u, z3, spec, n1, n2):
+def _rejection_flags(u, z3, spec, n1, n2, knots=None):
     """Vectorized rejection decisions for an (m, 3) block of points u,
-    with z3 = inv_norm(u[:, 2]).
+    with z3 = inv_norm(u[:, 2]) and knots as in `_decide`.
 
     Elementwise identical to stats_from_point followed by rejects,
     without the chi-square and t quantiles for most points (see
     `_decide`).
     """
     return _decide(_tost_in, u[:, 0], u[:, 1], z3, spec, float(n1),
-                   float(n2))[0]
+                   float(n2), knots)[0]
 
 
 def empirical_power(spec, n1, n2, m, seed, sampler="sobol"):
@@ -607,13 +645,15 @@ def empirical_power(spec, n1, n2, m, seed, sampler="sobol"):
     about 0.3% of the points (n = 3 to 20) and under 0.1% from n = 30
     on.
 
-    The points and the normal quantiles of their third coordinate
-    depend only on (m, seed, sampler), so those of the last such triple
-    are kept and reused: a run over several n at one seed, as in
-    Table 1, builds its stream once.
+    The points, the normal quantiles of their third coordinate and the
+    knot indices of their first two depend only on (m, seed, sampler),
+    so those of the last such triple are kept and reused: a run over
+    several n at one seed, as in Table 1, builds its stream once.  A
+    call then gathers its se bounds from the knot tables of its sizes
+    (`_variance_brackets`), cached across calls too.
     """
     # one observation cannot estimate a variance
     n1, n2 = _check_count("n1", n1, 2), _check_count("n2", n2, 2)
-    u, z3 = _unit_cube_points(m, seed, sampler)
-    return int(np.count_nonzero(_rejection_flags(u, z3, spec, n1,
-                                                 n2))) / len(u)
+    u, z3, knots = _unit_cube_points(m, seed, sampler)
+    return int(np.count_nonzero(_rejection_flags(u, z3, spec, n1, n2,
+                                                 knots))) / len(u)

@@ -1,14 +1,23 @@
-"""Reference distribution functions used to cross-check the package.
+"""Reference routines used to cross-check the package.
 
-Everything here goes through a different route than ``bepower.special``:
-forward CDFs via ``math.erfc`` and mpmath's incomplete gamma/beta
-functions at 30 significant digits, and inverses by plain bisection.
-Slow, but independent, which is the point.
+The distribution functions go through a different route than
+``bepower.special``: forward CDFs via ``math.erfc`` and mpmath's
+incomplete gamma/beta functions at 30 significant digits, and inverses
+by plain bisection.  Slow, but independent, which is the point.
+
+`decide_gather_first` is the estimator's screen in its earlier form,
+which gathers the chi-square brackets per point and transforms them
+there; the table-first `bepower.tost._decide` must match it bit for bit.
 """
 
 import math
 
 import mpmath as mp
+import numpy as np
+
+from bepower.tost import (_SLACK, _cell_t_band, _d_bar, _exact_in,
+                          _knot_bounds, _margin, _sample_se, _screen,
+                          _t_table)
 
 mp.mp.dps = 30
 
@@ -62,3 +71,30 @@ def t_quantile_ref(p, df):
     while t_cdf(hi, df) < p and hi < 1e300:
         hi *= 1e4
     return _bisect(lambda t: t_cdf(t, df) - p, -hi, hi, iters=300)
+
+
+def decide_gather_first(in_region, u1, u2, z3, spec, n1, n2):
+    """(flags, exact) of `bepower.tost._decide`, with the se and
+    variance bounds formed per point from gathered knot brackets."""
+    margin = _margin(_d_bar(z3, spec, n1, n2), spec)
+    lo1, hi1 = _knot_bounds(u1, n1 - 1.0)
+    lo2, hi2 = _knot_bounds(u2, n2 - 1.0)
+    t = _t_table(spec.alpha, n1, n2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1_lo, s2_lo, se_lo = _sample_se(lo1, lo2, spec, n1, n2)
+        s1_hi, s2_hi, se_hi = _sample_se(hi1, hi2, spec, n1, n2)
+        flags, open_ = _screen(in_region, (se_lo, se_hi), (margin, margin),
+                               (t[-1] * (1.0 - _SLACK), t[0] * (1.0 + _SLACK)))
+        zero = se_lo == 0.0
+        k = np.nonzero(open_ | zero)[0]
+        band = _cell_t_band(spec.alpha, n1, n2, (s1_lo[k], s1_hi[k]),
+                            (s2_lo[k], s2_hi[k]))
+        flags[k], open_ = _screen(in_region, (se_lo[k], se_hi[k]),
+                                  (margin[k], margin[k]), band)
+    keep = open_ | zero[k]
+    exact = k[keep]
+    if len(exact):
+        flags[exact] = _exact_in(in_region, u1[exact], u2[exact], z3[exact],
+                                 spec, n1, n2,
+                                 (band[0][keep], band[1][keep]))[0]
+    return flags, exact

@@ -26,6 +26,8 @@ from bepower.special import _TINY, inv_chisq, inv_norm
 from bepower.tost import (_K, _chisq_brackets, _d_bar, _mapped, _sample_se,
                           _t_band)
 
+from oracles import decide_gather_first
+
 FIXTURE_U = (0.184, 0.231, 0.449)
 
 # the benchmark's curve designs: central, near-limit, and both allocations
@@ -519,6 +521,30 @@ def test_g_evals_counts_every_exact_evaluation(motivating, monkeypatch, seed,
     monkeypatch.setattr("bepower.curve._mapped", counting)
     pc = power_curve(motivating, target, 1024, seed)
     assert pc.g_evals_total == seen[0]
+
+
+# total exact g evaluations of each benchmark design at m = 1024, seed
+# 2024, target 0.8, as when the walk gathered brackets per point
+G_EVALS_2024 = {"motivating": 6969, "near_limit": 7368, "q1.5": 7075,
+                "q1/1.5": 6975}
+
+
+@pytest.mark.parametrize("name", sorted(DESIGNS))
+def test_g_evals_equal_the_gather_first_walk(name, monkeypatch):
+    # the walk's screen reads knot tables transformed before the gather;
+    # every point's evaluation count and crossing is that of the screen
+    # that gathered the brackets first and transformed them per point
+    spec = DESIGNS[name]
+    pc = power_curve(spec, 0.8, 1024, 2024)
+
+    def gather_first(in_region, u1, u2, z3, spec, n1, n2, knots):
+        return decide_gather_first(in_region, u1, u2, z3, spec, n1, n2)
+
+    monkeypatch.setattr("bepower.curve._decide", gather_first)
+    ref = power_curve(spec, 0.8, 1024, 2024)
+    np.testing.assert_array_equal(pc.g_evals, ref.g_evals)
+    np.testing.assert_array_equal(pc.crossings, ref.crossings)
+    assert pc.g_evals_total == G_EVALS_2024[name]
 
 
 @pytest.mark.parametrize("name", sorted(WALK_DESIGNS))

@@ -5,6 +5,7 @@ from bepower.qrng import (
     CLAMP_HIGH,
     CLAMP_LOW,
     _apply_shift,
+    _raw_ints,
     digital_shift,
     sobol_raw,
     sobol_stream,
@@ -46,6 +47,46 @@ def test_stream_is_deterministic():
     assert np.array_equal(a.points, b.points)
     c = sobol_stream(3, 512, seed=100)
     assert not np.array_equal(a.points, c.points)
+
+
+def test_stream_equals_shift_of_raw_points():
+    # the stream shifts cached raw integers; bit for bit the shift of a
+    # freshly built raw sequence
+    for m in (1, 5, 128, 1000, 1024, 65536):
+        raw = sobol_raw(3, m)
+        for seed in (0, 1, 7, 2**64 - 1):
+            s = sobol_stream(3, m, seed)
+            assert (s.dimension, s.m, s.seed) == (3, m, seed)
+            assert np.array_equal(s.points, digital_shift(raw, seed))
+
+
+def test_raw_integers_are_cached_and_read_only():
+    # every stream of one (dimension, m) shares them, so none may write
+    ints = _raw_ints(3, 256)
+    assert _raw_ints(3, 256) is ints
+    assert ints.dtype == np.uint64
+    np.testing.assert_array_equal(
+        ints, np.round(sobol_raw(3, 256) * 2.0**53).astype(np.uint64))
+    with pytest.raises(ValueError, match="read-only"):
+        ints[0, 0] = 1
+    assert _raw_ints.cache_info().maxsize is not None
+    # a new stream is a new array, whatever the cache holds
+    a, b = sobol_stream(3, 256, 4), sobol_stream(3, 256, 4)
+    assert not np.shares_memory(a.points, b.points)
+    assert not np.shares_memory(a.points, ints)
+
+
+def test_stream_arguments_are_checked_with_a_warm_entry():
+    # True and 1.0 hash as the warm key 1; the checks come before the
+    # lookup
+    sobol_stream(1, 8, 1)
+    with pytest.raises(ValueError, match="dimension must be"):
+        sobol_stream(True, 8, 1)
+    with pytest.raises(ValueError, match="m must be"):
+        sobol_stream(1, 8.5, 1)
+    with pytest.raises(ValueError, match="seed must be"):
+        sobol_stream(1, 8, 1.0)
+    assert sobol_stream(1.0, 8, 1).dimension == 1
 
 
 def test_stream_points_read_only():

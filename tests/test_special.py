@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special as sp
 
 from bepower.special import _TINY, inv_chisq, inv_norm, t_quantile
@@ -89,10 +91,13 @@ def test_t_at_huge_df_is_the_normal_quantile(df):
 
 
 def test_t_keeps_its_bits_below_df_1e6():
-    # every df below 1e6 takes the w form, bit for bit
+    # every df below 1e6 takes the w form, bit for bit, at tails up to
+    # 1/4: at p = 1 - alpha for the levels the package uses (0.05, and
+    # 0.5, where t is 0 in either form), at the crossover's 1 - beta / 2
+    # (beta = 0.2 at the default target power), and at the tail 1/4
     df = np.concatenate([np.geomspace(0.5, 1e6, 2001)[:-1],
                          [131071.0, 999999.0, np.nextafter(1e6, 0.0)]])
-    for p in (1e-6, 0.025, 0.6, 0.95, 1 - 1e-6):
+    for p in (1e-6, 0.025, 0.05, 0.25, 0.5, 0.75, 0.9, 0.95, 1 - 1e-6):
         w = np.maximum(sp.betaincinv(0.5 * df, 0.5, 2.0 * min(p, 1 - p)),
                        _TINY)
         t = np.sqrt(df * (1.0 - w) / w)
@@ -108,6 +113,36 @@ def test_t_falls_with_df_across_the_switch():
                                                1e6]]))
         assert np.all(np.diff(t[:-2]) <= 1e-12 * t[1:-2])
         assert t[-1] == pytest.approx(t[-2], rel=1e-10)
+
+
+def test_t_is_zero_at_the_centre():
+    df = np.array([0.7, 2.0, 19.0, 1e5, 1e7, math.inf])
+    t = t_quantile(0.5, df)
+    assert np.all(t == 0.0) and not np.signbit(t).any()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(p=st.one_of(st.floats(0.5 + 1e-12, 0.5 + 1e-3),
+                   st.floats(0.5 + 1e-3, 1.0 - 1e-9)),
+       df=st.floats(0.5, 1e7))
+def test_property_t_falls_with_df(p, df):
+    # the screens bound t over a df range by its values at the ends,
+    # with a relative slack of 1e-8; near p = 0.5 the w form rose with
+    # df by up to 2e-4 relative, from cancellation in 1 - w.  The
+    # complement form, at tails above 1/4, falls within 1e-12; the w
+    # form, below that tail, rises by up to ~1e-10 only near df = 1e6
+    steps = df * (1.0 + 1e-5 * np.arange(200))
+    t = t_quantile(p, steps)
+    bound = 1e-12 if p < 0.75 else 1e-9
+    assert np.all(np.diff(t) <= bound * t[1:])
+
+
+@pytest.mark.parametrize("alpha", [0.5 - 1e-6, 0.5 - 1e-4, 0.3])
+def test_t_falls_with_df_near_the_centre(alpha):
+    # a 0.01 grid over df 1 to 2000; at alpha = 0.5 - 1e-6 the w form
+    # rose on 195,945 of its steps
+    t = t_quantile(1.0 - alpha, np.arange(100, 200_001) / 100.0)
+    assert np.all(np.diff(t) <= 1e-12 * t[1:])
 
 
 def test_vectorized_and_monotone():

@@ -21,11 +21,14 @@ from bepower import (
 )
 from bepower.qrng import CLAMP_HIGH, CLAMP_LOW, sobol_stream
 from bepower.special import inv_chisq, inv_norm, t_quantile
-from bepower.tost import (_J, _K, _SLACK, _X_PER_DF, _cached_points,
+from bepower.tost import (_J, _K, _SLACK, _TINY, _X_PER_DF, _cached_points,
                           _cell_t_band, _chisq_brackets, _decide, _g_in,
-                          _knot_bounds, _mapped, _rejection_flags, _sample_se,
-                          _screen, _t_band, _t_table, _tost_in,
-                          _unit_cube_points)
+                          _knot_bounds, _knot_index, _mapped,
+                          _rejection_flags, _sample_se, _screen, _t_band,
+                          _t_table, _tost_in, _unit_cube_points,
+                          _variance_brackets)
+
+from oracles import decide_gather_first
 
 TABLE1_GRID = (3, 5, 8, 10, 15, 20, 30, 40, 50, 60)
 
@@ -304,7 +307,7 @@ class TestEmpiricalPower:
     def test_matches_scalar_path(self, motivating):
         # the vectorized estimator must agree with mapping each point
         # through stats_from_point and rejects one at a time
-        u, _ = _unit_cube_points(64, 21, "sobol")
+        u = _unit_cube_points(64, 21, "sobol")[0]
         slow = np.mean([
             rejects(stats_from_point(row, motivating, 10, 12), motivating)
             for row in u])
@@ -392,7 +395,7 @@ class TestPointCache:
         # every call at one (m, seed, sampler) shares the arrays, so none
         # may write to them
         for sampler in ("sobol", "prng"):
-            u, z3 = _unit_cube_points(256, 5, sampler)
+            u, z3, _ = _unit_cube_points(256, 5, sampler)
             assert _unit_cube_points(256, 5, sampler)[0] is u
             np.testing.assert_array_equal(u, fresh_points(256, 5, sampler))
             np.testing.assert_array_equal(z3, inv_norm(u[:, 2]))
@@ -445,7 +448,7 @@ class TestScreenedRejectionFlags:
         for mu in (-4.0, -16.0):
             spec = DesignSpec(mu, 18.0, 15.0, -19.2, 19.2, alpha=alpha, q=q)
             for seed in range(6):
-                u, z3 = _unit_cube_points(2048, seed, "sobol")
+                u, z3, _ = _unit_cube_points(2048, seed, "sobol")
                 for n1 in (2, 3, 4, 5, 7, 10, 15, 20, 40, 80, 200):
                     n2 = max(2, int(round(q * n1)))
                     np.testing.assert_array_equal(
@@ -478,7 +481,7 @@ class TestScreenedRejectionFlags:
                                                  seed):
         spec = DesignSpec(mu, sigma1, sigma2, center - half, center + half,
                           alpha=alpha)
-        u, z3 = _unit_cube_points(512, seed, "sobol")
+        u, z3, _ = _unit_cube_points(512, seed, "sobol")
         np.testing.assert_array_equal(_rejection_flags(u, z3, spec, n1, n2),
                                       unscreened_flags(u, spec, n1, n2))
 
@@ -513,7 +516,8 @@ def band_cells(seed):
 
 
 class TestCellTBand:
-    @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.5])
+    # 0.5 - 1e-6: t is small, and the bands need it to fall with df
+    @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.5 - 1e-6, 0.5])
     @pytest.mark.parametrize("q", [0.01, 1.0, 100.0])
     def test_band_bounds_quantile_at_exact_df(self, alpha, q):
         # t_quantile(1 - alpha, welch_df) of a cell's exact variances lies
@@ -562,7 +566,7 @@ class TestCellTBand:
             t[0] = 1.0
         assert _t_table.cache_info().maxsize is not None
 
-    @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.5])
+    @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.5 - 1e-6, 0.5])
     @pytest.mark.parametrize("q", [0.01, 1.0, 100.0])
     def test_flags_bit_identical_to_unscreened(self, alpha, q):
         # the band's grid, with margins where the decisions are mixed
@@ -582,9 +586,110 @@ class TestCellTBand:
         # m = 65536, seed 7, q = 1.5, n = 5: the whole-range band leaves
         # about 11% open, the cells' own bands 0.24%
         spec = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, q=1.5)
-        u, z3 = _unit_cube_points(65536, 7, "sobol")
+        u, z3, _ = _unit_cube_points(65536, 7, "sobol")
         _, exact = _decide(_tost_in, u[:, 0], u[:, 1], z3, spec, 5.0, 8.0)
         assert len(exact) < 0.005 * len(u)
+
+
+def extreme_sigma(lowest):
+    """The smallest sigma whose square is normal, or the largest for
+    which sigma ** 2 * _X_PER_DF, the largest sample variance, is
+    finite: the limits `DesignSpec` accepts."""
+    if lowest:
+        sigma = math.sqrt(_TINY)
+        while sigma * sigma < _TINY:
+            sigma = math.nextafter(sigma, math.inf)
+        return sigma
+    sigma = math.sqrt(np.finfo(float).max / _X_PER_DF)
+    while math.isinf(sigma * sigma * _X_PER_DF):
+        sigma = math.nextafter(sigma, 0.0)
+    return sigma
+
+
+# (sigma1, sigma2): the benchmark's, both at the accepted upper limit,
+# both at the lower one, and each at one limit with the other ordinary
+SIGMAS = ((18.0, 15.0), (extreme_sigma(False), extreme_sigma(False)),
+          (extreme_sigma(True), extreme_sigma(True)),
+          (extreme_sigma(False), 15.0), (18.0, extreme_sigma(True)))
+
+
+def table_first_pairs(q):
+    """(n1, n2 = max(2, q * n1)), integer and fractional."""
+    return [(n1, max(2.0, q * n1)) for n1 in (2.0, 3.0, 5.0, 7.3, 20.0,
+                                              61.7, 5000.0)]
+
+
+class TestTableFirstBounds:
+    @pytest.mark.parametrize("q", [1.0, 1.5, 1.0 / 1.5])
+    def test_gathered_bounds_equal_sample_se(self, q):
+        # the tables transform before the gather, `_sample_se` after it
+        u1, u2 = band_cells(5)
+        i1, i2 = _knot_index(u1), _knot_index(u2)
+        for sigma1, sigma2 in SIGMAS:
+            spec = DesignSpec(0.0, sigma1, sigma2, -1.0, 1.0, q=q)
+            for n1, n2 in table_first_pairs(q):
+                s1_lo, s1_hi, a1_lo, a1_hi = _variance_brackets(sigma1, n1)
+                s2_lo, s2_hi, a2_lo, a2_hi = _variance_brackets(sigma2, n2)
+                lo1, hi1 = _knot_bounds(u1, n1 - 1.0)
+                lo2, hi2 = _knot_bounds(u2, n2 - 1.0)
+                with np.errstate(over="ignore"):
+                    for x1, x2, s1, s2, a1, a2 in (
+                            (lo1, lo2, s1_lo, s2_lo, a1_lo, a2_lo),
+                            (hi1, hi2, s1_hi, s2_hi, a1_hi, a2_hi)):
+                        ref = _sample_se(x1, x2, spec, n1, n2)
+                        got = (s1[i1], s2[i2], np.sqrt(a1[i1] + a2[i2]))
+                        for r, g in zip(ref, got):
+                            np.testing.assert_array_equal(g, r)
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 1.0 / 1.5])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5])
+    def test_decide_equals_gather_first(self, q, alpha):
+        # flags and exact indices, with the knot indices computed in
+        # `_decide` and passed in, on the band's grid with margins where
+        # the decisions are mixed
+        u1, u2 = band_cells(6)
+        u3 = np.random.Generator(np.random.PCG64(7)).random(u1.size)
+        z3, knots = inv_norm(u3), (_knot_index(u1), _knot_index(u2))
+        for sigma1, sigma2 in SIGMAS:
+            c = max(sigma1 / 18.0, sigma2 / 15.0)
+            spec = DesignSpec(-4.0 * c, sigma1, sigma2, -19.2 * c, 19.2 * c,
+                              alpha=alpha, q=q)
+            for n1, n2 in table_first_pairs(q):
+                for in_region in (_tost_in, _g_in):
+                    ref = decide_gather_first(in_region, u1, u2, z3, spec,
+                                              n1, n2)
+                    for got in (_decide(in_region, u1, u2, z3, spec, n1, n2),
+                                _decide(in_region, u1, u2, z3, spec, n1, n2,
+                                        knots)):
+                        np.testing.assert_array_equal(got[0], ref[0])
+                        np.testing.assert_array_equal(got[1], ref[1])
+
+    def test_degenerate_sample_raises_on_both_paths(self):
+        spec = DesignSpec(0.0, 1e-150, 1e-150, -1e-140, 1e-140)
+        u = np.full(4, 0.5)
+        u[2] = CLAMP_LOW
+        for decide in (_decide, decide_gather_first):
+            with pytest.raises(ValueError, match="degenerate"):
+                decide(_tost_in, u, u, inv_norm(u), spec, 2.0, 2.0)
+
+    def test_tables_are_cached_and_read_only(self):
+        tables = _variance_brackets(18.0, 9.0)
+        assert _variance_brackets(18.0, 9.0)[0] is tables[0]
+        for table in tables:
+            assert table.shape == (_K,)
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1.0
+        assert 0 < _variance_brackets.cache_info().maxsize <= 256
+
+    def test_cached_knot_indices_equal_a_fresh_computation(self):
+        for sampler in ("sobol", "prng"):
+            u, _, knots = _unit_cube_points(1024, 9, sampler)
+            assert len(knots) == 2
+            for j, i in enumerate(knots):
+                np.testing.assert_array_equal(
+                    i, np.floor(u[:, j] * _K).astype(np.intp))
+                with pytest.raises(ValueError, match="read-only"):
+                    i[0] = 0
 
 
 INF = math.inf
@@ -683,11 +788,16 @@ class TestChisqScreen:
         assert 0 < _chisq_brackets.cache_info().maxsize <= 256
 
     def test_cold_and_warm_cache_count_alike(self, motivating):
+        # the estimator reads the brackets through the variance tables,
+        # so a warm call finds those and never reaches the brackets
         _chisq_brackets.cache_clear()
+        _variance_brackets.cache_clear()
         cold = empirical_power(motivating, 7, 9, 4096, seed=3)
         assert _chisq_brackets.cache_info().misses == 2
+        assert _variance_brackets.cache_info().misses == 2
         warm = empirical_power(motivating, 7, 9, 4096, seed=3)
-        assert _chisq_brackets.cache_info().hits == 2
+        assert _variance_brackets.cache_info().hits == 2
+        assert _chisq_brackets.cache_info().hits == 0
         assert cold == warm
 
     def test_quantile_rises_with_df_within_slack(self):
@@ -722,7 +832,7 @@ class TestChisqScreen:
         # the benchmark's estimate calls: m = 65536, the Table-1 grid
         spec = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, q=q)
         for seed in (7, 2024):
-            u, z3 = _unit_cube_points(65536, seed, "sobol")
+            u, z3, _ = _unit_cube_points(65536, seed, "sobol")
             for n1 in TABLE1_GRID:
                 n2 = int(round(q * n1))
                 np.testing.assert_array_equal(
@@ -737,7 +847,7 @@ class TestChisqScreen:
             rng = np.random.Generator(np.random.PCG64(seed))
             # the cached points are read-only; write edge rows into a
             # copy (columns 0 and 1 only, so z3 still holds)
-            u, z3 = _unit_cube_points(8192, seed, "prng")
+            u, z3, _ = _unit_cube_points(8192, seed, "prng")
             u = u.copy()
             u[:edges.size, 0] = edges
             u[:edges.size, 1] = rng.permutation(edges)
