@@ -282,8 +282,7 @@ def _svg_ecdf(pc):
 
     d = [f"M {sx(x_lo):.2f} {sy(0.0):.2f}"]
     for n, frac in steps:
-        d.append(f"H {sx(n):.2f}")
-        d.append(f"V {sy(frac):.2f}")
+        d.append(f"H {sx(n):.2f} V {sy(frac):.2f}")
     d.append(f"H {sx(x_hi):.2f}")
     path = " ".join(d)
 
@@ -389,8 +388,7 @@ def _cmd_diagnose(args):
     header = ("scenario,mu_diff,sigma1,sigma2,q,n_max,m,reps,prevalence,"
               "mean_departure,mean_duration,mean_argmax,frac_argmax_gt5,"
               "frac_argmax_gt10")
-    rows = []
-    results = []
+    rows, results = [], []
     for name, spec, n_max in jobs:
         summary = scenario_summary(spec, n_max, args.m, args.reps, args.seed)
         # the columns after q are the summary's keys
@@ -409,8 +407,8 @@ def _cmd_diagnose(args):
 def _cmd_bench(args):
     try:
         grid = [int(tok) for tok in args.grid.split(",") if tok.strip()]
-        bad_grid = ([] if all(map(_finite, grid))
-                    else ["--grid values must lie in the float range"])
+        bad_grid = ([] if grid and all(map(_finite, grid))
+                    else ["--grid must list n1 values in the float range"])
     except ValueError:
         grid, bad_grid = [], [f"cannot parse --grid '{args.grid}'"]
     spec = _spec(args, bad_grid)
@@ -420,6 +418,8 @@ def _cmd_bench(args):
     rep_seeds = np.random.SeedSequence(args.seed).generate_state(
         reps, np.uint64)
     header = "n1,n2" + "".join(f",mean_{e},sd_{e}" for e in engines)
+    _fail([f"q * n1 = {spec.q:g} * {n1} overflows the float range"
+           for n1 in grid if math.isinf(spec.q * n1)])
     sizes = [(n1, int(np.rint(spec.q * n1))) for n1 in grid]
     rows = [list(size) for size in sizes]
     timing = {}

@@ -35,7 +35,7 @@ import numpy as np
 from .qrng import _check_count, sobol_stream
 from .special import _TINY, inv_norm, t_quantile
 from .tost import (_check_point, _d_bar, _decide, _finite, _g_in,
-                   _knot_index, _mapped, _margin, _threshold,
+                   _mapped, _margin, _prepare_points, _threshold,
                    require_curve_spec)
 
 __all__ = [
@@ -203,18 +203,18 @@ def _point_g(points, spec):
     for each point.
 
     g.side(k, n) is g(k, n) <= 0 at one n, decided by `tost._decide`
-    from the points' knot indices, computed once per curve; only the
-    cells it evaluates exactly count.  At alpha = 0.5 the
-    paper's g jumps from se to -inf where it changes sign, and Brent's
-    interpolation gets nothing from the jump (up to 49 evaluations a
-    bracket), so there g is a twin: -margin, continuous in n, with the
-    paper's sign exactly (margin = 0, where g = se > 0, maps to the
-    smallest normal float).  The twin needs d_bar alone, so it inverts
-    no chi-square or t quantile; a degenerate sample still raises in
-    the walk's `side`.
+    from the points' z3 and knot indices, prepared once per curve by
+    `tost._prepare_points`; only the cells it evaluates exactly count.
+    At alpha = 0.5 the paper's g jumps from se to -inf where it changes
+    sign, and Brent's interpolation gets nothing from the jump (up to
+    49 evaluations a bracket), so there g is a twin: -margin,
+    continuous in n, with the paper's sign exactly (margin = 0, where
+    g = se > 0, maps to the smallest normal float).  The twin needs
+    d_bar alone, so it inverts no chi-square or t quantile; a
+    degenerate sample still raises in the walk's `side`.
     """
-    u1, u2, z3 = points[:, 0], points[:, 1], inv_norm(points[:, 2])
-    i1, i2 = _knot_index(u1), _knot_index(u2)
+    _, z3, (i1, i2) = _prepare_points(points)
+    u1, u2 = points[:, 0], points[:, 1]
     evals = np.zeros(len(points), dtype=np.int64)
 
     def g(k, n):

@@ -39,10 +39,10 @@ import numpy as np
 
 from . import curve as _curve
 from .qrng import _check_count, _check_seed, sobol_stream
-from .special import inv_norm, t_quantile
+from .special import t_quantile
 from .tost import (_SLACK, DesignSpec, _check_point, _d_bar, _exact_in,
-                   _g_in, _knot_bounds, _sample_se, _screen,
-                   require_curve_spec)
+                   _g_in, _knot_bounds, _prepare_points, _sample_se,
+                   _screen, require_curve_spec)
 
 __all__ = [
     "IntersectionReport",
@@ -194,19 +194,6 @@ def _block_cells(ends):
     return ends[:-1], np.append(ends[1:-1] - 1, ends[-1])
 
 
-def _sub_segment_ends(ends):
-    """Grid indices of the cells that end a sub-segment: every
-    ceil(sqrt(W))-th cell of a W-cell block, from its first, and its
-    last cell.  Blocks of one or two cells are all ends, and a block of
-    three has one interior cell, its middle one."""
-    first, last = _block_cells(ends)
-    stride = np.ceil(np.sqrt(last - first + 1.0)).astype(np.intp)
-    cell = np.arange(ends[-1] + 1)
-    block = np.searchsorted(last, cell)
-    return np.nonzero(((cell - first[block]) % stride[block] == 0)
-                      | (cell == last[block]))[0]
-
-
 def _ranges(start, count):
     """The integer ranges start[i] .. start[i] + count[i] - 1, one after
     the other."""
@@ -214,11 +201,11 @@ def _ranges(start, count):
                                               + count, count)
 
 
-def _block_bounds(u1, u2, z3, spec, n1, n2, ends):
+def _block_bounds(i1, i2, z3, spec, n1, n2, ends):
     """Bounds over the cells of each block (see `_block_cells`), as the
-    (lo, hi) pairs (se, margin, t) that `_screen` takes, for points
-    (u1, u2, z3 = inv_norm(u3)) on the grid n1, n2 with block ends
-    `ends`.
+    (lo, hi) pairs (se, margin, t) that `_screen` takes, for points of
+    knot indices (i1, i2) and z3 = inv_norm(u3) (see
+    `tost._prepare_points`) on the grid n1, n2 with block ends `ends`.
 
     Chi-square quantiles rise with the df, so the knot tables at
     block k's first cell bound them from below, and those at ends[k + 1]
@@ -234,8 +221,8 @@ def _block_bounds(u1, u2, z3, spec, n1, n2, ends):
     first, last = _block_cells(ends)
     k = np.arange(len(first))
     top = np.where(last == first, k, k + 1)
-    lo1, hi1 = _knot_bounds(u1, n1[ends] - 1.0)
-    lo2, hi2 = _knot_bounds(u2, n2[ends] - 1.0)
+    lo1, hi1 = _knot_bounds(i1, n1[ends] - 1.0)
+    lo2, hi2 = _knot_bounds(i2, n2[ends] - 1.0)
     se, margin = _span_bounds((lo1[:, k], lo2[:, k]),
                               (hi1[:, top], hi2[:, top]), z3[:, None], spec,
                               n1, n2, first, last)
@@ -251,25 +238,27 @@ def _grid_scan(points, spec, n1_grid, n2_grid):
 
     Block screen: `_screen` decides each (point, block) pair from the
     knot-table `_block_bounds`, and a decided pair's state holds at
-    every cell of the block.  The pairs whose se_hi reaches the point's
-    largest se_lo (only they can hold its se argmax) are evaluated cell
-    by cell.  Every other open pair is split into sub-segments of
-    ceil(sqrt(W)) cells, W the block's width, and only their ends are
-    evaluated, in the same `_exact_in` call, over whose cells the se
-    argmax is taken.  A sub-segment's interior is bounded by
-    `_span_bounds` from the chi-square quantiles at its two ends,
-    widened by _SLACK, and decided by `_screen`; the interiors left
-    open take a second `_exact_in` call.  Every exact cell is decided
-    against its block's t band, which holds at every cell of the block.
+    every cell of the block.  The first `_exact_in` call evaluates,
+    over every open pair and every pair whose se_hi reaches the point's
+    largest se_lo (only they can hold its se argmax), every s-th cell
+    of the block from its first, and its last: s is 1 for a pair that
+    can hold the argmax, which is taken over these cells, and
+    ceil(sqrt(W)) otherwise, W the block's width.  The interior of a
+    sub-segment between two such cells is bounded by `_span_bounds`
+    from their chi-square quantiles, widened by _SLACK, and decided by
+    `_screen`; the interiors left open take a second `_exact_in` call.
+    Every exact cell is decided against its block's t band, which holds
+    at every cell of the block.
     """
-    u1, u2, z3 = points[:, 0], points[:, 1], inv_norm(points[:, 2])
+    _, z3, (i1, i2) = _prepare_points(points)
+    u1, u2 = points[:, 0], points[:, 1]
     n1, n2 = n1_grid.astype(float), n2_grid.astype(float)
     # a one-cell grid is the block [0, 0]
     ends = _block_ends(n1_grid)
     ends = np.resize(ends, max(2, len(ends)))
     first, last = _block_cells(ends)
     width = last - first + 1
-    bounds = _block_bounds(u1, u2, z3, spec, n1, n2, ends)
+    bounds = _block_bounds(i1, i2, z3, spec, n1, n2, ends)
     block_in, open_ = _screen(_g_in, *bounds)
     se_lo, se_hi = bounds[0]
     t_lo, t_hi = bounds[2]
@@ -281,17 +270,13 @@ def _grid_scan(points, spec, n1_grid, n2_grid):
                                         n1[j], n2[j], (t_lo[k], t_hi[k]))
         return se, x
 
-    # the exact cells (p, j) of blocks k, row-major: every cell of a pair
-    # that can hold the se argmax, the sub-segment ends of another open
-    # pair, each a run of the grid's cells followed by the ends
-    cuts = _sub_segment_ends(ends)
-    cut0 = np.searchsorted(cuts, first)
+    # the exact cells (p, j) of blocks k, row-major: the cells first,
+    # first + s, ... below last, then last, ceil((W - 1) / s) + 1 in all
     p, k = np.nonzero(peak | open_)
-    whole = peak[p, k]
-    count = np.where(whole, width[k], np.diff(cut0, append=len(cuts))[k])
-    j = np.append(np.arange(len(n1)), cuts)[_ranges(
-        np.where(whole, first[k], len(n1) + cut0[k]), count)]
-    p, k = np.repeat(p, count), np.repeat(k, count)
+    s = np.where(peak, 1, np.ceil(np.sqrt(width)).astype(np.intp))[p, k]
+    count = (width[k] + s - 2) // s + 1
+    p, k, s = (np.repeat(v, count) for v in (p, k, s))
+    j = np.minimum(first[k] + s * _ranges(0, count), last[k])
     se, (x1, x2) = exact(p, j, k)
     # a stable sort by (p, -se) puts each row's largest se first, ties on
     # the smallest n; every row has exact cells, in the block of its

@@ -377,11 +377,18 @@ def _unit_cube_points(m, seed, sampler):
 @functools.lru_cache(maxsize=1)
 def _cached_points(m, seed, sampler):
     if sampler == "sobol":
-        u = sobol_stream(3, m, seed).points
-    else:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        u = np.clip(rng.random((m, 3)), CLAMP_LOW, CLAMP_HIGH)
-        u.setflags(write=False)
+        return _prepare_points(sobol_stream(3, m, seed).points)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    u = np.clip(rng.random((m, 3)), CLAMP_LOW, CLAMP_HIGH)
+    u.setflags(write=False)
+    return _prepare_points(u)
+
+
+def _prepare_points(u):
+    """(u, z3, (i1, i2)) for an (m, 3) block of points u: z3 = inv_norm
+    of the third coordinate and the knot indices (see `_knot_index`) of
+    the first two.  The arrays made here are read-only, since the
+    estimator's cache shares them; u is returned as given."""
     z3 = inv_norm(u[:, 2])
     knots = _knot_index(u[:, 0]), _knot_index(u[:, 1])
     for arr in (z3, *knots):
@@ -480,9 +487,10 @@ def _chisq_brackets(df):
     below 1, so the bounds hold for every p in (0, 1), below the clamp
     too; every other bound is finite and positive.
 
-    Three screens read the tables: the estimator and the curve walk
-    through the variance tables of `_variance_brackets`, at the sizes
-    of each `_decide` call, and the integer scans through
+    Three screens read the tables, each at the knot indices that
+    `_prepare_points` made for its points: the estimator and the curve
+    walk through the variance tables of `_variance_brackets`, at the
+    sizes of each `_decide` call, and the integer scans through
     `_knot_bounds`, at every block end of their grid.  The tables recur
     across calls, so up to 256 (16 KB each, 4 MB in all) are cached,
     read-only since every caller shares them.  A scan needs one table
@@ -526,15 +534,12 @@ def _knot_index(u):
     return (u * _K).astype(np.intp)
 
 
-def _knot_bounds(u, df):
+def _knot_bounds(i, df):
     """Bounds (lo, hi) on inv_chisq(u, df) from the knot tables of
-    `_chisq_brackets`: elementwise over u at a scalar df, and of shape
-    (len(u), len(df)) for a 1-d array of df.  The integer scans read
-    them here; `_decide` reads `_variance_brackets` instead."""
-    i = _knot_index(u)
-    if np.ndim(df) == 0:
-        lo, hi = _chisq_brackets(df)
-        return lo[i], hi[i]
+    `_chisq_brackets`, each of shape (len(i), len(df)), for points u of
+    knot indices i (see `_knot_index`) at a 1-d array of df.  The
+    integer scans read them here; `_decide` reads `_variance_brackets`
+    instead."""
     tables = [_chisq_brackets(d) for d in df]
     return tuple(np.array([t[side][i] for t in tables]).T for side in (0, 1))
 
@@ -556,11 +561,11 @@ def _exact_in(in_region, u1, u2, z3, spec, n1, n2, band):
     return flags, se, x
 
 
-def _decide(in_region, u1, u2, z3, spec, n1, n2, knots=None):
+def _decide(in_region, u1, u2, z3, spec, n1, n2, knots):
     """Decide in_region(se, margin, t) for points (u1, u2, z3 =
     inv_norm(u3)) at scalar sizes n1, n2, with quantiles of their own
     only where bounds leave the answer open.  knots are the points'
-    indices (i1, i2) of `_knot_index`, computed here if not given.
+    indices (i1, i2) of `_knot_index`, as `_prepare_points` makes them.
 
     se is bounded from the knot tables of `_variance_brackets`,
     gathered by knot index, the end knots of `_t_table` bound t over
@@ -574,8 +579,7 @@ def _decide(in_region, u1, u2, z3, spec, n1, n2, knots=None):
     the second under 0.3%.  Returns (flags, exact), exact the indices
     evaluated exactly.
     """
-    i1, i2 = knots if knots is not None else (_knot_index(u1),
-                                              _knot_index(u2))
+    i1, i2 = knots
     s1_lo, s1_hi, a1_lo, a1_hi = _variance_brackets(spec.sigma1, n1)
     s2_lo, s2_hi, a2_lo, a2_hi = _variance_brackets(spec.sigma2, n2)
     margin = _margin(_d_bar(z3, spec, n1, n2), spec)
@@ -599,18 +603,6 @@ def _decide(in_region, u1, u2, z3, spec, n1, n2, knots=None):
                                  spec, n1, n2,
                                  (band[0][keep], band[1][keep]))[0]
     return flags, exact
-
-
-def _rejection_flags(u, z3, spec, n1, n2, knots=None):
-    """Vectorized rejection decisions for an (m, 3) block of points u,
-    with z3 = inv_norm(u[:, 2]) and knots as in `_decide`.
-
-    Elementwise identical to stats_from_point followed by rejects,
-    without the chi-square and t quantiles for most points (see
-    `_decide`).
-    """
-    return _decide(_tost_in, u[:, 0], u[:, 1], z3, spec, float(n1),
-                   float(n2), knots)[0]
 
 
 def empirical_power(spec, n1, n2, m, seed, sampler="sobol"):
@@ -641,7 +633,7 @@ def empirical_power(spec, n1, n2, m, seed, sampler="sobol"):
     Each decision is the one stats_from_point followed by rejects would
     make, but the chi-square and t quantiles are inverted only for the
     points whose decision depends on their exact values (see
-    `_rejection_flags`): at m = 65536 on the benchmark designs, at most
+    `_decide`): at m = 65536 on the benchmark designs, at most
     about 0.3% of the points (n = 3 to 20) and under 0.1% from n = 30
     on.
 
@@ -655,5 +647,6 @@ def empirical_power(spec, n1, n2, m, seed, sampler="sobol"):
     # one observation cannot estimate a variance
     n1, n2 = _check_count("n1", n1, 2), _check_count("n2", n2, 2)
     u, z3, knots = _unit_cube_points(m, seed, sampler)
-    return int(np.count_nonzero(_rejection_flags(u, z3, spec, n1, n2,
-                                                 knots))) / len(u)
+    flags = _decide(_tost_in, u[:, 0], u[:, 1], z3, spec, float(n1),
+                    float(n2), knots)[0]
+    return int(np.count_nonzero(flags)) / len(u)

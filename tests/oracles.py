@@ -15,9 +15,9 @@ import math
 import mpmath as mp
 import numpy as np
 
-from bepower.tost import (_SLACK, _cell_t_band, _d_bar, _exact_in,
-                          _knot_bounds, _margin, _sample_se, _screen,
-                          _t_table)
+from bepower.tost import (_SLACK, _cell_t_band, _chisq_brackets, _d_bar,
+                          _exact_in, _knot_index, _margin, _sample_se,
+                          _screen, _t_table)
 
 mp.mp.dps = 30
 
@@ -75,10 +75,11 @@ def t_quantile_ref(p, df):
 
 def decide_gather_first(in_region, u1, u2, z3, spec, n1, n2):
     """(flags, exact) of `bepower.tost._decide`, with the se and
-    variance bounds formed per point from gathered knot brackets."""
+    variance bounds formed per point from the knot brackets of
+    `_chisq_brackets`, gathered at the points' own knot indices."""
     margin = _margin(_d_bar(z3, spec, n1, n2), spec)
-    lo1, hi1 = _knot_bounds(u1, n1 - 1.0)
-    lo2, hi2 = _knot_bounds(u2, n2 - 1.0)
+    lo1, hi1 = (b[_knot_index(u1)] for b in _chisq_brackets(n1 - 1.0))
+    lo2, hi2 = (b[_knot_index(u2)] for b in _chisq_brackets(n2 - 1.0))
     t = _t_table(spec.alpha, n1, n2)
     with np.errstate(over="ignore", invalid="ignore"):
         s1_lo, s2_lo, se_lo = _sample_se(lo1, lo2, spec, n1, n2)

@@ -298,6 +298,25 @@ class TestBenchCommand:
         assert code == 2
         assert "--grid" in err
 
+    @pytest.mark.parametrize("grid", [",", "", " , ,"])
+    def test_empty_grid(self, capsys, tmp_path, grid):
+        # a grid of no n1 is an input error, not an empty table
+        j = tmp_path / "bench.json"
+        code, out, err = run(capsys, "bench", *DESIGN, "--grid", grid,
+                             "--seed", "8", "--json", str(j))
+        assert (code, out) == (2, "")
+        assert err == ("error: --grid must list n1 values in the float "
+                       "range\n")
+        assert not j.exists()
+
+    def test_q_times_n1_overflow(self, capsys):
+        # q * n1 beyond the float range has no rounded group-2 size
+        code, out, err = run(capsys, "bench", *DESIGN, "--q", "1e308",
+                             "--grid", "3,5", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == ("error: q * n1 = 1e+308 * 3 overflows the float range\n"
+                       "error: q * n1 = 1e+308 * 5 overflows the float range\n")
+
     def test_json_reruns_identical_outside_metadata(self, capsys, tmp_path):
         records = []
         for tag in ("a", "b"):

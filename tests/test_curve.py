@@ -17,7 +17,7 @@ from bepower import (
     se_of_n,
     smallest_crossing,
 )
-from bepower import tost
+from bepower import curve, tost
 from bepower.crossover import to_two_group
 from bepower.curve import (_bracket_nodes, _crossings, _domain_start, _g,
                            _locate, _point_g, _resolve)
@@ -504,6 +504,29 @@ def test_safeguard_fires_end_to_end(motivating, seed, target, n_initial,
     pts = sobol_stream(3, m, seed).points
     assert (np.mean(pc.crossings <= pc.n_star_final)
             == np.mean(g_at(pts, motivating, pc.n_star_final) <= 0.0))
+
+
+def test_safeguard_warns_when_the_quantile_keeps_moving(motivating,
+                                                        monkeypatch):
+    # no known design moves the quantile in three safeguard rounds in a
+    # row, so the quantile is patched to alternate between the true one
+    # and one a unit above it; the curve warns and keeps the last one
+    quantile = curve._type1_quantile
+    returned = []
+
+    def alternating(values, target_power):
+        returned.append(quantile(values, target_power) + len(returned) % 2)
+        return returned[-1]
+
+    monkeypatch.setattr(curve, "_type1_quantile", alternating)
+    with pytest.warns(RuntimeWarning, match="did not stabilize after 3 "
+                                            "rounds"):
+        pc = power_curve(motivating, 0.8, 1024, 2024)
+    assert len(returned) == 4
+    assert all(a != b for a, b in zip(returned, returned[1:]))
+    assert pc.n_star_initial == returned[0]
+    assert pc.n_star_final == returned[-1]
+    assert pc.rec_n1 == math.ceil(returned[-1])
 
 
 @pytest.mark.parametrize("seed,target", [(2024, 0.8), (2, 0.04638671875)])

@@ -19,13 +19,13 @@ from scipy.optimize import brentq
 
 from bepower import diagnostics, tost
 from bepower.curve import _g
-from bepower.diagnostics import (SCENARIO_COMBOS, _block_bounds, _block_ends,
-                                 _grid_scan, _integer_grid, _span_bounds,
-                                 _sub_segment_ends)
+from bepower.diagnostics import (SCENARIO_COMBOS, _block_bounds, _block_cells,
+                                 _block_ends, _grid_scan, _integer_grid,
+                                 _span_bounds)
 from bepower.qrng import CLAMP_HIGH, CLAMP_LOW, sobol_stream
 from bepower.special import inv_norm, t_quantile
-from bepower.tost import (_SLACK, _chisq_brackets, _g_in, _mapped, _screen,
-                          _t_band, _threshold, _trial)
+from bepower.tost import (_SLACK, _chisq_brackets, _g_in, _knot_index,
+                          _mapped, _screen, _t_band, _threshold, _trial)
 
 FIXTURE_U = (0.184, 0.231, 0.449)
 
@@ -231,7 +231,8 @@ class TestGridScan:
         u1, u2, z3 = pts[:, 0], pts[:, 1], inv_norm(pts[:, 2])
         n1, n2 = (n.astype(float) for n in _integer_grid(spec, n_max))
         ends = _block_ends(n1)
-        bounds = _block_bounds(u1, u2, z3, spec, n1, n2, ends)
+        bounds = _block_bounds(_knot_index(u1), _knot_index(u2), z3, spec,
+                               n1, n2, ends)
         se, margin, nu = _mapped(u1[:, None], u2[:, None], z3[:, None], spec,
                                  n1, n2)
         values = se, margin, t_quantile(1.0 - spec.alpha, nu)
@@ -265,14 +266,12 @@ class TestGridScan:
         se, margin, _, (x1, x2) = _mapped(u1[:, None], u2[:, None],
                                           z3[:, None], spec, n1, n2,
                                           quantiles=True)
-        cut = _sub_segment_ends(ends)
         widths, interior = set(), 0
-        for first, last in zip(ends[:-1], [*(ends[1:-1] - 1), ends[-1]]):
+        for first, last in zip(*_block_cells(ends)):
             width = last - first + 1
             widths.add(width)
-            cuts = cut[(first <= cut) & (cut <= last)]
-            np.testing.assert_array_equal(cuts, np.union1d(np.arange(
-                first, last + 1, math.ceil(math.sqrt(width))), last))
+            cuts = np.union1d(np.arange(first, last + 1,
+                                        math.ceil(math.sqrt(width))), last)
             for a, b in zip(cuts[:-1], cuts[1:]):
                 bounds = _span_bounds(
                     (x1[:, a] * (1.0 - _SLACK), x2[:, a] * (1.0 - _SLACK)),
@@ -287,6 +286,52 @@ class TestGridScan:
         assert {1, 2, 3} <= widths
         assert widths - {k * k for k in range(100)}
         assert interior > 0.3 * len(n1)
+
+    @pytest.mark.parametrize("spec,n_max", [
+        SCENARIOS["s2_mu16"], SCENARIOS["s6_mu12"], SCENARIOS["s7_mu8"],
+        (DesignSpec(-4.0, 3.0, 30.0, -19.2, 19.2, q=0.3), 600),
+        (DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, alpha=0.5), 300)],
+        ids=["s2_mu16", "s6_mu12", "s7_mu8", "q_0.3", "alpha_half"])
+    def test_first_exact_call_cuts_each_pair_at_its_stride(self, spec, n_max,
+                                                           monkeypatch):
+        # the first exact call takes, pair by pair in row-major order,
+        # every cell of a (point, block) pair whose se_hi reaches the
+        # point's largest se_lo, and every ceil(sqrt(W))-th cell from the
+        # first of any other open pair, plus its last
+        pts = sobol_stream(3, 64, 3).points.copy()
+        pts[:2, :2] = [[CLAMP_LOW, CLAMP_HIGH], [CLAMP_HIGH, CLAMP_LOW]]
+        row = {u: p for p, u in enumerate(pts[:, 0])}
+        assert len(row) == len(pts)
+        n1, n2 = _integer_grid(spec, n_max)
+        calls = []
+        exact_in = diagnostics._exact_in
+
+        def recording(in_region, u1, u2, z3, spec, n1_cells, *args):
+            calls.append(([row[u] for u in u1.tolist()],
+                          np.searchsorted(n1, n1_cells).tolist()))
+            return exact_in(in_region, u1, u2, z3, spec, n1_cells, *args)
+
+        monkeypatch.setattr(diagnostics, "_exact_in", recording)
+        _grid_scan(pts, spec, n1, n2)
+        ends = _block_ends(n1)
+        first, last = _block_cells(ends)
+        width = last - first + 1
+        bounds = _block_bounds(_knot_index(pts[:, 0]), _knot_index(pts[:, 1]),
+                               inv_norm(pts[:, 2]), spec, n1.astype(float),
+                               n2.astype(float), ends)
+        open_ = _screen(_g_in, *bounds)[1]
+        se_lo, se_hi = bounds[0]
+        peak = se_hi >= se_lo.max(axis=1, keepdims=True)
+        expected = [], []
+        for p, k in zip(*np.nonzero(peak | open_)):
+            stride = 1 if peak[p, k] else math.ceil(math.sqrt(width[k]))
+            cells = np.union1d(np.arange(first[k], last[k] + 1, stride),
+                               last[k]).tolist()
+            expected[0].extend([p] * len(cells))
+            expected[1].extend(cells)
+        assert calls[0] == expected
+        # pairs of three cells or more, where the two strides differ
+        assert np.any((peak | open_) & (width >= 3))
 
     def test_chi_square_elements_of_the_longest_scan(self, monkeypatch):
         # the benchmark's s2_mu16 summary (m = 128, seed 7) with warm knot

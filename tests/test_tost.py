@@ -23,10 +23,9 @@ from bepower.qrng import CLAMP_HIGH, CLAMP_LOW, sobol_stream
 from bepower.special import inv_chisq, inv_norm, t_quantile
 from bepower.tost import (_J, _K, _SLACK, _TINY, _X_PER_DF, _cached_points,
                           _cell_t_band, _chisq_brackets, _decide, _g_in,
-                          _knot_bounds, _knot_index, _mapped,
-                          _rejection_flags, _sample_se, _screen, _t_band,
-                          _t_table, _tost_in, _unit_cube_points,
-                          _variance_brackets)
+                          _knot_index, _mapped, _prepare_points, _sample_se,
+                          _screen, _t_band, _t_table, _tost_in,
+                          _unit_cube_points, _variance_brackets)
 
 from oracles import decide_gather_first
 
@@ -373,6 +372,21 @@ class TestEmpiricalPower:
             empirical_power(motivating, 5, 5, 64, seed=1, sampler="halton")
 
 
+def rejection_flags(u, z3, spec, n1, n2):
+    """The estimator's screened rejection flags for an (m, 3) block of
+    points u with z3 = inv_norm(u[:, 2]), knot indices from u itself."""
+    knots = _knot_index(u[:, 0]), _knot_index(u[:, 1])
+    return _decide(_tost_in, u[:, 0], u[:, 1], z3, spec, float(n1),
+                   float(n2), knots)[0]
+
+
+def knot_bounds(u, df):
+    """Bounds (lo, hi) on inv_chisq(u, df) at a scalar df, gathered from
+    the knot brackets of `_chisq_brackets(df)`."""
+    i = _knot_index(u)
+    return tuple(bound[i] for bound in _chisq_brackets(df))
+
+
 def unscreened_flags(u, spec, n1, n2):
     """Rejection flags with the t quantile computed at every point, as
     the estimator decided before the band screen."""
@@ -434,6 +448,19 @@ class TestPointCache:
         with pytest.raises(ValueError, match="m must|seed must|sampler must"):
             empirical_power(motivating, 5, 5, **args)
 
+    def test_prepared_arrays_are_read_only_but_not_the_callers_points(self):
+        # the curve and the scans prepare their own point blocks, which
+        # stay writable; only z3 and the knot indices made here are frozen
+        u = fresh_points(256, 3, "prng")
+        got, z3, (i1, i2) = _prepare_points(u)
+        assert got is u and u.flags.writeable
+        np.testing.assert_array_equal(z3, inv_norm(u[:, 2]))
+        np.testing.assert_array_equal(i1, np.floor(u[:, 0] * _K))
+        np.testing.assert_array_equal(i2, np.floor(u[:, 1] * _K))
+        for arr in (z3, i1, i2):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
     def test_sobol_stream_is_not_cached(self):
         a, b = sobol_stream(3, 64, 1), sobol_stream(3, 64, 1)
         assert a.points is not b.points
@@ -452,7 +479,7 @@ class TestScreenedRejectionFlags:
                 for n1 in (2, 3, 4, 5, 7, 10, 15, 20, 40, 80, 200):
                     n2 = max(2, int(round(q * n1)))
                     np.testing.assert_array_equal(
-                        _rejection_flags(u, z3, spec, n1, n2),
+                        rejection_flags(u, z3, spec, n1, n2),
                         unscreened_flags(u, spec, n1, n2))
 
     @pytest.mark.parametrize("alpha", [0.001, 0.05, 0.3])
@@ -482,7 +509,7 @@ class TestScreenedRejectionFlags:
         spec = DesignSpec(mu, sigma1, sigma2, center - half, center + half,
                           alpha=alpha)
         u, z3, _ = _unit_cube_points(512, seed, "sobol")
-        np.testing.assert_array_equal(_rejection_flags(u, z3, spec, n1, n2),
+        np.testing.assert_array_equal(rejection_flags(u, z3, spec, n1, n2),
                                       unscreened_flags(u, spec, n1, n2))
 
 
@@ -528,8 +555,8 @@ class TestCellTBand:
             spec = DesignSpec(0.0, 18.0 * c1, 15.0 * c2, -1.0, 1.0,
                               alpha=alpha)
             for n1, n2 in size_pairs(q):
-                lo1, hi1 = _knot_bounds(u1, n1 - 1.0)
-                lo2, hi2 = _knot_bounds(u2, n2 - 1.0)
+                lo1, hi1 = knot_bounds(u1, n1 - 1.0)
+                lo2, hi2 = knot_bounds(u2, n2 - 1.0)
                 s1_lo, s2_lo, _ = _sample_se(lo1, lo2, spec, n1, n2)
                 s1_hi, s2_hi, _ = _sample_se(hi1, hi2, spec, n1, n2)
                 lo, hi = _cell_t_band(alpha, n1, n2, (s1_lo, s1_hi),
@@ -579,15 +606,16 @@ class TestCellTBand:
                               19.2 * c, alpha=alpha)
             for n1, n2 in size_pairs(q):
                 np.testing.assert_array_equal(
-                    _rejection_flags(u, z3, spec, n1, n2),
+                    rejection_flags(u, z3, spec, n1, n2),
                     unscreened_flags(u, spec, n1, n2))
 
     def test_few_cells_exact_at_small_n(self):
         # m = 65536, seed 7, q = 1.5, n = 5: the whole-range band leaves
         # about 11% open, the cells' own bands 0.24%
         spec = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, q=1.5)
-        u, z3, _ = _unit_cube_points(65536, 7, "sobol")
-        _, exact = _decide(_tost_in, u[:, 0], u[:, 1], z3, spec, 5.0, 8.0)
+        u, z3, knots = _unit_cube_points(65536, 7, "sobol")
+        _, exact = _decide(_tost_in, u[:, 0], u[:, 1], z3, spec, 5.0, 8.0,
+                           knots)
         assert len(exact) < 0.005 * len(u)
 
 
@@ -630,8 +658,8 @@ class TestTableFirstBounds:
             for n1, n2 in table_first_pairs(q):
                 s1_lo, s1_hi, a1_lo, a1_hi = _variance_brackets(sigma1, n1)
                 s2_lo, s2_hi, a2_lo, a2_hi = _variance_brackets(sigma2, n2)
-                lo1, hi1 = _knot_bounds(u1, n1 - 1.0)
-                lo2, hi2 = _knot_bounds(u2, n2 - 1.0)
+                lo1, hi1 = knot_bounds(u1, n1 - 1.0)
+                lo2, hi2 = knot_bounds(u2, n2 - 1.0)
                 with np.errstate(over="ignore"):
                     for x1, x2, s1, s2, a1, a2 in (
                             (lo1, lo2, s1_lo, s2_lo, a1_lo, a2_lo),
@@ -644,8 +672,7 @@ class TestTableFirstBounds:
     @pytest.mark.parametrize("q", [1.0, 1.5, 1.0 / 1.5])
     @pytest.mark.parametrize("alpha", [0.05, 0.5])
     def test_decide_equals_gather_first(self, q, alpha):
-        # flags and exact indices, with the knot indices computed in
-        # `_decide` and passed in, on the band's grid with margins where
+        # flags and exact indices, on the band's grid with margins where
         # the decisions are mixed
         u1, u2 = band_cells(6)
         u3 = np.random.Generator(np.random.PCG64(7)).random(u1.size)
@@ -658,19 +685,19 @@ class TestTableFirstBounds:
                 for in_region in (_tost_in, _g_in):
                     ref = decide_gather_first(in_region, u1, u2, z3, spec,
                                               n1, n2)
-                    for got in (_decide(in_region, u1, u2, z3, spec, n1, n2),
-                                _decide(in_region, u1, u2, z3, spec, n1, n2,
-                                        knots)):
-                        np.testing.assert_array_equal(got[0], ref[0])
-                        np.testing.assert_array_equal(got[1], ref[1])
+                    got = _decide(in_region, u1, u2, z3, spec, n1, n2, knots)
+                    np.testing.assert_array_equal(got[0], ref[0])
+                    np.testing.assert_array_equal(got[1], ref[1])
 
     def test_degenerate_sample_raises_on_both_paths(self):
         spec = DesignSpec(0.0, 1e-150, 1e-150, -1e-140, 1e-140)
         u = np.full(4, 0.5)
         u[2] = CLAMP_LOW
-        for decide in (_decide, decide_gather_first):
-            with pytest.raises(ValueError, match="degenerate"):
-                decide(_tost_in, u, u, inv_norm(u), spec, 2.0, 2.0)
+        knots = _knot_index(u), _knot_index(u)
+        with pytest.raises(ValueError, match="degenerate"):
+            _decide(_tost_in, u, u, inv_norm(u), spec, 2.0, 2.0, knots)
+        with pytest.raises(ValueError, match="degenerate"):
+            decide_gather_first(_tost_in, u, u, inv_norm(u), spec, 2.0, 2.0)
 
     def test_tables_are_cached_and_read_only(self):
         tables = _variance_brackets(18.0, 9.0)
@@ -836,7 +863,7 @@ class TestChisqScreen:
             for n1 in TABLE1_GRID:
                 n2 = int(round(q * n1))
                 np.testing.assert_array_equal(
-                    _rejection_flags(u, z3, spec, n1, n2),
+                    rejection_flags(u, z3, spec, n1, n2),
                     unscreened_flags(u, spec, n1, n2))
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5])
@@ -858,7 +885,7 @@ class TestChisqScreen:
                                   alpha=alpha)
                 for n1, n2 in ((2, 2), (3, 5), (20, 20), (60, 90), (300, 7)):
                     np.testing.assert_array_equal(
-                        _rejection_flags(u, z3, spec, n1, n2),
+                        rejection_flags(u, z3, spec, n1, n2),
                         unscreened_flags(u, spec, n1, n2))
 
     def test_degenerate_sample_still_raises(self):
@@ -867,4 +894,4 @@ class TestChisqScreen:
         u = np.full((4, 3), 0.5)
         u[2, :2] = CLAMP_LOW
         with pytest.raises(ValueError, match="degenerate"):
-            _rejection_flags(u, inv_norm(u[:, 2]), spec, 2, 2)
+            rejection_flags(u, inv_norm(u[:, 2]), spec, 2, 2)
