@@ -13,25 +13,24 @@ reproduced at any replication budget.
 A point's statistics are monotone segments in n: its chi-square
 quantiles rise with the degrees of freedom, 1/(n - 1) and 1/n fall,
 and d_bar moves monotonically toward mu_diff.  So the scans cut the
-grid into geometric blocks, bound se over each block's own cells from
-the estimator's knot tables at the block ends (no quantile of the
-point's own), bound margin and the t quantile from the block's first
-and last cells, and decide whole blocks at once.  The blocks that
-could hold the se argmax are evaluated cell by cell, and each point's
-se peak is taken from them.  Any other block the bounds leave open is
-cut into sub-segments of about sqrt(W) of its W cells, evaluated at
-their ends only; the exact chi-square quantiles there bound the
-sub-segments' interiors, and only the interiors still open are
-evaluated cell by cell.  At m = 128 on the scenario bank, about 2.6%
-of the cells are evaluated exactly at n_max = 100, 1.6% at 500 and
-0.9% at 2500 (9%, 4% and 3% when open blocks were evaluated whole).
-Exact cells are decided against their block's t band, and take a t
-quantile of their own only where it leaves them open.  Every flag and
-se argmax is the one a cell-by-cell scan gives.
+grid into geometric blocks of about n1/64 cells, bound se over each
+block's own cells from the shared knot tables at the block ends (no
+quantile of the point's own), bound margin and the t quantile from the
+block's first and last cells, and decide whole blocks at once.  The
+blocks the bounds leave open, and those that could hold the se argmax,
+are evaluated cell by cell in one exact call, and each point's se peak
+is taken from them.  At m = 128 on the benchmark scenarios that is
+about 1.8% of the cells at n_max = 100, 0.44% at 500 and 0.29% at 2500
+(2.2%, 1.6% and 0.9% with blocks of n1/8 cells, whose open blocks were
+cut into sub-segments of about sqrt(W) of their W cells).  Exact cells
+are decided against their block's t band, and take a t quantile of
+their own only where it leaves them open.  Every flag and se argmax is
+the one a cell-by-cell scan gives.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,9 +57,9 @@ __all__ = [
 # points per grid scan; keeps peak memory modest even on the
 # n_max = 2500 scenarios
 _CHUNK = 128
-# blocks of the integer n1 grid are one column wide while n1 < 8, then
-# floor(n1 / 8) wide, so their ends grow geometrically by 1 + 1/8
-_BLOCK_SHIFT = 3
+# blocks of the integer n1 grid are one column wide while n1 < 64, then
+# floor(n1 / 64) wide, so their ends grow geometrically by 1 + 1/64
+_BLOCK_SHIFT = 6
 
 # (sigma1, sigma2, q) combinations of the scenario bank
 SCENARIO_COMBOS = {
@@ -143,8 +142,12 @@ class SePeakReport:
 
 def _integer_grid(spec, n_max):
     """Integer n1 grid with round-half-even n2 (as floats, which a huge
-    q does not overflow), both sizes >= 2."""
+    q does not overflow), both sizes >= 2; a ValueError where q * n_max
+    overflows the float range."""
     n_max = _check_count("n_max", n_max, 2)
+    if math.isinf(spec.q * n_max):
+        raise ValueError(f"q * n_max = {spec.q:g} * {n_max} overflows the "
+                         "float range")
     # rint(q n) >= 2 exactly when q n >= 1.5; 1.5 / q may round up to
     # the next integer, so start one below it and let the predicate
     # itself settle the first n
@@ -158,33 +161,14 @@ def _integer_grid(spec, n_max):
 
 
 def _block_ends(n1_grid):
-    """Grid indices of the block ends; neighbouring blocks share one."""
+    """Grid indices of the block ends; neighbouring blocks share one, and
+    a one-cell grid is the block [0, 0]."""
     last = len(n1_grid) - 1
     ends = [0]
-    while ends[-1] < last:
+    while len(ends) < 2 or ends[-1] < last:
         i = ends[-1]
         ends.append(min(last, i + max(1, int(n1_grid[i]) >> _BLOCK_SHIFT)))
     return np.array(ends)
-
-
-def _span_bounds(x_lo, x_hi, z3, spec, n1, n2, a, b):
-    """Bounds on se and margin, as the (lo, hi) pairs that `_screen`
-    takes, over the grid cells a to b of points with z3 = inv_norm(u3)
-    (arrays broadcast), given x_lo = (x1, x2) at most and x_hi at least
-    the chi-square quantiles of every cell.
-
-    n1 and n2 do not fall along the grid, so se_lo is `_sample_se` of
-    x_lo with the n-denominators of cell b and se_hi that of x_hi with
-    those of cell a; d_bar moves monotonically from its value at a to
-    its value at b, which bound margin.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        se = (_sample_se(*x_lo, spec, n1[b], n2[b])[2],
-              _sample_se(*x_hi, spec, n1[a], n2[a])[2])
-    d_a, d_b = _d_bar(z3, spec, n1[a], n2[a]), _d_bar(z3, spec, n1[b], n2[b])
-    d_lo, d_hi = np.minimum(d_a, d_b), np.maximum(d_a, d_b)
-    return se, (np.minimum(d_lo - spec.delta_L, spec.delta_U - d_hi),
-                np.minimum(d_hi - spec.delta_L, spec.delta_U - d_lo))
 
 
 def _block_cells(ends):
@@ -194,42 +178,64 @@ def _block_cells(ends):
     return ends[:-1], np.append(ends[1:-1] - 1, ends[-1])
 
 
-def _ranges(start, count):
-    """The integer ranges start[i] .. start[i] + count[i] - 1, one after
-    the other."""
-    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count)
-                                              + count, count)
+def _scan_blocks(spec, n1_grid, n2_grid):
+    """(n1, n2, first, last, dfs, t) of the grid n1_grid, n2_grid at
+    spec.alpha: the sizes as read-only floats, each block's first and
+    last cell (see `_block_cells`), the chi-square df (lo, hi) whose knot
+    tables bound the block's quantiles (see `_block_bounds`), and the
+    block's t band (lo, hi).  They depend on the grid and alpha alone,
+    so they are cached, keyed by the grid's bytes."""
+    return _cached_blocks(spec.alpha, n1_grid.astype(float).tobytes(),
+                          n2_grid.astype(float).tobytes())
 
 
-def _block_bounds(i1, i2, z3, spec, n1, n2, ends):
-    """Bounds over the cells of each block (see `_block_cells`), as the
-    (lo, hi) pairs (se, margin, t) that `_screen` takes, for points of
-    knot indices (i1, i2) and z3 = inv_norm(u3) (see
-    `tost._prepare_points`) on the grid n1, n2 with block ends `ends`.
-
-    Chi-square quantiles rise with the df, so the knot tables at
-    block k's first cell bound them from below, and those at ends[k + 1]
-    from above (at the cell itself for a one-cell block).
-    `_span_bounds` turns them into se and margin bounds with the
-    n-denominators and d_bar of the block's own first and last cells,
-    which cost no quantile.  The block's Welch df lie between
-    min(n1, n2) - 1 at its first cell and n1 + n2 - 2 at its last, and
-    the t quantile falls as the df grow, so one `t_quantile` call at
-    those ends gives t_lo and t_hi, widened by _SLACK as in
-    `tost._t_band`.
-    """
+@functools.lru_cache(maxsize=8)
+def _cached_blocks(alpha, n1, n2):
+    n1, n2 = np.frombuffer(n1), np.frombuffer(n2)
+    ends = _block_ends(n1)
     first, last = _block_cells(ends)
-    k = np.arange(len(first))
-    top = np.where(last == first, k, k + 1)
-    lo1, hi1 = _knot_bounds(i1, n1[ends] - 1.0)
-    lo2, hi2 = _knot_bounds(i2, n2[ends] - 1.0)
-    se, margin = _span_bounds((lo1[:, k], lo2[:, k]),
-                              (hi1[:, top], hi2[:, top]), z3[:, None], spec,
-                              n1, n2, first, last)
-    t = t_quantile(1.0 - spec.alpha,
-                   np.stack([n1[last] + n2[last] - 2.0,
-                             np.minimum(n1[first], n2[first]) - 1.0]))
-    return se, margin, (t[0] * (1.0 - _SLACK), t[1] * (1.0 + _SLACK))
+    # the df of groups 1 and 2 at the block's first cell, and at the
+    # next block's first cell (the grid's last for the last block), so
+    # that neighbours share one table; a one-cell block's own
+    top = np.where(last == first, first, ends[1:])
+    dfs = tuple(np.stack([n1[c], n2[c]]) - 1.0 for c in (first, top))
+    # the block's Welch df lie between min(n1, n2) - 1 at its first cell
+    # and n1 + n2 - 2 at its last, and the t quantile falls as they
+    # grow; widened by _SLACK as in `tost._t_band`
+    t = t_quantile(1.0 - alpha, np.stack([
+        n1[last] + n2[last] - 2.0, np.minimum(n1[first], n2[first]) - 1.0]))
+    t = t[0] * (1.0 - _SLACK), t[1] * (1.0 + _SLACK)
+    for arr in (first, last, *dfs, *t):
+        arr.setflags(write=False)
+    return n1, n2, first, last, dfs, t
+
+
+def _block_bounds(i1, i2, z3, spec, blocks):
+    """Bounds over the cells of each block, as the (lo, hi) pairs (se,
+    margin, t) that `_screen` takes, for points of knot indices (i1, i2)
+    and z3 = inv_norm(u3) (see `tost._prepare_points`) on the grid of
+    `blocks` (see `_scan_blocks`).
+
+    Chi-square quantiles rise with the df, so the knot tables at the
+    block's first cell bound them from below, and those at the next
+    block's first cell (at the cell itself for a one-cell block) from
+    above (`_knot_bounds`).  n1 and n2 do not fall along the grid,
+    so se_lo is `_sample_se` of the lower bounds with the
+    n-denominators of the block's last cell and se_hi that of the upper
+    bounds with those of its first cell; d_bar moves monotonically from
+    its value at the first cell to its value at the last, which bound
+    margin.  None of them costs a quantile of the point's own, and the
+    t band comes with the blocks.
+    """
+    n1, n2, first, last, dfs, t = blocks
+    lo, hi = _knot_bounds(np.stack([i1, i2]), *dfs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        se = (_sample_se(*lo, spec, n1[last], n2[last])[2],
+              _sample_se(*hi, spec, n1[first], n2[first])[2])
+    d_a, d_b = (_d_bar(z3[:, None], spec, n1[c], n2[c]) for c in (first, last))
+    d_lo, d_hi = np.minimum(d_a, d_b), np.maximum(d_a, d_b)
+    return se, (np.minimum(d_lo - spec.delta_L, spec.delta_U - d_hi),
+                np.minimum(d_hi - spec.delta_L, spec.delta_U - d_lo)), t
 
 
 def _grid_scan(points, spec, n1_grid, n2_grid):
@@ -238,68 +244,33 @@ def _grid_scan(points, spec, n1_grid, n2_grid):
 
     Block screen: `_screen` decides each (point, block) pair from the
     knot-table `_block_bounds`, and a decided pair's state holds at
-    every cell of the block.  The first `_exact_in` call evaluates,
-    over every open pair and every pair whose se_hi reaches the point's
-    largest se_lo (only they can hold its se argmax), every s-th cell
-    of the block from its first, and its last: s is 1 for a pair that
-    can hold the argmax, which is taken over these cells, and
-    ceil(sqrt(W)) otherwise, W the block's width.  The interior of a
-    sub-segment between two such cells is bounded by `_span_bounds`
-    from their chi-square quantiles, widened by _SLACK, and decided by
-    `_screen`; the interiors left open take a second `_exact_in` call.
-    Every exact cell is decided against its block's t band, which holds
-    at every cell of the block.
+    every cell of the block.  One `_exact_in` call evaluates every cell
+    of each open pair and of each pair whose se_hi reaches the point's
+    largest se_lo: only those can hold its se argmax, which is taken
+    over these cells.  Every exact cell is decided against its block's
+    t band, which holds at every cell of the block.
     """
     _, z3, (i1, i2) = _prepare_points(points)
-    u1, u2 = points[:, 0], points[:, 1]
-    n1, n2 = n1_grid.astype(float), n2_grid.astype(float)
-    # a one-cell grid is the block [0, 0]
-    ends = _block_ends(n1_grid)
-    ends = np.resize(ends, max(2, len(ends)))
-    first, last = _block_cells(ends)
+    blocks = _scan_blocks(spec, n1_grid, n2_grid)
+    n1, n2, first, last, _, (t_lo, t_hi) = blocks
     width = last - first + 1
-    bounds = _block_bounds(i1, i2, z3, spec, n1, n2, ends)
+    bounds = _block_bounds(i1, i2, z3, spec, blocks)
     block_in, open_ = _screen(_g_in, *bounds)
-    se_lo, se_hi = bounds[0]
-    t_lo, t_hi = bounds[2]
-    peak = se_hi >= se_lo.max(axis=1, keepdims=True)
+    peak = bounds[0][1] >= bounds[0][0].max(axis=1, keepdims=True)
     in_rej = np.repeat(block_in, width, axis=1)
-
-    def exact(p, j, k):
-        in_rej[p, j], se, x = _exact_in(_g_in, u1[p], u2[p], z3[p], spec,
-                                        n1[j], n2[j], (t_lo[k], t_hi[k]))
-        return se, x
-
-    # the exact cells (p, j) of blocks k, row-major: the cells first,
-    # first + s, ... below last, then last, ceil((W - 1) / s) + 1 in all
-    p, k = np.nonzero(peak | open_)
-    s = np.where(peak, 1, np.ceil(np.sqrt(width)).astype(np.intp))[p, k]
-    count = (width[k] + s - 2) // s + 1
-    p, k, s = (np.repeat(v, count) for v in (p, k, s))
-    j = np.minimum(first[k] + s * _ranges(0, count), last[k])
-    se, (x1, x2) = exact(p, j, k)
+    # the open and peak pairs (p, k), row-major, and then each of their
+    # w cells (p, j), with k its block
+    p, k = np.divmod(np.flatnonzero(peak | open_), len(width))
+    w = width[k]
+    p, k, j = (np.repeat(v, w) for v in (p, k, first[k] - np.cumsum(w) + w))
+    j += np.arange(len(j))
+    in_rej[p, j], se = _exact_in(_g_in, points[p, 0], points[p, 1], z3[p],
+                                 spec, n1[j], n2[j], (t_lo[k], t_hi[k]))
     # a stable sort by (p, -se) puts each row's largest se first, ties on
     # the smallest n; every row has exact cells, in the block of its
     # largest se_lo
     order = np.lexsort((-se, p))
-    argmax = j[order[np.unique(p[order], return_index=True)[1]]]
-
-    # the interiors a .. b of the sub-segments: between two consecutive
-    # exact cells of one pair that are not neighbours
-    i = np.nonzero((p[1:] == p[:-1]) & (k[1:] == k[:-1])
-                   & (j[1:] - j[:-1] > 1))[0]
-    a, b = j[i] + 1, j[i + 1] - 1
-    sub_in, sub_open = _screen(_g_in, *_span_bounds(
-        (x1[i] * (1.0 - _SLACK), x2[i] * (1.0 - _SLACK)),
-        (x1[i + 1] * (1.0 + _SLACK), x2[i + 1] * (1.0 + _SLACK)),
-        z3[p[i]], spec, n1, n2, a, b), (t_lo[k[i]], t_hi[k[i]]))
-    count = b - a + 1
-    p, j, k = np.repeat(p[i], count), _ranges(a, count), np.repeat(k[i], count)
-    in_rej[p, j] = np.repeat(sub_in, count)
-    keep = np.repeat(sub_open, count)
-    if keep.any():
-        exact(p[keep], j[keep], k[keep])
-    return in_rej, argmax
+    return in_rej, j[order[np.unique(p[order], return_index=True)[1]]]
 
 
 def _departure(in_rej, n1_grid):

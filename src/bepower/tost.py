@@ -239,25 +239,22 @@ def _margin(d_bar, spec):
     return np.minimum(d_bar - spec.delta_L, spec.delta_U - d_bar)
 
 
-def _trial(u1, u2, z3, spec, n1, n2, quantiles=False):
+def _trial(u1, u2, z3, spec, n1, n2):
     """The point -> statistics map, (d_bar, s1_sq, s2_sq, se, nu), with
-    z3 = inv_norm(u3), and with quantiles the chi-square quantiles
-    (x1, x2) of u1 and u2 after them.  Arguments broadcast like ufuncs;
-    n1 and n2 may be real and may differ per element."""
-    x = inv_chisq(u1, n1 - 1.0), inv_chisq(u2, n2 - 1.0)
-    s1_sq, s2_sq, se = _sample_se(*x, spec, n1, n2)
-    stats = (_d_bar(z3, spec, n1, n2), s1_sq, s2_sq, se,
-             welch_df(s1_sq, s2_sq, n1, n2))
-    return (*stats, x) if quantiles else stats
+    z3 = inv_norm(u3).  Arguments broadcast like ufuncs; n1 and n2 may
+    be real and may differ per element."""
+    s1_sq, s2_sq, se = _sample_se(inv_chisq(u1, n1 - 1.0),
+                                  inv_chisq(u2, n2 - 1.0), spec, n1, n2)
+    return (_d_bar(z3, spec, n1, n2), s1_sq, s2_sq, se,
+            welch_df(s1_sq, s2_sq, n1, n2))
 
 
-def _mapped(u1, u2, z3, spec, n1, n2, quantiles=False):
-    """The array kernel of mapped statistics, (se, margin, nu), and with
-    quantiles (x1, x2) as in `_trial`: a trial rejects when margin =
-    min(d_bar - delta_L, delta_U - d_bar) > 0 and
+def _mapped(u1, u2, z3, spec, n1, n2):
+    """The array kernel of mapped statistics, (se, margin, nu): a trial
+    rejects when margin = min(d_bar - delta_L, delta_U - d_bar) > 0 and
     t_quantile(1 - alpha, nu) * se < margin."""
-    d_bar, _, _, se, nu, *x = _trial(u1, u2, z3, spec, n1, n2, quantiles)
-    return (se, _margin(d_bar, spec), nu, *x)
+    d_bar, _, _, se, nu = _trial(u1, u2, z3, spec, n1, n2)
+    return se, _margin(d_bar, spec), nu
 
 
 def _check_point(u):
@@ -400,9 +397,11 @@ def _prepare_points(u):
 # the kernels' error, far below the spread of margin / se, so few points
 # fall between the bounds
 _SLACK = 1e-8
-# chi-square knots j / _K; a power of two, so floor(u * _K) is exact
+# chi-square knots j / _K; a power of two, so floor(u * _K) is exact.
+# _KNOTS is the column of knots 1 to _K, the top one at CLAMP_HIGH;
+# knot 0 maps to 0
 _K = 1024
-_KNOTS = np.concatenate([[CLAMP_LOW], np.arange(1, _K) / _K, [CLAMP_HIGH]])
+_KNOTS = np.append(np.arange(1, _K) / _K, CLAMP_HIGH)[:, None]
 # t knots per table of `_t_table`, evenly spaced in df
 _J = 64
 
@@ -475,35 +474,91 @@ def _cell_t_band(alpha, n1, n2, s1_sq, s2_sq):
             * (1.0 + _SLACK))
 
 
-@functools.lru_cache(maxsize=256)
-def _chisq_brackets(df):
-    """Bounds (lo, hi), each of shape (_K,), on inv_chisq(p, df) for every
-    p in (0, 1): with i = floor(p * _K),
-    lo[i] <= inv_chisq(p, df) <= hi[i].
+class _KnotStore:
+    """The chi-square quantiles at the knots of every df the screens
+    have met, one table per df: column c of x is 0 at knot 0 and
+    inv_chisq(_KNOTS, df) at knots 1 to _K, for the df that columns maps
+    to c.  The quantile rises with p, so with i = floor(p * _K) a
+    column's x[i] and x[i + 1] bound inv_chisq(p, df) (see
+    `_knot_bounds`).
 
-    The quantile rises with p, so its values at knots i and i + 1 bound
-    it; the relative slack _SLACK covers the kernel's error.  The lowest
-    lower bound is 0, and the top knot CLAMP_HIGH is the largest double
-    below 1, so the bounds hold for every p in (0, 1), below the clamp
-    too; every other bound is finite and positive.
-
-    Three screens read the tables, each at the knot indices that
+    Three screens share it, each at the knot indices that
     `_prepare_points` made for its points: the estimator and the curve
-    walk through the variance tables of `_variance_brackets`, at the
-    sizes of each `_decide` call, and the integer scans through
-    `_knot_bounds`, at every block end of their grid.  The tables recur
-    across calls, so up to 256 (16 KB each, 4 MB in all) are cached,
-    read-only since every caller shares them.  A scan needs one table
-    per distinct end df: 165 for q = 1.5 at n_max = 1e5, about as long
-    a grid as a chunk of scan points holds in memory, so one scan never
-    evicts a table it needs again.
+    walk through the variance tables of `_variance_brackets`, one df
+    per size, and the integer scans through `_knot_bounds`, at every
+    block end of their grid.  Tables recur across calls and grids, so
+    they are kept, `capacity` of them (8 KB each), in the order they are
+    met.  x is knot-major, so that a point's bounds over a grid's
+    tables lie side by side: the first table touches one page per knot
+    (4.2 MB at capacity 1024), and the tables past 512 the second.  A
+    grid that does not fit in the columns left clears the store and
+    refills it with its own tables, so no scan loses a table it still
+    needs; one with more end dfs than `capacity` (beyond about
+    n_max = 1e6 at q = 1.5) gets as many columns, until the next clear.
+    x is read-only but while it is filled, since every caller shares it.
     """
-    x = inv_chisq(_KNOTS, df)
-    brackets = x[:-1] * (1.0 - _SLACK), x[1:] * (1.0 + _SLACK)
-    brackets[0][0] = 0.0
-    for bound in brackets:
-        bound.setflags(write=False)
-    return brackets
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.clear()
+
+    def clear(self, tables=0):
+        self.x = np.zeros((_K + 1, max(self.capacity, tables)))
+        self.x.setflags(write=False)
+        self.columns = {}
+
+    def columns_of(self, df):
+        """The columns of x that hold the tables of a 1-d array df, with
+        the tables missing built in one `inv_chisq` call."""
+        df, at = np.unique(df, return_inverse=True)
+        df = df.tolist()
+        new = [d for d in df if d not in self.columns]
+        if len(self.columns) + len(new) > self.x.shape[1]:
+            self.clear(len(df))
+            new = df
+        if new:
+            start = len(self.columns)
+            self.x.setflags(write=True)
+            self.x[1:, start:start + len(new)] = inv_chisq(_KNOTS,
+                                                           np.array(new))
+            self.x.setflags(write=False)
+            self.columns.update(zip(new, range(start, start + len(new))))
+        return np.array([self.columns[d] for d in df], dtype=np.intp)[at]
+
+
+# a q = 1.5 scan at n_max = 1e5 meets 982 end dfs, the longest preset
+# grid 520; 1024 tables take 8.4 MB at most
+_STORE = _KnotStore(1024)
+
+
+def _knot_bounds(i, df_lo, df_hi):
+    """Bounds (lo, hi) on inv_chisq(u, df) at every df in [df_lo, df_hi],
+    for points u of knot indices i (see `_knot_index`): i of shape
+    (..., m) and the df of shape (..., k) give bounds of shape
+    (..., m, k).
+
+    The quantile rises with p and with df, so the store's table of
+    df_lo at knot i and that of df_hi at knot i + 1 bound it; the
+    relative slack _SLACK covers the kernel's error.  The lowest lower
+    bound is 0, and the top knot CLAMP_HIGH is the largest double below
+    1, so the bounds hold for every u in (0, 1), below the clamp too;
+    every other bound is finite and positive.  All of a grid's tables
+    are gathered at once.
+    """
+    lo, hi = _STORE.columns_of(np.ravel([df_lo, df_hi])).reshape(
+        2, *np.shape(df_lo))[..., None, :]
+    # flat indices into the knot-major store: one gather per side, along
+    # a knot's row, where a grid's tables sit side by side
+    x, i = _STORE.x, i[..., None] * _STORE.x.shape[1]
+    return (x.take(i + lo) * (1.0 - _SLACK),
+            x.take(i + x.shape[1] + hi) * (1.0 + _SLACK))
+
+
+def _chisq_brackets(df):
+    """Bounds (lo, hi), each of shape (_K,), on inv_chisq(p, df) for
+    every p in (0, 1): with i = floor(p * _K),
+    lo[i] <= inv_chisq(p, df) <= hi[i] (see `_knot_bounds`)."""
+    return tuple(b[:, 0] for b in _knot_bounds(np.arange(_K), [df], [df]))
 
 
 @functools.lru_cache(maxsize=128)
@@ -530,35 +585,25 @@ def _variance_brackets(sigma, n):
 
 def _knot_index(u):
     """i = floor(u * _K), the index of u's knot bracket in the tables
-    of `_chisq_brackets`."""
+    of `_KnotStore`."""
     return (u * _K).astype(np.intp)
-
-
-def _knot_bounds(i, df):
-    """Bounds (lo, hi) on inv_chisq(u, df) from the knot tables of
-    `_chisq_brackets`, each of shape (len(i), len(df)), for points u of
-    knot indices i (see `_knot_index`) at a 1-d array of df.  The
-    integer scans read them here; `_decide` reads `_variance_brackets`
-    instead."""
-    tables = [_chisq_brackets(d) for d in df]
-    return tuple(np.array([t[side][i] for t in tables]).T for side in (0, 1))
 
 
 def _exact_in(in_region, u1, u2, z3, spec, n1, n2, band):
     """in_region(se, margin, t) for cells (u1, u2, z3 = inv_norm(u3)) at
     sizes n1, n2 (arrays broadcast), from their exact statistics, with
-    their se and the chi-square quantiles (x1, x2) behind it.
+    their se.
 
     `_screen` decides a cell from the caller's t band (lo, hi), which
     must bound t at the cell, and the cells it leaves open take their
     own t quantile.  At alpha = 0.5 the band decides every cell.
     """
-    se, margin, nu, x = _mapped(u1, u2, z3, spec, n1, n2, quantiles=True)
+    se, margin, nu = _mapped(u1, u2, z3, spec, n1, n2)
     flags, open_ = _screen(in_region, (se, se), (margin, margin), band)
     amb = np.nonzero(open_)
     flags[amb] = in_region(se[amb], margin[amb],
                            t_quantile(1.0 - spec.alpha, nu[amb]))
-    return flags, se, x
+    return flags, se
 
 
 def _decide(in_region, u1, u2, z3, spec, n1, n2, knots):

@@ -267,6 +267,15 @@ class TestDiagnoseCommand:
         assert code == 0
         assert "custom" in out
 
+    def test_q_times_n_max_overflow(self, capsys):
+        # q * n_max beyond the float range would scan n2 = inf
+        code, out, err = run(capsys, "diagnose", *DESIGN, "--q", "1e308",
+                             "--n-max", "10", "--m", "16", "--reps", "1",
+                             "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == ("error: q * n_max = 1e+308 * 10 overflows the float "
+                       "range\n")
+
 
 class TestBenchCommand:
     def test_segment_engine_table(self, capsys, tmp_path):

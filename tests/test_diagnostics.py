@@ -21,11 +21,11 @@ from bepower import diagnostics, tost
 from bepower.curve import _g
 from bepower.diagnostics import (SCENARIO_COMBOS, _block_bounds, _block_cells,
                                  _block_ends, _grid_scan, _integer_grid,
-                                 _span_bounds)
+                                 _scan_blocks)
 from bepower.qrng import CLAMP_HIGH, CLAMP_LOW, sobol_stream
 from bepower.special import inv_norm, t_quantile
-from bepower.tost import (_SLACK, _chisq_brackets, _g_in, _knot_index,
-                          _mapped, _screen, _t_band, _threshold, _trial)
+from bepower.tost import (_KNOTS, _STORE, _g_in, _knot_index, _mapped,
+                          _screen, _t_band, _threshold, _trial)
 
 FIXTURE_U = (0.184, 0.231, 0.449)
 
@@ -209,30 +209,49 @@ def end_dfs(spec, n_max):
     return set((n1[ends] - 1.0).tolist()) | set((n2[ends] - 1.0).tolist())
 
 
+def knot_table_calls(monkeypatch):
+    """The dfs of each `inv_chisq` call that builds knot tables from here
+    on, one list per call."""
+    calls = []
+    inv_chisq = tost.inv_chisq
+
+    def recording(p, df):
+        if p is _KNOTS:
+            calls.append(np.ravel(df).tolist())
+        return inv_chisq(p, df)
+
+    monkeypatch.setattr(tost, "inv_chisq", recording)
+    return calls
+
+
 class TestGridScan:
     def test_block_ends(self):
-        # one column wide while n1 < 16 (floor(n1 / 8) < 2), then
-        # floor(n1 / 8) wide; the last block ends at the grid's end
-        n1, _ = _integer_grid(DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2), 40)
+        # one column wide while n1 < 128 (floor(n1 / 64) < 2), then
+        # floor(n1 / 64) wide; the last block ends at the grid's end, and
+        # a one-cell grid is the block [0, 0]
+        n1, _ = _integer_grid(DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2), 200)
         assert n1[_block_ends(n1)].tolist() == [
-            *range(2, 17), 18, 20, 22, 24, 27, 30, 33, 37, 40]
-        assert _block_ends(n1[:1]).tolist() == [0]
+            *range(2, 129), *range(130, 193, 2), 195, 198, 200]
+        assert _block_ends(n1[:1]).tolist() == [0, 0]
 
     @pytest.mark.parametrize("spec,n_max", [
-        SCENARIOS["s2_mu16"], SCENARIOS["s6_mu12"], SCENARIOS["s7_mu8"],
-        (DesignSpec(-4.0, 3.0, 30.0, -19.2, 19.2, q=0.3), 600),
-        (DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, alpha=0.5), 300)],
+        SCENARIOS["s2_mu16"], (SCENARIOS["s6_mu12"][0], 2500),
+        (SCENARIOS["s7_mu8"][0], 2500),
+        (DesignSpec(-4.0, 3.0, 30.0, -19.2, 19.2, q=0.3), 2500),
+        (DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, alpha=0.5), 2500)],
         ids=["s2_mu16", "s6_mu12", "s7_mu8", "q_0.3", "alpha_half"])
     def test_block_bounds_hold_at_every_interior_cell(self, spec, n_max):
         # the knot-table bounds of each block hold at every cell of the
-        # block, both ends included
+        # block, both ends included; the grids are long enough that
+        # most cells are block interiors at n1 / 64
         pts = sobol_stream(3, 64, 3).points.copy()
         pts[:2, :2] = [[CLAMP_LOW, CLAMP_HIGH], [CLAMP_HIGH, CLAMP_LOW]]
         u1, u2, z3 = pts[:, 0], pts[:, 1], inv_norm(pts[:, 2])
-        n1, n2 = (n.astype(float) for n in _integer_grid(spec, n_max))
+        n1, n2 = _integer_grid(spec, n_max)
         ends = _block_ends(n1)
         bounds = _block_bounds(_knot_index(u1), _knot_index(u2), z3, spec,
-                               n1, n2, ends)
+                               _scan_blocks(spec, n1, n2))
+        n1, n2 = n1.astype(float), n2.astype(float)
         se, margin, nu = _mapped(u1[:, None], u2[:, None], z3[:, None], spec,
                                  n1, n2)
         values = se, margin, t_quantile(1.0 - spec.alpha, nu)
@@ -248,56 +267,18 @@ class TestGridScan:
             interior += b - a - 1
         assert interior > 0.6 * len(n1)
 
-    @pytest.mark.parametrize("spec,n_max", [
-        SCENARIOS["s2_mu16"], SCENARIOS["s6_mu12"], SCENARIOS["s7_mu8"],
-        (DesignSpec(-4.0, 3.0, 30.0, -19.2, 19.2, q=0.3), 600),
-        (DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, alpha=0.5), 300)],
-        ids=["s2_mu16", "s6_mu12", "s7_mu8", "q_0.3", "alpha_half"])
-    def test_sub_segment_bounds_hold_at_every_interior_cell(self, spec,
-                                                            n_max):
-        # a W-cell block is cut every ceil(sqrt(W)) cells and at its last
-        # cell, and the bounds from the exact chi-square quantiles at two
-        # neighbouring cuts, widened by _SLACK, hold at every cell between
-        pts = sobol_stream(3, 64, 3).points.copy()
-        pts[:2, :2] = [[CLAMP_LOW, CLAMP_HIGH], [CLAMP_HIGH, CLAMP_LOW]]
-        u1, u2, z3 = pts[:, 0], pts[:, 1], inv_norm(pts[:, 2])
-        n1, n2 = (n.astype(float) for n in _integer_grid(spec, n_max))
-        ends = _block_ends(n1)
-        se, margin, _, (x1, x2) = _mapped(u1[:, None], u2[:, None],
-                                          z3[:, None], spec, n1, n2,
-                                          quantiles=True)
-        widths, interior = set(), 0
-        for first, last in zip(*_block_cells(ends)):
-            width = last - first + 1
-            widths.add(width)
-            cuts = np.union1d(np.arange(first, last + 1,
-                                        math.ceil(math.sqrt(width))), last)
-            for a, b in zip(cuts[:-1], cuts[1:]):
-                bounds = _span_bounds(
-                    (x1[:, a] * (1.0 - _SLACK), x2[:, a] * (1.0 - _SLACK)),
-                    (x1[:, b] * (1.0 + _SLACK), x2[:, b] * (1.0 + _SLACK)),
-                    z3, spec, n1, n2, a + 1, b - 1)
-                for (lo, hi), v in zip(bounds, (se, margin)):
-                    cells = v[:, a + 1:b]
-                    assert np.all((lo[:, None] <= cells)
-                                  & (cells <= hi[:, None])), (a, b)
-                interior += b - a - 1
-        # one-, two- and three-cell blocks, and widths that are no square
-        assert {1, 2, 3} <= widths
-        assert widths - {k * k for k in range(100)}
-        assert interior > 0.3 * len(n1)
-
-    @pytest.mark.parametrize("spec,n_max", [
-        SCENARIOS["s2_mu16"], SCENARIOS["s6_mu12"], SCENARIOS["s7_mu8"],
-        (DesignSpec(-4.0, 3.0, 30.0, -19.2, 19.2, q=0.3), 600),
-        (DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, alpha=0.5), 300)],
+    @pytest.mark.parametrize("spec,n_max,wide", [
+        (*SCENARIOS["s2_mu16"], True), (*SCENARIOS["s6_mu12"], True),
+        (*SCENARIOS["s7_mu8"], False),
+        (DesignSpec(-4.0, 3.0, 30.0, -19.2, 19.2, q=0.3), 600, True),
+        (DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, alpha=0.5), 300, False)],
         ids=["s2_mu16", "s6_mu12", "s7_mu8", "q_0.3", "alpha_half"])
     def test_first_exact_call_cuts_each_pair_at_its_stride(self, spec, n_max,
-                                                           monkeypatch):
-        # the first exact call takes, pair by pair in row-major order,
-        # every cell of a (point, block) pair whose se_hi reaches the
-        # point's largest se_lo, and every ceil(sqrt(W))-th cell from the
-        # first of any other open pair, plus its last
+                                                           wide, monkeypatch):
+        # the one exact call takes, pair by pair in row-major order,
+        # every cell of each open (point, block) pair and of each pair
+        # whose se_hi reaches the point's largest se_lo, and no other
+        # cell: every pair's stride is 1
         pts = sobol_stream(3, 64, 3).points.copy()
         pts[:2, :2] = [[CLAMP_LOW, CLAMP_HIGH], [CLAMP_HIGH, CLAMP_LOW]]
         row = {u: p for p, u in enumerate(pts[:, 0])}
@@ -313,25 +294,25 @@ class TestGridScan:
 
         monkeypatch.setattr(diagnostics, "_exact_in", recording)
         _grid_scan(pts, spec, n1, n2)
-        ends = _block_ends(n1)
-        first, last = _block_cells(ends)
+        first, last = _block_cells(_block_ends(n1))
         width = last - first + 1
         bounds = _block_bounds(_knot_index(pts[:, 0]), _knot_index(pts[:, 1]),
-                               inv_norm(pts[:, 2]), spec, n1.astype(float),
-                               n2.astype(float), ends)
+                               inv_norm(pts[:, 2]), spec,
+                               _scan_blocks(spec, n1, n2))
         open_ = _screen(_g_in, *bounds)[1]
         se_lo, se_hi = bounds[0]
         peak = se_hi >= se_lo.max(axis=1, keepdims=True)
         expected = [], []
         for p, k in zip(*np.nonzero(peak | open_)):
-            stride = 1 if peak[p, k] else math.ceil(math.sqrt(width[k]))
-            cells = np.union1d(np.arange(first[k], last[k] + 1, stride),
-                               last[k]).tolist()
+            cells = list(range(first[k], last[k] + 1))
             expected[0].extend([p] * len(cells))
             expected[1].extend(cells)
-        assert calls[0] == expected
-        # pairs of three cells or more, where the two strides differ
-        assert np.any((peak | open_) & (width >= 3))
+        assert calls == [expected]
+        # open pairs that cannot hold the se peak, of three cells or
+        # more, where a stride above 1 would skip a cell; on the two
+        # grids without them every exact pair is a one-cell block
+        assert np.any(open_ & ~peak & (width >= 3)) == wide
+        assert np.all(width[np.nonzero(peak | open_)[1]] == 1) != wide
 
     def test_chi_square_elements_of_the_longest_scan(self, monkeypatch):
         # the benchmark's s2_mu16 summary (m = 128, seed 7) with warm knot
@@ -366,18 +347,54 @@ class TestGridScan:
             with pytest.raises(ValueError, match="degenerate sample"):
                 scan((1e-300, 1e-300, 0.5), motivating, 100)
 
-    def test_one_table_per_end_df(self):
+    def test_one_table_per_end_df(self, monkeypatch):
         # one summary builds each knot table of its block ends once; the
-        # presets' grids, and q = 1.5 at n_max = 1e5, fit the cache
-        maxsize = _chisq_brackets.cache_info().maxsize
-        assert max(len(end_dfs(*p)) for p in SCENARIOS.values()) <= maxsize
+        # presets' grids, and q = 1.5 at n_max = 1e5, fit the store
+        capacity = _STORE.capacity
+        assert max(len(end_dfs(*p)) for p in SCENARIOS.values()) <= capacity
         spec = SCENARIOS["s7_mu16"][0]
+        calls = knot_table_calls(monkeypatch)
         for n_max, m in ((2500, 128), (10 ** 5, 4)):
             dfs = end_dfs(spec, n_max)
-            _chisq_brackets.cache_clear()
+            _STORE.clear()
+            calls.clear()
             scenario_summary(spec, n_max, m=m, reps=1, seed=1)
-            assert _chisq_brackets.cache_info().misses == len(dfs) <= maxsize
-        assert len(dfs) > 128  # more than a 128-table cache holds
+            assert sorted(sum(calls, [])) == sorted(dfs)
+            assert len(dfs) <= capacity
+        assert len(dfs) > capacity // 2
+
+    def test_warm_grids_build_no_knot_table(self, monkeypatch):
+        # a second scan of a grid computes no knot quantile, and s5_mu12
+        # after s2_mu16 (q = 1 both) only the table of its last cell,
+        # which is no block end of the longer grid; each grid's blocks
+        # and block t band are computed once
+        grids = {name: _integer_grid(*SCENARIOS[name])
+                 for name in ("s2_mu16", "s5_mu12")}
+        new = end_dfs(*SCENARIOS["s5_mu12"]) - end_dfs(*SCENARIOS["s2_mu16"])
+        assert new == {499.0}
+        pts = sobol_stream(3, 128, 7).points
+        _STORE.clear()
+        diagnostics._cached_blocks.cache_clear()
+        calls = knot_table_calls(monkeypatch)
+        _grid_scan(pts, SCENARIOS["s2_mu16"][0], *grids["s2_mu16"])
+        assert len(calls) == 1
+        calls.clear()
+        for name in ("s2_mu16", "s5_mu12", "s5_mu12"):
+            _grid_scan(pts, SCENARIOS[name][0], *grids[name])
+        assert calls == [[499.0]]
+        info = diagnostics._cached_blocks.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+
+    def test_cold_grid_builds_its_tables_in_one_call(self, monkeypatch):
+        spec, n_max = SCENARIOS["s7_mu16"]
+        dfs = end_dfs(spec, n_max)
+        assert {1.0, 4.0} <= dfs
+        _STORE.clear()
+        _STORE.columns_of(np.array([1.0, 4.0]))
+        calls = knot_table_calls(monkeypatch)
+        _grid_scan(sobol_stream(3, 128, 7).points, spec,
+                   *_integer_grid(spec, n_max))
+        assert calls == [sorted(dfs - {1.0, 4.0})]
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_matches_full_grid_on_scenario_bank(self, name):
@@ -401,12 +418,12 @@ class TestGridScan:
                        [CLAMP_HIGH, CLAMP_LOW], [CLAMP_HIGH, CLAMP_HIGH]]
         assert_scan_matches_full_grid(pts, spec, n_max)
 
-    @pytest.mark.parametrize("n", [23, 25])
+    @pytest.mark.parametrize("n", [129, 193])
     def test_se_equal_to_lambda_is_inside(self, motivating, n):
         # a design whose lower limit puts one point exactly on g = 0 at a
         # block interior cell: se == Lambda counts as in-rejection in the
         # block scan, the full grid and the crossings alike
-        n1_grid = _integer_grid(motivating, 40)[0]
+        n1_grid = _integer_grid(motivating, 240)[0]
         assert n not in n1_grid[_block_ends(n1_grid)]
         rng = np.random.Generator(np.random.PCG64(n))
         for _ in range(400):
@@ -424,12 +441,12 @@ class TestGridScan:
         else:
             pytest.fail("no point on g = 0 found")
         pts = u[np.newaxis, :]
-        n1, n2 = _integer_grid(spec, 40)
+        n1, n2 = _integer_grid(spec, 240)
         assert _grid_scan(pts, spec, n1, n2)[0][0, n - 2]
         assert full_grid_matrices(pts, spec, n1, n2)[0][0, n - 2]
         # the point enters the region at n, so its first crossing is at
         # most n (the entry locator of the curve solver), not past it
-        r = scan_intersections(u, spec, 40)
+        r = scan_intersections(u, spec, 240)
         assert n - 1 < r.crossings[0] <= n
 
     def test_se_ties_go_to_the_smallest_n(self, monkeypatch):
@@ -444,8 +461,8 @@ class TestGridScan:
 
         def tied(in_region, u1, u2, z3, spec, a, b, band):
             calls.append((u1, a))
-            flags, se, x = exact_in(in_region, u1, u2, z3, spec, a, b, band)
-            return flags, np.ones_like(se), x
+            flags, se = exact_in(in_region, u1, u2, z3, spec, a, b, band)
+            return flags, np.ones_like(se)
 
         monkeypatch.setattr(diagnostics, "_exact_in", tied)
         peak = _grid_scan(pts, spec, n1, n2)[1]
@@ -509,6 +526,23 @@ class TestIntegerGrid:
             assert n1[0] == 2 and n2[0] == 2e20
             scan_se_peak((0.5, 0.5, 0.5), spec, 40)
             scenario_summary(spec, 40, m=16, reps=1, seed=1)
+
+
+    def test_q_times_n_max_overflow_raises(self):
+        # n2 = rint(q * n1) would be inf; just below the float range it
+        # is finite, and the scans run without a floating-point warning
+        huge = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, q=1e308)
+        message = r"q \* n_max = 1e\+308 \* 10 overflows the float range"
+        for scan in (scan_intersections, scan_se_peak):
+            with pytest.raises(ValueError, match=message):
+                scan((0.5, 0.5, 0.5), huge, 10)
+        with pytest.raises(ValueError, match=message):
+            scenario_summary(huge, 10, m=16, reps=1, seed=1)
+        spec = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, q=1.79e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(_integer_grid(spec, 10)[1][-1])
+            scenario_summary(spec, 10, m=16, reps=1, seed=1)
 
 
 class TestScenarioBank:
