@@ -8,54 +8,21 @@ mapped statistics (`power_curve`), and a naive data-level simulator
 designs reduce to the same machinery (`crossover_sample_size`), and the
 `diagnostics` module measures how often the root-finding assumptions
 are stressed.
+
+The package re-exports the public names of each module, its `__all__`.
 """
 
-from .crossover import (CrossoverSpec, chow_sample_size,
-                        crossover_sample_size, to_two_group)
-from .curve import (CENSORED, CurvePoint, PowerCurve, lambda_of_n,
-                    power_curve, se_of_n, smallest_crossing)
-from .diagnostics import (SCENARIOS, IntersectionReport, SePeakReport,
-                          scan_intersections, scan_se_peak, scenario_design,
-                          scenario_summary)
-from .oracle import naive_power
-from .qrng import SobolStream, digital_shift, sobol_raw, sobol_stream
-from .special import inv_chisq, inv_norm, t_quantile
-from .tost import (DesignSpec, SummaryStats, empirical_power, rejects,
-                   stats_from_point, welch_df)
+from . import crossover, curve, diagnostics, oracle, qrng, special, tost
+from .crossover import *  # noqa: F401,F403
+from .curve import *  # noqa: F401,F403
+from .diagnostics import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .qrng import *  # noqa: F401,F403
+from .special import *  # noqa: F401,F403
+from .tost import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CENSORED",
-    "CrossoverSpec",
-    "CurvePoint",
-    "DesignSpec",
-    "IntersectionReport",
-    "PowerCurve",
-    "SCENARIOS",
-    "SePeakReport",
-    "SobolStream",
-    "SummaryStats",
-    "chow_sample_size",
-    "crossover_sample_size",
-    "digital_shift",
-    "empirical_power",
-    "inv_chisq",
-    "inv_norm",
-    "lambda_of_n",
-    "naive_power",
-    "power_curve",
-    "rejects",
-    "scan_intersections",
-    "scan_se_peak",
-    "scenario_design",
-    "scenario_summary",
-    "se_of_n",
-    "smallest_crossing",
-    "sobol_raw",
-    "sobol_stream",
-    "stats_from_point",
-    "t_quantile",
-    "to_two_group",
-    "welch_df",
-]
+__all__ = sorted(name for module in (crossover, curve, diagnostics, oracle,
+                                     qrng, special, tost)
+                 for name in module.__all__)

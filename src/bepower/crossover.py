@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import curve as _curve
 from .special import t_quantile
-from .tost import DesignSpec, _design_problems, _finite
+from .tost import DesignSpec, _design_problems, _finite, _store_floats
 
 __all__ = [
     "CrossoverSpec",
@@ -41,7 +41,8 @@ class CrossoverSpec:
     F is the direct treatment effect (test minus reference, usually on
     the log scale), sigma_D1 and sigma_D2 the standard deviations of
     the within-subject period differences in the two sequences, and q
-    the sequence allocation ratio.
+    the sequence allocation ratio.  As in `DesignSpec`, every field is
+    stored as a Python float.
     """
 
     F: float
@@ -60,6 +61,7 @@ class CrossoverSpec:
                      .replace("sigma2", "sigma_D2") for p in problems]
         if problems:
             raise ValueError("invalid crossover design: " + "; ".join(problems))
+        _store_floats(self)
 
 
 def to_two_group(cspec):

@@ -320,20 +320,11 @@ def _bracket_nodes(start, B):
     of n.  Nodes at or below start are dropped in favor of start
     itself; B is always the last node.
     """
-    nodes = [start]
-    canonical = [2.0, 3.0]
-    v = 4.0
+    nodes, v = [start], 2.0
     while v < B:
-        canonical.append(v)
-        if 1.5 * v < B:
-            canonical.append(1.5 * v)
+        nodes.extend(c for c in (v, 1.5 * v) if start < c < B)
         v *= 2.0
-    for c in canonical:
-        if start < c < B:
-            nodes.append(c)
-    if B > start:
-        nodes.append(float(B))
-    return nodes
+    return nodes + [float(B)] if B > start else nodes
 
 
 def _crossings(g, k, nodes, tol, none):

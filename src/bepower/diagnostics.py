@@ -20,12 +20,10 @@ block's first and last cells, and decide whole blocks at once.  The
 blocks the bounds leave open, and those that could hold the se argmax,
 are evaluated cell by cell in one exact call, and each point's se peak
 is taken from them.  At m = 128 on the benchmark scenarios that is
-about 1.8% of the cells at n_max = 100, 0.44% at 500 and 0.29% at 2500
-(2.2%, 1.6% and 0.9% with blocks of n1/8 cells, whose open blocks were
-cut into sub-segments of about sqrt(W) of their W cells).  Exact cells
-are decided against their block's t band, and take a t quantile of
-their own only where it leaves them open.  Every flag and se argmax is
-the one a cell-by-cell scan gives.
+about 1.8% of the cells at n_max = 100, 0.44% at 500 and 0.29% at
+2500.  Exact cells are decided against their block's t band, and take
+a t quantile of their own only where it leaves them open.  Every flag
+and se argmax is the one a cell-by-cell scan gives.
 """
 
 from __future__ import annotations
@@ -38,10 +36,9 @@ import numpy as np
 
 from . import curve as _curve
 from .qrng import _check_count, _check_seed, sobol_stream
-from .special import t_quantile
-from .tost import (_SLACK, DesignSpec, _check_point, _d_bar, _exact_in,
-                   _g_in, _knot_bounds, _prepare_points, _sample_se,
-                   _screen, require_curve_spec)
+from .tost import (DesignSpec, _check_point, _d_bar, _exact_in, _g_in,
+                   _knot_bounds, _prepare_points, _sample_se, _screen,
+                   _t_band, require_curve_spec)
 
 __all__ = [
     "IntersectionReport",
@@ -200,11 +197,9 @@ def _cached_blocks(alpha, n1, n2):
     top = np.where(last == first, first, ends[1:])
     dfs = tuple(np.stack([n1[c], n2[c]]) - 1.0 for c in (first, top))
     # the block's Welch df lie between min(n1, n2) - 1 at its first cell
-    # and n1 + n2 - 2 at its last, and the t quantile falls as they
-    # grow; widened by _SLACK as in `tost._t_band`
-    t = t_quantile(1.0 - alpha, np.stack([
-        n1[last] + n2[last] - 2.0, np.minimum(n1[first], n2[first]) - 1.0]))
-    t = t[0] * (1.0 - _SLACK), t[1] * (1.0 + _SLACK)
+    # and n1 + n2 - 2 at its last
+    t = _t_band(alpha, np.minimum(n1[first], n2[first]) - 1.0,
+                n1[last] + n2[last] - 2.0)
     for arr in (first, last, *dfs, *t):
         arr.setflags(write=False)
     return n1, n2, first, last, dfs, t

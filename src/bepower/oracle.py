@@ -64,7 +64,7 @@ def _chunk_rejections(spec, n1, n2, reps, child_seed):
     # the threshold lies in the band over nu's range, so a trial needs
     # its own quantile only where its statistic lies inside the band
     t_min = np.minimum(t_lower, t_upper)
-    lo, hi = _t_band(spec.alpha, n1, n2)
+    lo, hi = _t_band(spec.alpha, min(n1, n2) - 1.0, n1 + n2 - 2.0)
     rejected = t_min > hi
     open_ = np.nonzero((t_min > lo) & ~rejected)
     rejected[open_] = t_min[open_] > t_quantile(1.0 - spec.alpha, nu[open_])

@@ -126,11 +126,6 @@ def _shifted(ints, shifts):
     return np.clip(out, CLAMP_LOW, CLAMP_HIGH)
 
 
-def _apply_shift(points, shifts):
-    """XOR fixed-precision digital shift, then clamp away from 0 and 1."""
-    return _shifted(_to_ints(np.asarray(points, dtype=float)), shifts)
-
-
 def _checked_points(points):
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -164,7 +159,7 @@ def digital_shift(points, seed):
     """
     pts = _checked_points(points)
     shifts = _shifts_from_seed(_check_seed(seed), pts.shape[1])
-    return _apply_shift(pts, shifts)
+    return _shifted(_to_ints(pts), shifts)
 
 
 @functools.lru_cache(maxsize=4)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .qrng import (CLAMP_HIGH, CLAMP_LOW, _check_count, _check_seed,
                    sobol_stream)
-from .special import inv_chisq, inv_norm, t_quantile
+from .special import _TINY, inv_chisq, inv_norm, t_quantile
 
 __all__ = [
     "DesignSpec",
@@ -34,7 +34,6 @@ __all__ = [
     "empirical_power",
 ]
 
-_TINY = np.finfo(float).tiny  # smallest normal double
 # the largest x / df of a chi-square quantile x at df >= 1 and p <= CLAMP_HIGH
 # (x / df falls with df), so sigma ** 2 * _X_PER_DF bounds every variance
 _X_PER_DF = inv_chisq(CLAMP_HIGH, 1.0)
@@ -64,8 +63,11 @@ def _design_problems(mu_diff, sigma1, sigma2, delta_L, delta_U, alpha, q):
                 if not _finite(value)]
     if problems:
         return problems
+    # the rest is checked on the floats that `_store_floats` keeps
+    mu_diff, sigma1, sigma2, delta_L, delta_U, alpha, q = (
+        float(value) for _, value in fields)
     for name, sigma in (("sigma1", sigma1), ("sigma2", sigma2)):
-        square = float(sigma) * float(sigma)
+        square = sigma * sigma
         if sigma <= 0.0:
             problems.append(f"{name} must be positive")
         elif math.isinf(square):
@@ -85,6 +87,14 @@ def _design_problems(mu_diff, sigma1, sigma2, delta_L, delta_U, alpha, q):
     if q <= 0.0:
         problems.append("q must be positive")
     return problems
+
+
+def _store_floats(spec):
+    """Store every field of a checked frozen spec as a Python float, so
+    that a Fraction, a numpy scalar or an int computes as the float it
+    rounds to."""
+    for name, value in vars(spec).items():
+        object.__setattr__(spec, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -112,6 +122,10 @@ class DesignSpec:
         Allocation ratio: a trial with n subjects in group 1 assigns
         q * n to group 2.
 
+    Every field accepts any real number but a bool (an int, a
+    Fraction, a numpy scalar) and is stored as the Python float it
+    rounds to, on which the constraints are checked.
+
     Raises
     ------
     ValueError
@@ -133,6 +147,7 @@ class DesignSpec:
                                     self.delta_L, self.delta_U, self.alpha, self.q)
         if problems:
             raise ValueError("invalid design: " + "; ".join(problems))
+        _store_floats(self)
 
     def scaled(self, c):
         """The design with all response-unit quantities multiplied by c > 0."""
@@ -347,7 +362,7 @@ def rejects(stats, spec):
     i.e. when (d_bar, se) falls inside the triangle with base
     (delta_L, 0) to (delta_U, 0) and apex at the limits' midpoint.
     """
-    margin = min(stats.d_bar - spec.delta_L, spec.delta_U - stats.d_bar)
+    margin = _margin(stats.d_bar, spec)
     if margin <= 0.0:
         return False
     return bool(_tost_in(stats.se, margin,
@@ -406,19 +421,22 @@ _KNOTS = np.append(np.arange(1, _K) / _K, CLAMP_HIGH)[:, None]
 _J = 64
 
 
-def _t_band(alpha, n1, n2):
-    """Bounds (lo, hi) on t_quantile(1 - alpha, nu) over every Welch df
-    nu of groups n1, n2 (arrays broadcast).
+def _widen(lo, hi):
+    """Bounds (lo, hi), both >= 0, widened by the relative slack _SLACK."""
+    return lo * (1.0 - _SLACK), hi * (1.0 + _SLACK)
 
-    nu lies in [min(n1, n2) - 1, n1 + n2 - 2] and the quantile falls as
-    nu grows, so the quantiles at the two ends bound it; the relative
-    slack _SLACK covers the kernel's ~1e-10 error and a df that
-    rounding puts a hair outside the interval.  At alpha = 0.5 both are 0.
+
+def _t_band(alpha, nu_lo, nu_hi):
+    """Bounds (lo, hi) on t_quantile(1 - alpha, nu) over every df nu in
+    [nu_lo, nu_hi] (arrays broadcast); the Welch df of groups n1, n2
+    lie in [min(n1, n2) - 1, n1 + n2 - 2].
+
+    The quantile falls as nu grows, so the quantiles at the two ends
+    bound it; `_widen` covers the kernel's ~1e-10 error and a df that
+    rounding puts a hair outside the interval.  At alpha = 0.5 both
+    are 0.
     """
-    n1, n2 = np.asarray(n1, dtype=float), np.asarray(n2, dtype=float)
-    t = t_quantile(1.0 - alpha, np.stack([n1 + n2 - 2.0,
-                                          np.minimum(n1, n2) - 1.0]))
-    return t[0] * (1.0 - _SLACK), t[1] * (1.0 + _SLACK)
+    return _widen(*t_quantile(1.0 - alpha, np.stack([nu_hi, nu_lo])))
 
 
 @functools.lru_cache(maxsize=256)
@@ -436,42 +454,38 @@ def _t_table(alpha, n1, n2):
     return t
 
 
-def _cell_t_band(alpha, n1, n2, s1_sq, s2_sq):
-    """Bounds (lo, hi) on t_quantile(1 - alpha, nu) for cells whose
-    variances lie in s1_sq = (lo, hi) and s2_sq = (lo, hi), at scalar
-    sizes n1, n2, read from the knots of `_t_table`.
+def _cell_t_band(alpha, n1, n2, a, b):
+    """Bounds (lo, hi) on t_quantile(1 - alpha, nu) for cells whose se
+    terms s1_sq / n1 and s2_sq / n2 lie in a = (lo, hi) and b = (lo,
+    hi), at scalar sizes n1, n2, read from the knots of `_t_table`.
 
-    With a = s1_sq / n1 and b = s2_sq / n2, the Welch df depends on
-    w = a / (a + b) alone, nu = 1 / (w ** 2 / (n1 - 1)
-    + (1 - w) ** 2 / (n2 - 1)): it rises from n2 - 1 at w = 0 to
-    n1 + n2 - 2 at w* = (n1 - 1) / (n1 + n2 - 2), then falls to n1 - 1
-    at w = 1.  w rises with a and falls with b, so nu is lowest at one
-    end of [w_lo, w_hi] and highest at w* if that holds it, else at an
-    end.  w is formed as 1 / (1 + b / a), which no scale of the
+    The Welch df depends on w = a / (a + b) alone, nu = 1 / (w ** 2 /
+    (n1 - 1) + (1 - w) ** 2 / (n2 - 1)): it rises from n2 - 1 at w = 0
+    to n1 + n2 - 2 at w* = (n1 - 1) / (n1 + n2 - 2), then falls to
+    n1 - 1 at w = 1.  w rises with a and falls with b, so nu is lowest
+    at one end of [w_lo, w_hi] and highest at w* if that holds it, else
+    at an end.  w is formed as 1 / (1 + b / a), which no scale of the
     variances overflows; a zero a_lo gives w_lo = 0 and a zero b_lo
     w_hi = 1, their limits, and 0 / 0 the whole of [0, 1].  The df
-    bounds widen by _SLACK, and the quantiles at the knots around them,
-    widened by _SLACK too, bound t.
+    bounds are widened (`_widen`), and so are the quantiles at the
+    knots around them, which bound t.
     """
-    (s1_lo, s1_hi), (s2_lo, s2_hi) = s1_sq, s2_sq
+    (a_lo, a_hi), (b_lo, b_hi) = a, b
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        w_lo = np.fmax(1.0 / (1.0 + (s2_hi / n2) / (s1_lo / n1)), 0.0)
-        w_hi = np.fmin(1.0 / (1.0 + (s2_lo / n2) / (s1_hi / n1)), 1.0)
+        w_lo = np.fmax(1.0 / (1.0 + b_hi / a_lo), 0.0)
+        w_hi = np.fmin(1.0 / (1.0 + b_lo / a_hi), 1.0)
     nu_lo, nu_hi = min(n1, n2) - 1.0, n1 + n2 - 2.0
     nu = [1.0 / (w * w / (n1 - 1.0) + (1.0 - w) * (1.0 - w) / (n2 - 1.0))
           for w in (w_lo, w_hi)]
     peak = (w_lo <= (n1 - 1.0) / nu_hi) & ((n1 - 1.0) / nu_hi <= w_hi)
-    lo = np.fmax(np.minimum(*nu) * (1.0 - _SLACK), nu_lo)
-    hi = np.where(peak, nu_hi, np.fmin(np.maximum(*nu) * (1.0 + _SLACK),
-                                       nu_hi))
+    lo, hi = _widen(np.minimum(*nu), np.maximum(*nu))
+    lo, hi = np.fmax(lo, nu_lo), np.where(peak, nu_hi, np.fmin(hi, nu_hi))
     # the quantile falls as nu grows: the knot at or below lo bounds it
     # from above, the knot at or above hi from below
     scale = _J / (nu_hi - nu_lo)
     t = _t_table(alpha, n1, n2)
-    return (t[np.minimum(np.ceil((hi - nu_lo) * scale), _J).astype(np.intp)]
-            * (1.0 - _SLACK),
-            t[np.floor((lo - nu_lo) * scale).astype(np.intp)]
-            * (1.0 + _SLACK))
+    top = np.minimum(np.ceil((hi - nu_lo) * scale), _J).astype(np.intp)
+    return _widen(t[top], t[np.floor((lo - nu_lo) * scale).astype(np.intp)])
 
 
 class _KnotStore:
@@ -539,7 +553,7 @@ def _knot_bounds(i, df_lo, df_hi):
 
     The quantile rises with p and with df, so the store's table of
     df_lo at knot i and that of df_hi at knot i + 1 bound it; the
-    relative slack _SLACK covers the kernel's error.  The lowest lower
+    widening (`_widen`) covers the kernel's error.  The lowest lower
     bound is 0, and the top knot CLAMP_HIGH is the largest double below
     1, so the bounds hold for every u in (0, 1), below the clamp too;
     every other bound is finite and positive.  All of a grid's tables
@@ -550,8 +564,7 @@ def _knot_bounds(i, df_lo, df_hi):
     # flat indices into the knot-major store: one gather per side, along
     # a knot's row, where a grid's tables sit side by side
     x, i = _STORE.x, i[..., None] * _STORE.x.shape[1]
-    return (x.take(i + lo) * (1.0 - _SLACK),
-            x.take(i + x.shape[1] + hi) * (1.0 + _SLACK))
+    return _widen(x.take(i + lo), x.take(i + x.shape[1] + hi))
 
 
 def _chisq_brackets(df):
@@ -563,21 +576,20 @@ def _chisq_brackets(df):
 
 @functools.lru_cache(maxsize=128)
 def _variance_brackets(sigma, n):
-    """Bounds on the sample variance of a group of n at sd sigma, and
-    on its term of se ** 2, at every knot bracket of
-    `_chisq_brackets(n - 1)`: (s_lo, s_hi, a_lo, a_hi), each of shape
-    (_K,), with s = `_variance` of the brackets and a = s / n.
+    """Bounds (a_lo, a_hi), each of shape (_K,), on a group's term
+    a = s ** 2 / n of se ** 2, for a group of n at sd sigma, at every
+    knot bracket of `_chisq_brackets(n - 1)`: s ** 2 is `_variance` of
+    the brackets.
 
     `_decide` gathers them by knot index: sqrt(a1[i1] + a2[i2]) is,
     bit for bit, the se of `_sample_se` on the gathered brackets, since
     elementwise IEEE operations give the same result before or after a
     gather.  So the estimator and the curve walk transform 1024 knots
     per table, not one bound per point.  They meet the same sizes call
-    after call, so up to 128 sets (32 KB each, 4 MB in all) are cached,
+    after call, so up to 128 pairs (16 KB each, 2 MB in all) are cached,
     read-only since every caller shares them.
     """
-    s = [_variance(sigma, x, n) for x in _chisq_brackets(n - 1.0)]
-    tables = (*s, s[0] / n, s[1] / n)
+    tables = tuple(_variance(sigma, x, n) / n for x in _chisq_brackets(n - 1.0))
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -612,33 +624,34 @@ def _decide(in_region, u1, u2, z3, spec, n1, n2, knots):
     only where bounds leave the answer open.  knots are the points'
     indices (i1, i2) of `_knot_index`, as `_prepare_points` makes them.
 
-    se is bounded from the knot tables of `_variance_brackets`,
-    gathered by knot index, the end knots of `_t_table` bound t over
-    the whole Welch range, and `_screen` decides.  The cells that band
-    leaves open, and those with se_lo = 0 (so that a degenerate sample
-    still raises in `welch_df`), are screened again with the t band of
-    their own df bounds (`_cell_t_band`), from their gathered variance
-    bounds, and only the cells still open take `_exact_in`, each with
-    its band.  At m = 65536 on the benchmark designs the first band
-    leaves up to about 11% of the cells open (at n = 5, q = 1.5) and
-    the second under 0.3%.  Returns (flags, exact), exact the indices
-    evaluated exactly.
+    The se terms a1, a2 are bounded from the knot tables of
+    `_variance_brackets`, gathered by knot index, se by sqrt(a1 + a2),
+    the end knots of `_t_table`, widened, bound t over the whole Welch
+    range, and `_screen` decides.  The cells that band leaves open, and
+    those with se_lo = 0 (so that a degenerate sample still raises in
+    `welch_df`), are screened again with the t band of their own df
+    bounds (`_cell_t_band`), from the same gathered se-term bounds, and
+    only the cells still open take `_exact_in`, each with its band.  At
+    m = 65536 on the benchmark designs the first band leaves up to
+    about 11% of the cells open (at n = 5, q = 1.5) and the second
+    under 0.3%.  Returns (flags, exact), exact the indices evaluated
+    exactly.
     """
     i1, i2 = knots
-    s1_lo, s1_hi, a1_lo, a1_hi = _variance_brackets(spec.sigma1, n1)
-    s2_lo, s2_hi, a2_lo, a2_hi = _variance_brackets(spec.sigma2, n2)
+    a1_lo, a1_hi = _variance_brackets(spec.sigma1, n1)
+    a2_lo, a2_hi = _variance_brackets(spec.sigma2, n2)
     margin = _margin(_d_bar(z3, spec, n1, n2), spec)
     t = _t_table(spec.alpha, n1, n2)
     with np.errstate(over="ignore", invalid="ignore"):
         se_lo = np.sqrt(a1_lo[i1] + a2_lo[i2])
         se_hi = np.sqrt(a1_hi[i1] + a2_hi[i2])
         flags, open_ = _screen(in_region, (se_lo, se_hi), (margin, margin),
-                               (t[-1] * (1.0 - _SLACK), t[0] * (1.0 + _SLACK)))
+                               _widen(t[-1], t[0]))
         zero = se_lo == 0.0
         k = np.nonzero(open_ | zero)[0]
         j1, j2 = i1[k], i2[k]
-        band = _cell_t_band(spec.alpha, n1, n2, (s1_lo[j1], s1_hi[j1]),
-                            (s2_lo[j2], s2_hi[j2]))
+        band = _cell_t_band(spec.alpha, n1, n2, (a1_lo[j1], a1_hi[j1]),
+                            (a2_lo[j2], a2_hi[j2]))
         flags[k], open_ = _screen(in_region, (se_lo[k], se_hi[k]),
                                   (margin[k], margin[k]), band)
     keep = open_ | zero[k]

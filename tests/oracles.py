@@ -88,8 +88,9 @@ def decide_gather_first(in_region, u1, u2, z3, spec, n1, n2):
                                (t[-1] * (1.0 - _SLACK), t[0] * (1.0 + _SLACK)))
         zero = se_lo == 0.0
         k = np.nonzero(open_ | zero)[0]
-        band = _cell_t_band(spec.alpha, n1, n2, (s1_lo[k], s1_hi[k]),
-                            (s2_lo[k], s2_hi[k]))
+        band = _cell_t_band(spec.alpha, n1, n2,
+                            (s1_lo[k] / n1, s1_hi[k] / n1),
+                            (s2_lo[k] / n2, s2_hi[k] / n2))
         flags[k], open_ = _screen(in_region, (se_lo[k], se_hi[k]),
                                   (margin[k], margin[k]), band)
     keep = open_ | zero[k]

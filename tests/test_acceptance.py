@@ -10,7 +10,10 @@ deterministic.
 """
 
 import math
+import multiprocessing as mp
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -87,11 +90,22 @@ def test_criterion_1_mapped_estimator_replicates_reference_means(
 
 def test_criterion_2_naive_estimator_agrees_with_mapped(
         motivating, mapped_runs):
+    # one naive_power call per (n, seed), n-major, in per-n batches of
+    # N_REPS seeds spread over up to two worker processes; map returns
+    # the results in call order
     runs, _ = mapped_runs
-    seeds = _seed_batch(54321)
-    for n, (_, _, mean_ref, _) in REFERENCE.items():
-        naive = np.array([naive_power(motivating, n, n, M_BIG, s)
-                          for s in seeds])
+    ns = [n for n in REFERENCE for _ in range(N_REPS)]
+    calls = ([motivating] * len(ns), ns, ns, [M_BIG] * len(ns),
+             _seed_batch(54321) * len(REFERENCE))
+    workers = min(2, len(os.sched_getaffinity(0)))
+    if workers > 1:
+        with ProcessPoolExecutor(workers,
+                                 mp_context=mp.get_context("spawn")) as pool:
+            powers = list(pool.map(naive_power, *calls, chunksize=N_REPS))
+    else:
+        powers = list(map(naive_power, *calls))
+    for naive, (n, (_, _, mean_ref, _)) in zip(
+            np.reshape(powers, (len(REFERENCE), N_REPS)), REFERENCE.items()):
         band = 3.0 * math.sqrt(runs[n].var(ddof=1) / N_REPS
                                + naive.var(ddof=1) / N_REPS)
         diff = abs(naive.mean() - runs[n].mean())

@@ -1,5 +1,8 @@
+import dataclasses
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bepower import (
@@ -18,8 +21,39 @@ from oracles import t_quantile_ref
 BE_KW = dict(F=0.05, sigma_D1=0.4, sigma_D2=0.4, delta_L=-0.223,
              delta_U=0.223, alpha=0.05)
 
+# a design on a scale where integers are valid, and for each field a
+# Fraction, an np.float32 and an np.int64 it accepts (no integer is a
+# valid alpha)
+BASE_FIELDS = dict(F=5.0, sigma_D1=40.0, sigma_D2=30.0, delta_L=-22.3,
+                   delta_U=22.3, alpha=0.05, q=1.25)
+NON_FLOAT_FIELDS = [
+    (name, value) for name, values in (
+        ("F", (Fraction(9, 2), np.float32(5.1), np.int64(5))),
+        ("sigma_D1", (Fraction(81, 2), np.float32(40.3), np.int64(41))),
+        ("sigma_D2", (Fraction(301, 10), np.float32(30.1), np.int64(29))),
+        ("delta_L", (Fraction(-223, 10), np.float32(-22.3), np.int64(-22))),
+        ("delta_U", (Fraction(223, 10), np.float32(22.3), np.int64(22))),
+        ("alpha", (Fraction(1, 20), np.float32(0.05))),
+        ("q", (Fraction(5, 4), np.float32(1.25), np.int64(1))))
+    for value in values]
+
 
 class TestSpecAndMapping:
+    @pytest.mark.parametrize(
+        "name, value", NON_FLOAT_FIELDS,
+        ids=[f"{n}-{type(v).__name__}" for n, v in NON_FLOAT_FIELDS])
+    def test_non_float_fields_compute_as_their_floats(self, name, value):
+        # each field is stored as the float it rounds to
+        cspec = CrossoverSpec(**{**BASE_FIELDS, name: value})
+        plain = CrossoverSpec(**{**BASE_FIELDS, name: float(value)})
+        assert all(type(v) is float for v in vars(cspec).values())
+        assert cspec == plain
+        assert to_two_group(cspec) == to_two_group(plain)
+        got, want = (crossover_sample_size(c, 0.8, 64, 5)
+                     for c in (cspec, plain))
+        np.testing.assert_equal(dataclasses.asdict(got),
+                                dataclasses.asdict(want))
+
     def test_mapping_halves_period_difference_sds(self):
         cspec = CrossoverSpec(F=0.05, sigma_D1=0.4, sigma_D2=0.3,
                               delta_L=-0.223, delta_U=0.223, alpha=0.05,

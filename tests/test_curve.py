@@ -615,7 +615,7 @@ def test_walk_screen_uses_g_form_at_a_tie():
     n, u3 = 12.0, 0.5  # u3 = 0.5 puts d_bar at mu_diff = 0 exactly
     base = DesignSpec(0.0, 18.0, 15.0, -19.2, 19.2)
     lo, hi = _chisq_brackets(n - 1.0)
-    t_hi = _t_band(base.alpha, n, n)[1]
+    t_hi = _t_band(base.alpha, n - 1.0, 2.0 * n - 2.0)[1]
     for j in range(1, _K - 1):
         u1, u2 = (j + 0.5) / _K, 0.5
         se_hi = _sample_se(hi[j], hi[_K // 2], base, n, n)[2]

@@ -154,7 +154,9 @@ def full_grid_matrices(points, spec, n1_grid, n2_grid):
                              n1_grid[None, :].astype(float),
                              n2_grid[None, :].astype(float))
     in_rej, open_ = _screen(_g_in, (se, se), (margin, margin),
-                            _t_band(spec.alpha, n1_grid, n2_grid))
+                            _t_band(spec.alpha,
+                                    np.minimum(n1_grid, n2_grid) - 1.0,
+                                    n1_grid + n2_grid - 2.0))
     amb = np.nonzero(open_)
     in_rej[amb] = _g_in(se[amb], margin[amb],
                         t_quantile(1.0 - spec.alpha, nu[amb]))
@@ -194,7 +196,8 @@ class TestGridMatrices:
             g = ref_se - _threshold(margin, t_quantile(1 - spec.alpha, nu))
             np.testing.assert_array_equal(in_rej, g <= 0.0)
             np.testing.assert_array_equal(se, ref_se)
-            lo, hi = _t_band(spec.alpha, n1, n2)
+            lo, hi = _t_band(spec.alpha, np.minimum(n1, n2) - 1.0,
+                             n1 + n2 - 2.0)
             if spec.alpha < 0.5:
                 # cells the band leaves to their own quantile
                 screened += np.count_nonzero((margin > 0.0) & (se > margin / hi)

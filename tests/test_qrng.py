@@ -4,8 +4,9 @@ import pytest
 from bepower.qrng import (
     CLAMP_HIGH,
     CLAMP_LOW,
-    _apply_shift,
     _raw_ints,
+    _shifted,
+    _to_ints,
     digital_shift,
     sobol_raw,
     sobol_stream,
@@ -97,7 +98,7 @@ def test_stream_points_read_only():
 
 def test_zero_shift_is_identity_up_to_clamp():
     pts = sobol_raw(3, 128)
-    shifted = _apply_shift(pts, np.zeros(3, dtype=np.uint64))
+    shifted = _shifted(_to_ints(pts), np.zeros(3, dtype=np.uint64))
     expected = np.clip(pts, CLAMP_LOW, CLAMP_HIGH)
     assert np.array_equal(shifted, expected)
     # only the origin row was altered

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,14 +13,18 @@ from bepower import (
     SummaryStats,
     empirical_power,
     lambda_of_n,
+    naive_power,
+    power_curve,
     rejects,
     scan_intersections,
     scan_se_peak,
+    scenario_summary,
     se_of_n,
     smallest_crossing,
     stats_from_point,
     welch_df,
 )
+from bepower.diagnostics import SCENARIOS, _integer_grid, _scan_blocks
 from bepower.qrng import CLAMP_HIGH, CLAMP_LOW, sobol_stream
 from bepower.special import inv_chisq, inv_norm, t_quantile
 from bepower.tost import (_J, _K, _KNOTS, _SLACK, _STORE, _TINY, _X_PER_DF,
@@ -33,11 +39,62 @@ from oracles import decide_gather_first
 TABLE1_GRID = (3, 5, 8, 10, 15, 20, 30, 40, 50, 60)
 
 
+# a design, and for each field a Fraction, an np.float32 and an np.int64
+# it accepts (no integer is a valid alpha)
+BASE_FIELDS = dict(mu_diff=-4.1, sigma1=18.3, sigma2=15.1, delta_L=-19.2,
+                   delta_U=19.2, alpha=0.05, q=1.5)
+NON_FLOAT_FIELDS = [
+    (name, value) for name, values in (
+        ("mu_diff", (Fraction(-41, 10), np.float32(-4.1), np.int64(-4))),
+        ("sigma1", (Fraction(18), np.float32(18.3), np.int64(18))),
+        ("sigma2", (Fraction(151, 10), np.float32(15.1), np.int64(15))),
+        ("delta_L", (Fraction(-96, 5), np.float32(-19.2), np.int64(-19))),
+        ("delta_U", (Fraction(96, 5), np.float32(19.2), np.int64(19))),
+        ("alpha", (Fraction(1, 20), np.float32(0.05))),
+        ("q", (Fraction(3, 2), np.float32(1.5), np.int64(2))))
+    for value in values]
+
+
+def public_outputs(spec):
+    """What every public entry point returns for spec, in a form that
+    np.testing.assert_equal compares (NaN equal to NaN)."""
+    u = (0.2, 0.3, 0.4)
+    stats = stats_from_point(u, spec, 10, 15)
+    curve = power_curve(spec, 0.8, 64, 3)
+    return {
+        "stats": stats,
+        "rejects": rejects(stats, spec),
+        "empirical": empirical_power(spec, 10, 15, 512, 3),
+        "naive": naive_power(spec, 10, 15, 256, 3),
+        "se": se_of_n(u, spec, 7.5),
+        "lambda": lambda_of_n(u, spec, 7.5),
+        "crossing": smallest_crossing(u, spec),
+        "curve": dataclasses.asdict(curve),
+        "intersections": scan_intersections(u, spec, 60),
+        "peak": scan_se_peak((0.02, 0.03, 0.5), spec, 60),
+        "summary": scenario_summary(spec, 40, 16, 1, 3),
+        "scaled": spec.scaled(2.0),
+        "shifted": spec.shifted(1.0),
+    }
+
+
 class TestDesignSpec:
     def test_defaults(self):
         s = DesignSpec(0.0, 1.0, 2.0, -1.0, 1.0)
         assert s.alpha == 0.05
         assert s.q == 1.0
+
+    @pytest.mark.parametrize(
+        "name, value", NON_FLOAT_FIELDS,
+        ids=[f"{n}-{type(v).__name__}" for n, v in NON_FLOAT_FIELDS])
+    def test_non_float_fields_compute_as_their_floats(self, name, value):
+        # a field is stored as the float it rounds to, so every entry
+        # point returns what the design built from float(value) returns
+        spec = DesignSpec(**{**BASE_FIELDS, name: value})
+        plain = DesignSpec(**{**BASE_FIELDS, name: float(value)})
+        assert all(type(v) is float for v in vars(spec).values())
+        assert spec == plain
+        np.testing.assert_equal(public_outputs(spec), public_outputs(plain))
 
     @pytest.mark.parametrize("field,value,msg", [
         ("sigma1", -1.0, "sigma1 must be positive"),
@@ -483,19 +540,43 @@ class TestScreenedRejectionFlags:
                         rejection_flags(u, z3, spec, n1, n2),
                         unscreened_flags(u, spec, n1, n2))
 
-    @pytest.mark.parametrize("alpha", [0.001, 0.05, 0.3])
+    @pytest.mark.parametrize("alpha", [0.001, 0.05, 0.3, 0.5 - 1e-6, 0.5])
     def test_band_bounds_quantile_over_welch_range(self, alpha):
-        # the quantile at every df in [min(n1, n2) - 1, n1 + n2 - 2],
-        # ends included, lies inside the band
+        # the quantile at every df in [nu_lo, nu_hi], ends included, lies
+        # inside the band: on Welch ranges [min(n1, n2) - 1, n1 + n2 - 2],
+        # on the block ranges of the scans, whose band is this one, and
+        # on random sub-intervals of [1, 1e4]
         for n1, n2 in ((2, 2), (2, 200), (3, 5), (37, 11), (400, 400)):
-            lo, hi = _t_band(alpha, n1, n2)
+            lo, hi = _t_band(alpha, min(n1, n2) - 1.0, n1 + n2 - 2.0)
             nu = np.linspace(min(n1, n2) - 1.0, n1 + n2 - 2.0, 2001)
             t = t_quantile(1.0 - alpha, nu)
             assert np.all((lo <= t) & (t <= hi))
-            assert lo < hi
+            assert lo < hi if alpha < 0.5 else lo == hi == 0.0
+        ranges = []
+        for name in ("s2_mu16", "s6_mu12", "s7_mu16"):
+            spec, n_max = SCENARIOS[name]
+            spec = dataclasses.replace(spec, alpha=alpha)
+            n1, n2, first, last, _, band = _scan_blocks(
+                spec, *_integer_grid(spec, n_max))
+            nu_lo = np.minimum(n1[first], n2[first]) - 1.0
+            nu_hi = n1[last] + n2[last] - 2.0
+            for got, want in zip(band, _t_band(alpha, nu_lo, nu_hi)):
+                np.testing.assert_array_equal(got, want)
+            ranges.append((nu_lo, nu_hi))
+        rng = np.random.Generator(np.random.PCG64(17))
+        ranges.append(np.sort(10.0 ** rng.uniform(0.0, 4.0, (2, 300)), axis=0))
+        for nu_lo, nu_hi in ranges:
+            lo, hi = _t_band(alpha, nu_lo, nu_hi)
+            nu = np.linspace(nu_lo, nu_hi, 101, axis=-1)
+            t = t_quantile(1.0 - alpha, nu)
+            assert np.all((lo[:, None] <= t) & (t <= hi[:, None]))
+            if alpha < 0.5:
+                assert np.all(lo < hi)
+            else:
+                assert not (lo.any() or hi.any())
 
     def test_band_is_zero_at_alpha_half(self):
-        assert _t_band(0.5, 3, 9) == (0.0, 0.0)
+        assert _t_band(0.5, 2.0, 10.0) == (0.0, 0.0)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(mu=st.floats(-30.0, 30.0), sigma1=st.floats(0.1, 40.0),
@@ -560,8 +641,9 @@ class TestCellTBand:
                 lo2, hi2 = knot_bounds(u2, n2 - 1.0)
                 s1_lo, s2_lo, _ = _sample_se(lo1, lo2, spec, n1, n2)
                 s1_hi, s2_hi, _ = _sample_se(hi1, hi2, spec, n1, n2)
-                lo, hi = _cell_t_band(alpha, n1, n2, (s1_lo, s1_hi),
-                                      (s2_lo, s2_hi))
+                lo, hi = _cell_t_band(alpha, n1, n2,
+                                      (s1_lo / n1, s1_hi / n1),
+                                      (s2_lo / n2, s2_hi / n2))
                 s1, s2, _ = _sample_se(inv_chisq(u1, n1 - 1.0),
                                        inv_chisq(u2, n2 - 1.0), spec, n1, n2)
                 # both variances zero: no df (welch_df raises there)
@@ -570,7 +652,8 @@ class TestCellTBand:
                 t = t_quantile(1.0 - alpha, welch_df(s1[ok], s2[ok], n1, n2))
                 bad = ~((lo[ok] <= t) & (t <= hi[ok]))
                 assert not bad.any(), (c1, c2, n1, n2, u1[ok][bad][:3])
-                whole_lo, whole_hi = _t_band(alpha, n1, n2)
+                whole_lo, whole_hi = _t_band(alpha, min(n1, n2) - 1.0,
+                                             n1 + n2 - 2.0)
                 assert np.all((whole_lo <= lo) & (hi <= whole_hi))
 
     @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.3, 0.5])
@@ -583,7 +666,7 @@ class TestCellTBand:
             np.testing.assert_array_equal(
                 t, t_quantile(1.0 - alpha, np.linspace(min(n1, n2) - 1.0,
                                                        n1 + n2 - 2.0, _J + 1)))
-            lo, hi = _t_band(alpha, n1, n2)
+            lo, hi = _t_band(alpha, min(n1, n2) - 1.0, n1 + n2 - 2.0)
             assert t[-1] * (1.0 - _SLACK) == lo
             assert t[0] * (1.0 + _SLACK) == hi
 
@@ -657,16 +740,16 @@ class TestTableFirstBounds:
         for sigma1, sigma2 in SIGMAS:
             spec = DesignSpec(0.0, sigma1, sigma2, -1.0, 1.0, q=q)
             for n1, n2 in table_first_pairs(q):
-                s1_lo, s1_hi, a1_lo, a1_hi = _variance_brackets(sigma1, n1)
-                s2_lo, s2_hi, a2_lo, a2_hi = _variance_brackets(sigma2, n2)
+                a1_lo, a1_hi = _variance_brackets(sigma1, n1)
+                a2_lo, a2_hi = _variance_brackets(sigma2, n2)
                 lo1, hi1 = knot_bounds(u1, n1 - 1.0)
                 lo2, hi2 = knot_bounds(u2, n2 - 1.0)
                 with np.errstate(over="ignore"):
-                    for x1, x2, s1, s2, a1, a2 in (
-                            (lo1, lo2, s1_lo, s2_lo, a1_lo, a2_lo),
-                            (hi1, hi2, s1_hi, s2_hi, a1_hi, a2_hi)):
-                        ref = _sample_se(x1, x2, spec, n1, n2)
-                        got = (s1[i1], s2[i2], np.sqrt(a1[i1] + a2[i2]))
+                    for x1, x2, a1, a2 in ((lo1, lo2, a1_lo, a2_lo),
+                                           (hi1, hi2, a1_hi, a2_hi)):
+                        s1, s2, se = _sample_se(x1, x2, spec, n1, n2)
+                        ref = (s1 / n1, s2 / n2, se)
+                        got = (a1[i1], a2[i2], np.sqrt(a1[i1] + a2[i2]))
                         for r, g in zip(ref, got):
                             np.testing.assert_array_equal(g, r)
 
@@ -702,6 +785,7 @@ class TestTableFirstBounds:
 
     def test_tables_are_cached_and_read_only(self):
         tables = _variance_brackets(18.0, 9.0)
+        assert len(tables) == 2
         assert _variance_brackets(18.0, 9.0)[0] is tables[0]
         for table in tables:
             assert table.shape == (_K,)
