@@ -50,10 +50,10 @@ def _add_design_args(p):
                    help="anticipated mean difference mu1 - mu2")
     p.add_argument("--sigma1", type=float, help="group 1 SD")
     p.add_argument("--sigma2", type=float, help="group 2 SD")
-    _add_test_args(p, "group")
+    _add_test_args(p)
 
 
-def _add_test_args(p, unit):
+def _add_test_args(p):
     p.add_argument("--delta", type=float,
                    help="symmetric limits: expands to delta_L = -delta, "
                         "delta_U = +delta")
@@ -64,15 +64,12 @@ def _add_test_args(p, unit):
     p.add_argument("--alpha", type=float, default=0.05,
                    help="one-sided significance level (default %(default)g)")
     p.add_argument("--q", type=float, default=1.0,
-                   help=f"{unit} allocation ratio n2 = q * n1 "
-                        "(default %(default)g)")
+                   help="allocation ratio n2 = q * n1 (default %(default)g)")
 
 
 def _add_solver_args(p):
     p.add_argument("--target-power", dest="target_power", type=float,
                    default=0.8, help="desired power (default %(default)s)")
-    p.add_argument("--m", type=int, default=1024,
-                   help="Sobol' points (default %(default)s)")
     p.add_argument("-B", "--bound", dest="bound", type=float,
                    default=DEFAULT_B,
                    help="censoring bound for crossings (default %(default)g)")
@@ -89,58 +86,52 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("power", help="single power estimate")
-    p.set_defaults(run=_cmd_power)
+    p.set_defaults(run=_cmd_power, m=65536)
     _add_design_args(p)
     p.add_argument("--n1", type=int, help="group 1 size")
     p.add_argument("--n2", type=int, help="group 2 size")
-    p.add_argument("--m", type=int, default=65536,
-                   help="points / replicates (default %(default)s)")
     p.add_argument("--engine", choices=("segment", "naive"), default="segment",
                    help="segment: unit-cube mapped estimator (default); "
                         "naive: data-level simulation")
 
     p = sub.add_parser("curve", help="power curve and recommendation")
-    p.set_defaults(run=_cmd_curve)
+    p.set_defaults(run=_cmd_curve, m=1024)
     _add_design_args(p)
     _add_solver_args(p)
     p.add_argument("--csv", help="write the ECDF as n,power rows here")
     p.add_argument("--svg", help="write an ECDF step plot here")
 
     p = sub.add_parser("crossover", help="2x2 crossover sample sizes")
-    p.set_defaults(run=_cmd_crossover)
+    p.set_defaults(run=_cmd_crossover, m=1024)
     p.add_argument("--effect", type=float,
                    help="direct treatment effect F")
     p.add_argument("--sigma-d1", dest="sigma_d1", type=float,
                    help="period-difference SD, sequence 1")
     p.add_argument("--sigma-d2", dest="sigma_d2", type=float,
                    help="period-difference SD, sequence 2")
-    _add_test_args(p, "sequence")
+    _add_test_args(p)
     _add_solver_args(p)
     p.add_argument("--compare-chow", dest="compare_chow", action="store_true",
                    help="also report the conservative closed-form n "
                         "(uses sigma_d1 as the common SD)")
 
     p = sub.add_parser("diagnose", help="crossing diagnostics on integer grids")
-    p.set_defaults(run=_cmd_diagnose)
+    p.set_defaults(run=_cmd_diagnose, m=1024)
     p.add_argument("--scenario",
                    help="preset name(s), comma separated, or 'all'; "
                         f"presets: {', '.join(sorted(SCENARIOS))}")
     _add_design_args(p)
     p.add_argument("--n-max", dest="n_max", type=int,
                    help="grid bound for a custom design")
-    p.add_argument("--m", type=int, default=1024,
-                   help="Sobol' points (default %(default)s)")
     p.add_argument("--reps", type=int, default=10,
                    help="replicated streams (default %(default)s)")
     p.add_argument("--csv", help="write the summary table here")
 
     p = sub.add_parser("bench", help="replicated estimates over a size grid")
-    p.set_defaults(run=_cmd_bench)
+    p.set_defaults(run=_cmd_bench, m=65536)
     _add_design_args(p)
     p.add_argument("--grid", default=_TABLE1_GRID,
                    help="comma list of n1 values (default %(default)s)")
-    p.add_argument("--m", type=int, default=65536,
-                   help="points per estimate (default %(default)s)")
     p.add_argument("--reps", type=int, default=5,
                    help="replicates per n (default %(default)s)")
     p.add_argument("--engines", choices=("segment", "naive", "both"),
@@ -148,6 +139,8 @@ def _build_parser():
                    help="which engines to run (default %(default)s)")
     p.add_argument("--csv", help="write the result table here")
     for p in sub.choices.values():
+        p.add_argument("--m", type=int, help="Sobol' points, or naive "
+                       "replicates, per estimate (default %(default)s)")
         p.add_argument("--config", help="flat key = value config file; "
                                         "flags override file values")
         p.add_argument("--seed", type=int, help="required 64-bit seed")
@@ -247,14 +240,9 @@ def _inputs(spec, args, **extra):
 
 
 def _csv_text(header, rows):
-    lines = [",".join(_csv_cell(c) for c in row) for row in rows]
+    lines = [",".join(f"{c:.10g}" if isinstance(c, float) else str(c)
+                      for c in row) for row in rows]
     return "\n".join([header, *lines]) + "\n"
-
-
-def _csv_cell(c):
-    if isinstance(c, float):
-        return "nan" if math.isnan(c) else f"{c:.10g}"
-    return str(c)
 
 
 def _ecdf_steps(pc):
@@ -271,8 +259,7 @@ def _svg_ecdf(pc):
     pw, ph = width - left - right, height - top - bottom
     steps = _ecdf_steps(pc)
     x_lo = 2.0
-    x_hi = max(s[0] for s in steps) if steps else pc.target_power
-    x_hi = max(x_hi, x_lo + 1.0)
+    x_hi = max(steps[-1][0], x_lo + 1.0)
 
     def sx(v):
         return left + pw * (v - x_lo) / (x_hi - x_lo)
@@ -378,8 +365,16 @@ def _cmd_diagnose(args):
     if args.scenario:
         names = (sorted(SCENARIOS) if args.scenario == "all"
                  else [s.strip() for s in args.scenario.split(",")])
+        # a preset fixes the design and the grid, so a flag or config
+        # value that moves them off the parser defaults would go unused
+        default = _build_parser()[1]["diagnose"].get_default
+        moved = [f"--{d.replace('_', '-')}" for d in (
+            "mu_diff", "sigma1", "sigma2", "delta", "delta_l", "delta_u",
+            "alpha", "q", "n_max") if getattr(args, d) != default(d)]
         _fail([f"unknown scenario '{name}'" for name in names
-               if name not in SCENARIOS])
+               if name not in SCENARIOS]
+              + ([f"--scenario presets fix the design and grid: drop "
+                  f"{', '.join(moved)}"] if moved else []))
         jobs = [(name, *SCENARIOS[name]) for name in names]
     else:
         spec = _spec(args, [] if args.n_max is not None

@@ -94,6 +94,8 @@ def crossover_sample_size(cspec, target_power, m, seed,
     RuntimeError
         If too many points are censored at the bound B.
     """
+    if not cspec.delta_L < cspec.F < cspec.delta_U:
+        raise ValueError("F must lie strictly between delta_L and delta_U")
     return _curve.power_curve(to_two_group(cspec), target_power, m, seed,
                               B=B, tol=tol)
 

@@ -19,11 +19,10 @@ quantile of the point's own), bound margin and the t quantile from the
 block's first and last cells, and decide whole blocks at once.  The
 blocks the bounds leave open, and those that could hold the se argmax,
 are evaluated cell by cell in one exact call, and each point's se peak
-is taken from them.  At m = 128 on the benchmark scenarios that is
-about 1.8% of the cells at n_max = 100, 0.44% at 500 and 0.29% at
-2500.  Exact cells are decided against their block's t band, and take
-a t quantile of their own only where it leaves them open.  Every flag
-and se argmax is the one a cell-by-cell scan gives.
+is taken from them (the README gives the measured share of exact
+cells).  Exact cells are decided against their block's t band, and
+take a t quantile of their own only where it leaves them open.  Every
+flag and se argmax is the one a cell-by-cell scan gives.
 """
 
 from __future__ import annotations
@@ -138,59 +137,41 @@ class SePeakReport:
 
 
 def _integer_grid(spec, n_max):
-    """Integer n1 grid with round-half-even n2 (as floats, which a huge
-    q does not overflow), both sizes >= 2; a ValueError where q * n_max
-    overflows the float range."""
-    n_max = _check_count("n_max", n_max, 2)
-    if math.isinf(spec.q * n_max):
-        raise ValueError(f"q * n_max = {spec.q:g} * {n_max} overflows the "
+    """(n1, n2, first, last, dfs, t): the integer n1 grid with
+    round-half-even n2, both sizes >= 2 and stored as read-only floats
+    (which a huge q does not overflow), and its blocks at spec.alpha:
+    each block's first and last cell, the chi-square df (lo, hi) whose
+    knot tables bound the block's quantiles (see `_block_bounds`), and
+    the block's t band (lo, hi).  Block k holds the cells ends[k] to
+    ends[k + 1] - 1, and the last block the grid's last cell too; a
+    one-cell grid is the block [0, 0].  The tuple depends on (alpha, q,
+    n_max) alone and is cached.  A ValueError where n_max is no integer
+    >= 2, q * n_max overflows the float range or the grid is empty."""
+    return _cached_grid(spec.alpha, spec.q, _check_count("n_max", n_max, 2))
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_grid(alpha, q, n_max):
+    if math.isinf(q * n_max):
+        raise ValueError(f"q * n_max = {q:g} * {n_max} overflows the "
                          "float range")
     # rint(q n) >= 2 exactly when q n >= 1.5; 1.5 / q may round up to
     # the next integer, so start one below it and let the predicate
     # itself settle the first n
-    start = max(2, math.ceil(min(1.5 / spec.q, n_max + 1.0)) - 1)
-    while start <= n_max and np.rint(spec.q * start) < 2:
+    start = max(2, math.ceil(min(1.5 / q, n_max + 1.0)) - 1)
+    while start <= n_max and np.rint(q * start) < 2:
         start += 1
     if start > n_max:
         raise ValueError("n_max leaves no feasible integer grid")
-    n1 = np.arange(start, n_max + 1)
-    return n1, np.rint(spec.q * n1)
-
-
-def _block_ends(n1_grid):
-    """Grid indices of the block ends; neighbouring blocks share one, and
-    a one-cell grid is the block [0, 0]."""
-    last = len(n1_grid) - 1
+    n1 = np.arange(start, n_max + 1, dtype=float)
+    n2 = np.rint(q * n1)
+    # block ends, shared by neighbouring blocks
     ends = [0]
-    while len(ends) < 2 or ends[-1] < last:
+    while len(ends) < 2 or ends[-1] < len(n1) - 1:
         i = ends[-1]
-        ends.append(min(last, i + max(1, int(n1_grid[i]) >> _BLOCK_SHIFT)))
-    return np.array(ends)
-
-
-def _block_cells(ends):
-    """(first, last): the grid indices of each block's first and last
-    cell.  Block k holds the cells ends[k] to ends[k + 1] - 1, and the
-    last block the grid's last cell too."""
-    return ends[:-1], np.append(ends[1:-1] - 1, ends[-1])
-
-
-def _scan_blocks(spec, n1_grid, n2_grid):
-    """(n1, n2, first, last, dfs, t) of the grid n1_grid, n2_grid at
-    spec.alpha: the sizes as read-only floats, each block's first and
-    last cell (see `_block_cells`), the chi-square df (lo, hi) whose knot
-    tables bound the block's quantiles (see `_block_bounds`), and the
-    block's t band (lo, hi).  They depend on the grid and alpha alone,
-    so they are cached, keyed by the grid's bytes."""
-    return _cached_blocks(spec.alpha, n1_grid.astype(float).tobytes(),
-                          n2_grid.astype(float).tobytes())
-
-
-@functools.lru_cache(maxsize=8)
-def _cached_blocks(alpha, n1, n2):
-    n1, n2 = np.frombuffer(n1), np.frombuffer(n2)
-    ends = _block_ends(n1)
-    first, last = _block_cells(ends)
+        ends.append(min(len(n1) - 1, i + max(1, int(n1[i]) >> _BLOCK_SHIFT)))
+    ends = np.array(ends)
+    first, last = ends[:-1], np.append(ends[1:-1] - 1, ends[-1])
     # the df of groups 1 and 2 at the block's first cell, and at the
     # next block's first cell (the grid's last for the last block), so
     # that neighbours share one table; a one-cell block's own
@@ -200,16 +181,16 @@ def _cached_blocks(alpha, n1, n2):
     # and n1 + n2 - 2 at its last
     t = _t_band(alpha, np.minimum(n1[first], n2[first]) - 1.0,
                 n1[last] + n2[last] - 2.0)
-    for arr in (first, last, *dfs, *t):
+    for arr in (n1, n2, first, last, *dfs, *t):
         arr.setflags(write=False)
     return n1, n2, first, last, dfs, t
 
 
-def _block_bounds(i1, i2, z3, spec, blocks):
+def _block_bounds(i1, i2, z3, spec, grid):
     """Bounds over the cells of each block, as the (lo, hi) pairs (se,
     margin, t) that `_screen` takes, for points of knot indices (i1, i2)
-    and z3 = inv_norm(u3) (see `tost._prepare_points`) on the grid of
-    `blocks` (see `_scan_blocks`).
+    and z3 = inv_norm(u3) (see `tost._prepare_points`) on `grid` (see
+    `_integer_grid`).
 
     Chi-square quantiles rise with the df, so the knot tables at the
     block's first cell bound them from below, and those at the next
@@ -220,9 +201,9 @@ def _block_bounds(i1, i2, z3, spec, blocks):
     bounds with those of its first cell; d_bar moves monotonically from
     its value at the first cell to its value at the last, which bound
     margin.  None of them costs a quantile of the point's own, and the
-    t band comes with the blocks.
+    t band comes with the grid.
     """
-    n1, n2, first, last, dfs, t = blocks
+    n1, n2, first, last, dfs, t = grid
     lo, hi = _knot_bounds(np.stack([i1, i2]), *dfs)
     with np.errstate(over="ignore", invalid="ignore"):
         se = (_sample_se(*lo, spec, n1[last], n2[last])[2],
@@ -233,9 +214,10 @@ def _block_bounds(i1, i2, z3, spec, blocks):
                 np.minimum(d_hi - spec.delta_L, spec.delta_U - d_lo)), t
 
 
-def _grid_scan(points, spec, n1_grid, n2_grid):
-    """In-rejection flags g <= 0 over points x grid, and the grid index
-    of each point's se argmax (ties to the smallest n).
+def _grid_scan(points, spec, grid):
+    """In-rejection flags g <= 0 over points x grid (see
+    `_integer_grid`), and the grid index of each point's se argmax (ties
+    to the smallest n).
 
     Block screen: `_screen` decides each (point, block) pair from the
     knot-table `_block_bounds`, and a decided pair's state holds at
@@ -246,10 +228,9 @@ def _grid_scan(points, spec, n1_grid, n2_grid):
     t band, which holds at every cell of the block.
     """
     _, z3, (i1, i2) = _prepare_points(points)
-    blocks = _scan_blocks(spec, n1_grid, n2_grid)
-    n1, n2, first, last, _, (t_lo, t_hi) = blocks
+    n1, n2, first, last, _, (t_lo, t_hi) = grid
     width = last - first + 1
-    bounds = _block_bounds(i1, i2, z3, spec, blocks)
+    bounds = _block_bounds(i1, i2, z3, spec, grid)
     block_in, open_ = _screen(_g_in, *bounds)
     peak = bounds[0][1] >= bounds[0][0].max(axis=1, keepdims=True)
     in_rej = np.repeat(block_in, width, axis=1)
@@ -306,13 +287,14 @@ def scan_intersections(u, spec, n_max, tol=_curve.DEFAULT_TOL, point_index=0):
     """
     require_curve_spec(spec)
     _curve._check_tol(tol)
-    n1_grid, n2_grid = _integer_grid(spec, n_max)
+    grid = _integer_grid(spec, n_max)
+    n1_grid = grid[0]
     pts = _check_point(u)[np.newaxis]
-    in_rej = _grid_scan(pts, spec, n1_grid, n2_grid)[0][0]
+    in_rej = _grid_scan(pts, spec, grid)[0][0]
 
     crossings = [float(n1_grid[0])] if in_rej[0] else []
     flips = np.nonzero(in_rej[1:] != in_rej[:-1])[0]
-    a, b = n1_grid[flips].astype(float), n1_grid[flips + 1].astype(float)
+    a, b = n1_grid[flips], n1_grid[flips + 1]
     # g on the continuous-allocation curve; every bracket is the one point's
     cont_g, _ = _curve._point_g(pts, spec)
     k = np.zeros(len(flips), dtype=np.int64)
@@ -343,11 +325,9 @@ def scan_se_peak(u, spec, n_max, point_index=0):
     start, since se decays like n**-1/2; lower-tail variance
     coordinates can push the peak to small n > 2.
     """
-    n1_grid, n2_grid = _integer_grid(spec, n_max)
-    pts = _check_point(u)[np.newaxis]
-    peak = _grid_scan(pts, spec, n1_grid, n2_grid)[1][0]
-    return SePeakReport(point_index=point_index,
-                        argmax_n=int(n1_grid[peak]))
+    grid = _integer_grid(spec, n_max)
+    peak = _grid_scan(_check_point(u)[np.newaxis], spec, grid)[1][0]
+    return SePeakReport(point_index=point_index, argmax_n=int(grid[0][peak]))
 
 
 def scenario_summary(spec, n_max, m, reps, seed):
@@ -368,33 +348,28 @@ def scenario_summary(spec, n_max, m, reps, seed):
     """
     require_curve_spec(spec)
     m, reps = _check_count("m", m), _check_count("reps", reps)
-    n1_grid, n2_grid = _integer_grid(spec, n_max)
+    grid = _integer_grid(spec, n_max)
+    n1_grid = grid[0]
     child_seeds = np.random.SeedSequence(_check_seed(seed)).generate_state(
         reps, np.uint64)
 
-    multi = 0
-    departures = []
-    durations = []
-    argmax_values = []
+    departures, durations, argmax_values = [], [], []
     for child in child_seeds:
         points = sobol_stream(3, m, int(child)).points
         for lo in range(0, m, _CHUNK):
-            in_rej, peak = _grid_scan(points[lo:lo + _CHUNK], spec, n1_grid,
-                                      n2_grid)
-            flips = in_rej[:, 1:] != in_rej[:, :-1]
-            n_changes = flips.sum(axis=1)
+            in_rej, peak = _grid_scan(points[lo:lo + _CHUNK], spec, grid)
+            n_changes = (in_rej[:, 1:] != in_rej[:, :-1]).sum(axis=1)
             argmax_values.append(n1_grid[peak])
+            # two sign changes always include a departure, so the
+            # departures count the multi-crossing points
             for i in np.nonzero(n_changes >= 2)[0]:
-                multi += 1
-                # two sign changes always include a departure
                 departure_n, duration = _departure(in_rej[i], n1_grid)
                 departures.append(departure_n)
                 if duration is not None:
                     durations.append(duration)
     argmax_all = np.concatenate(argmax_values)
-    total = reps * m
     return {
-        "prevalence": multi / total,
+        "prevalence": len(departures) / (reps * m),
         "mean_departure": float(np.mean(departures)) if departures else math.nan,
         "mean_duration": float(np.mean(durations)) if durations else math.nan,
         "mean_argmax": float(np.mean(argmax_all)),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -17,6 +18,79 @@ def run(capsys, *argv):
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+CROSSOVER = ["--effect", "0.05", "--sigma-d1", "0.4", "--sigma-d2", "0.3",
+             "--delta", "0.223"]
+
+# stdout, and the SHA-256 of the CSV and SVG bytes and of the JSON
+# results (sort_keys=True), of one small run per subcommand
+FROZEN = {
+    "power": (
+        ["power", *DESIGN, "--n1", "20", "--n2", "20", "--m", "4096",
+         "--seed", "7"],
+        "power = 0.882080  (engine=segment, n1=20, n2=20, m=4096, seed=7)\n",
+        "7d3a2fa07f9b656308cf78da4eba4775c0f82b97090b43897f1019e44e095088",
+        {}),
+    "curve": (
+        ["curve", *DESIGN, "--m", "64", "--seed", "3"],
+        "recommend n1 = 16, n2 = 16  (n* = 15.7972, target = 0.8, "
+        "censored = 0, reinitialized = 0)\n",
+        "6a56420ce351eeddcbf8b4c8d124dd725f25ad8c4916653410e697e34ae201d2",
+        {"csv": "026ac842ffcc429f9ed49709cbde95b8"
+                "1fccdd46b49582aa33636758c01e7509",
+         "svg": "1c9e34d0681b5aff5fc48f446641e4e5"
+                "9f87e3865dadd7d336eed4b4c90fe471"}),
+    "crossover": (
+        ["crossover", *CROSSOVER, "--m", "256", "--seed", "5",
+         "--compare-chow"],
+        "recommend 15 + 15 subjects per sequence (n* = 14.5922); "
+        "conservative closed form: 24 per sequence\n",
+        "e252c04b5b5d0595d7330c3f7a38e201d688b0cfcca0048cb99d278a8f24d207",
+        {}),
+    "diagnose": (
+        ["diagnose", "--scenario", "s1_mu0,s2_mu4", "--m", "64", "--reps",
+         "2", "--seed", "3"],
+        "s1_mu0: prevalence = 0.00000%, mean se-argmax = 2.55\n"
+        "s2_mu4: prevalence = 0.00000%, mean se-argmax = 2.54\n",
+        "6aeb23e13d07685c1efac50b4ceec51d091880138187fb949a409d148cb7ccec",
+        {"csv": "522496263b34528003fbdefb40468c06"
+                "a86827b5a4cad891aea452aa7460ec1b"}),
+    "bench": (
+        ["bench", *DESIGN, "--grid", "3,5", "--m", "256", "--reps", "2",
+         "--seed", "8"],
+        "n1=   3  segment=0.0430 (sd 0.0e+00)  naive=0.0488 (sd 1.4e-02)\n"
+        "n1=   5  segment=0.1328 (sd 5.5e-03)  naive=0.1367 (sd 1.1e-02)\n",
+        "1eee2f767e469f9fef1891bc1a021e55884e03a3378548e386607ee7c92b035a",
+        {"csv": "4a666a7472b74acd2a2f4aa5a5e76558"
+                "acc0068178920b1e2b09e3fbd5def411"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_outputs_frozen(capsys, tmp_path, name):
+    argv, stdout, results, files = FROZEN[name]
+    paths = {kind: tmp_path / f"out.{kind}" for kind in files}
+    j = tmp_path / "out.json"
+    flags = [arg for kind, path in paths.items()
+             for arg in (f"--{kind}", str(path))]
+    code, out, err = run(capsys, *argv, *flags, "--json", str(j))
+    assert (code, out, err) == (0, stdout, "")
+    assert sha256(json.dumps(read_json(j)["results"],
+                             sort_keys=True).encode()) == results
+    assert {kind: sha256(path.read_bytes())
+            for kind, path in paths.items()} == files
+
+
+def test_m_default_per_subcommand():
+    subcommands = cli._build_parser()[1]
+    assert {name: p.get_default("m") for name, p in subcommands.items()} == {
+        "power": 65536, "curve": 1024, "crossover": 1024, "diagnose": 1024,
+        "bench": 65536}
 
 
 class TestPowerCommand:
@@ -106,6 +180,24 @@ class TestConfigFile:
         assert rec["inputs"]["m"] == 256  # flag beats config
         assert rec["inputs"]["seed"] == 9  # config beats nothing
         assert rec["inputs"]["sigma2"] == 15.0
+
+    @pytest.mark.parametrize("argv", [
+        ["power", *DESIGN, "--n1", "10", "--n2", "10"],
+        ["curve", *DESIGN],
+        ["crossover", *CROSSOVER],
+        ["diagnose", "--scenario", "s1_mu0", "--reps", "1"],
+        ["bench", *DESIGN, "--grid", "3", "--reps", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_config_m_applies(self, capsys, tmp_path, argv):
+        # each subcommand has its own --m default; a config file's value
+        # replaces it
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("m = 64\n")
+        j = tmp_path / "r.json"
+        code, _, _ = run(capsys, *argv, "--config", str(cfg), "--seed", "2",
+                         "--json", str(j))
+        assert code == 0
+        assert read_json(j)["inputs"]["m"] == 64
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -228,6 +320,16 @@ class TestCrossoverCommand:
         assert code == 2 and out == ""
         assert "alpha must exceed 2 ** -54" in err
 
+    def test_effect_outside_limits(self, capsys):
+        # the check names the crossover's own field, not the two-group
+        # design's mu_diff
+        code, out, err = run(capsys, "crossover", "--effect", "0.3",
+                             "--sigma-d1", "0.4", "--sigma-d2", "0.3",
+                             "--delta", "0.223", "--seed", "5")
+        assert (code, out) == (2, "")
+        assert err == ("error: F must lie strictly between delta_L and "
+                       "delta_U\n")
+
     def test_missing_effect(self, capsys):
         code, _, err = run(capsys, "crossover", "--sigma-d1", "0.4",
                            "--sigma-d2", "0.3", "--delta", "0.223",
@@ -248,6 +350,25 @@ class TestDiagnoseCommand:
         assert lines[0].startswith("scenario,mu_diff,sigma1")
         assert len(lines) == 2
         assert lines[1].startswith("s1_mu0,")
+
+    def test_preset_rejects_design_and_grid_values(self, capsys, tmp_path):
+        # a preset fixes the design and the grid: every flag or config
+        # value off its parser default is named, in one line
+        code, out, err = run(capsys, "diagnose", "--scenario", "s1_mu0",
+                             "--alpha", "0.1", "--delta", "19.2", "--m", "16",
+                             "--reps", "1", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == ("error: --scenario presets fix the design and grid: "
+                       "drop --delta, --alpha\n")
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text("q = 2\nalpha = 0.05\nsigma2 = 15\n")
+        code, out, err = run(capsys, "diagnose", "--scenario", "s1_mu0,s9",
+                             "--config", str(cfg), "--m", "16", "--reps", "1",
+                             "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == ("error: unknown scenario 's9'\n"
+                       "error: --scenario presets fix the design and grid: "
+                       "drop --sigma2, --q\n")
 
     def test_unknown_scenario(self, capsys):
         code, _, err = run(capsys, "diagnose", "--scenario", "s9_mu0",
@@ -401,10 +522,13 @@ class TestBenchCommand:
     ["power", *DESIGN, "--n1", "1" + "0" * 400, "--n2", "5", "--seed", "1"],
     ["bench", *DESIGN, "--grid", "1" + "0" * 400, "--m", "16", "--reps",
      "1", "--seed", "1"],
+    ["diagnose", "--scenario", "s1_mu0", "--n-max", "20", "--mu-diff", "5",
+     "--m", "16", "--reps", "1", "--seed", "1"],
 ], ids=["n_max_1", "m_0", "mu_outside_limits", "diagnose_seed",
         "bench_seed", "group_size_1", "reps_0", "sigma_squared_overflows",
         "sample_variance_overflows", "bound_nan", "tol_nan", "tol_inf",
-        "n1_beyond_float_range", "grid_beyond_float_range"])
+        "n1_beyond_float_range", "grid_beyond_float_range",
+        "preset_with_design_flags"])
 def test_invalid_input_fails_cleanly(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2

@@ -101,7 +101,7 @@ class TestCrossoverSampleSize:
 
     def test_effect_outside_limits_rejected(self):
         cspec = CrossoverSpec(**{**BE_KW, "F": 0.3})
-        with pytest.raises(ValueError, match="strictly between"):
+        with pytest.raises(ValueError, match="F must lie strictly between"):
             crossover_sample_size(cspec, 0.8, 64, seed=1)
 
     def test_ints_beyond_float_range_rejected(self):

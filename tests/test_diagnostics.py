@@ -19,9 +19,8 @@ from scipy.optimize import brentq
 
 from bepower import diagnostics, tost
 from bepower.curve import _g
-from bepower.diagnostics import (SCENARIO_COMBOS, _block_bounds, _block_cells,
-                                 _block_ends, _grid_scan, _integer_grid,
-                                 _scan_blocks)
+from bepower.diagnostics import (SCENARIO_COMBOS, _block_bounds, _grid_scan,
+                                 _integer_grid)
 from bepower.qrng import CLAMP_HIGH, CLAMP_LOW, sobol_stream
 from bepower.special import inv_norm, t_quantile
 from bepower.tost import (_KNOTS, _STORE, _g_in, _knot_index, _mapped,
@@ -164,9 +163,9 @@ def full_grid_matrices(points, spec, n1_grid, n2_grid):
 
 
 def assert_scan_matches_full_grid(points, spec, n_max):
-    n1, n2 = _integer_grid(spec, n_max)
-    in_rej, peak = _grid_scan(points, spec, n1, n2)
-    ref_in, ref_se = full_grid_matrices(points, spec, n1, n2)
+    grid = _integer_grid(spec, n_max)
+    in_rej, peak = _grid_scan(points, spec, grid)
+    ref_in, ref_se = full_grid_matrices(points, spec, *grid[:2])
     np.testing.assert_array_equal(in_rej, ref_in)
     np.testing.assert_array_equal(peak, np.argmax(ref_se, axis=1))
 
@@ -184,7 +183,7 @@ class TestGridMatrices:
         # the band screen decides each cell as g = se - Lambda <= 0 does,
         # with Lambda from the per-cell t quantile
         spec, n_max = GRID_DESIGNS[name]
-        n1, n2 = _integer_grid(spec, n_max)
+        n1, n2 = _integer_grid(spec, n_max)[:2]
         screened = 0
         for seed in (5, 6):
             pts = sobol_stream(3, 128, seed).points
@@ -207,8 +206,8 @@ class TestGridMatrices:
 
 def end_dfs(spec, n_max):
     """The distinct chi-square df at the block ends of a scan's grid."""
-    n1, n2 = _integer_grid(spec, n_max)
-    ends = _block_ends(n1)
+    n1, n2, first, last = _integer_grid(spec, n_max)[:4]
+    ends = np.append(first, last[-1])
     return set((n1[ends] - 1.0).tolist()) | set((n2[ends] - 1.0).tolist())
 
 
@@ -230,12 +229,17 @@ def knot_table_calls(monkeypatch):
 class TestGridScan:
     def test_block_ends(self):
         # one column wide while n1 < 128 (floor(n1 / 64) < 2), then
-        # floor(n1 / 64) wide; the last block ends at the grid's end, and
-        # a one-cell grid is the block [0, 0]
-        n1, _ = _integer_grid(DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2), 200)
-        assert n1[_block_ends(n1)].tolist() == [
-            *range(2, 129), *range(130, 193, 2), 195, 198, 200]
-        assert _block_ends(n1[:1]).tolist() == [0, 0]
+        # floor(n1 / 64) wide; a block ends one cell before the next
+        # begins, the last block at the grid's end, and a one-cell grid
+        # is the block [0, 0]
+        spec = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2)
+        n1, _, first, last = _integer_grid(spec, 200)[:4]
+        assert n1[first].tolist() == [
+            *range(2, 129), *range(130, 193, 2), 195, 198]
+        assert n1[last].tolist() == [
+            *range(2, 128), *range(129, 192, 2), 194, 197, 200]
+        _, _, first, last = _integer_grid(spec, 2)[:4]
+        assert (first.tolist(), last.tolist()) == ([0], [0])
 
     @pytest.mark.parametrize("spec,n_max", [
         SCENARIOS["s2_mu16"], (SCENARIOS["s6_mu12"][0], 2500),
@@ -250,19 +254,15 @@ class TestGridScan:
         pts = sobol_stream(3, 64, 3).points.copy()
         pts[:2, :2] = [[CLAMP_LOW, CLAMP_HIGH], [CLAMP_HIGH, CLAMP_LOW]]
         u1, u2, z3 = pts[:, 0], pts[:, 1], inv_norm(pts[:, 2])
-        n1, n2 = _integer_grid(spec, n_max)
-        ends = _block_ends(n1)
+        grid = _integer_grid(spec, n_max)
+        n1, n2, first, last = grid[:4]
         bounds = _block_bounds(_knot_index(u1), _knot_index(u2), z3, spec,
-                               _scan_blocks(spec, n1, n2))
-        n1, n2 = n1.astype(float), n2.astype(float)
+                               grid)
         se, margin, nu = _mapped(u1[:, None], u2[:, None], z3[:, None], spec,
                                  n1, n2)
         values = se, margin, t_quantile(1.0 - spec.alpha, nu)
         interior = 0
-        # block k is the cells ends[k] .. ends[k + 1] - 1, and the last
-        # block holds the grid's last cell too
-        lasts = [*(ends[1:-1] - 1), ends[-1]]
-        for k, (a, b) in enumerate(zip(ends[:-1], lasts)):
+        for k, (a, b) in enumerate(zip(first, last)):
             for (lo, hi), v in zip(bounds, values):
                 cells = v[:, a:b + 1]
                 lo, hi = lo[..., k, None], hi[..., k, None]
@@ -286,7 +286,8 @@ class TestGridScan:
         pts[:2, :2] = [[CLAMP_LOW, CLAMP_HIGH], [CLAMP_HIGH, CLAMP_LOW]]
         row = {u: p for p, u in enumerate(pts[:, 0])}
         assert len(row) == len(pts)
-        n1, n2 = _integer_grid(spec, n_max)
+        grid = _integer_grid(spec, n_max)
+        n1, _, first, last = grid[:4]
         calls = []
         exact_in = diagnostics._exact_in
 
@@ -296,12 +297,10 @@ class TestGridScan:
             return exact_in(in_region, u1, u2, z3, spec, n1_cells, *args)
 
         monkeypatch.setattr(diagnostics, "_exact_in", recording)
-        _grid_scan(pts, spec, n1, n2)
-        first, last = _block_cells(_block_ends(n1))
+        _grid_scan(pts, spec, grid)
         width = last - first + 1
         bounds = _block_bounds(_knot_index(pts[:, 0]), _knot_index(pts[:, 1]),
-                               inv_norm(pts[:, 2]), spec,
-                               _scan_blocks(spec, n1, n2))
+                               inv_norm(pts[:, 2]), spec, grid)
         open_ = _screen(_g_in, *bounds)[1]
         se_lo, se_hi = bounds[0]
         peak = se_hi >= se_lo.max(axis=1, keepdims=True)
@@ -369,24 +368,46 @@ class TestGridScan:
     def test_warm_grids_build_no_knot_table(self, monkeypatch):
         # a second scan of a grid computes no knot quantile, and s5_mu12
         # after s2_mu16 (q = 1 both) only the table of its last cell,
-        # which is no block end of the longer grid; each grid's blocks
-        # and block t band are computed once
-        grids = {name: _integer_grid(*SCENARIOS[name])
-                 for name in ("s2_mu16", "s5_mu12")}
+        # which is no block end of the longer grid; each grid, with its
+        # blocks and block t band, is computed once
         new = end_dfs(*SCENARIOS["s5_mu12"]) - end_dfs(*SCENARIOS["s2_mu16"])
         assert new == {499.0}
         pts = sobol_stream(3, 128, 7).points
         _STORE.clear()
-        diagnostics._cached_blocks.cache_clear()
+        diagnostics._cached_grid.cache_clear()
         calls = knot_table_calls(monkeypatch)
-        _grid_scan(pts, SCENARIOS["s2_mu16"][0], *grids["s2_mu16"])
+
+        def scan(name):
+            spec, n_max = SCENARIOS[name]
+            _grid_scan(pts, spec, _integer_grid(spec, n_max))
+
+        scan("s2_mu16")
         assert len(calls) == 1
         calls.clear()
         for name in ("s2_mu16", "s5_mu12", "s5_mu12"):
-            _grid_scan(pts, SCENARIOS[name][0], *grids[name])
+            scan(name)
         assert calls == [[499.0]]
-        info = diagnostics._cached_blocks.cache_info()
+        info = diagnostics._cached_grid.cache_info()
         assert (info.misses, info.hits) == (2, 2)
+
+    def test_one_cached_grid_per_alpha_q_n_max(self):
+        # s1_mu0 and s1_mu4 differ in mu_diff alone, so every scan of
+        # either reads one cached, read-only grid
+        (a, n_max), (b, n_max_b) = SCENARIOS["s1_mu0"], SCENARIOS["s1_mu4"]
+        assert (a.alpha, a.q, n_max) == (b.alpha, b.q, n_max_b)
+        assert a.mu_diff != b.mu_diff
+        diagnostics._cached_grid.cache_clear()
+        grid = _integer_grid(a, n_max)
+        scan_se_peak(FIXTURE_U, b, n_max)
+        scan_intersections(FIXTURE_U, a, n_max)
+        scenario_summary(b, n_max, m=16, reps=1, seed=1)
+        info = diagnostics._cached_grid.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+        assert _integer_grid(b, n_max) is grid
+        n1, n2, first, last, dfs, t = grid
+        assert n1.dtype == n2.dtype == np.float64
+        for arr in (n1, n2, first, last, *dfs, *t):
+            assert not arr.flags.writeable
 
     def test_cold_grid_builds_its_tables_in_one_call(self, monkeypatch):
         spec, n_max = SCENARIOS["s7_mu16"]
@@ -396,7 +417,7 @@ class TestGridScan:
         _STORE.columns_of(np.array([1.0, 4.0]))
         calls = knot_table_calls(monkeypatch)
         _grid_scan(sobol_stream(3, 128, 7).points, spec,
-                   *_integer_grid(spec, n_max))
+                   _integer_grid(spec, n_max))
         assert calls == [sorted(dfs - {1.0, 4.0})]
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -426,8 +447,8 @@ class TestGridScan:
         # a design whose lower limit puts one point exactly on g = 0 at a
         # block interior cell: se == Lambda counts as in-rejection in the
         # block scan, the full grid and the crossings alike
-        n1_grid = _integer_grid(motivating, 240)[0]
-        assert n not in n1_grid[_block_ends(n1_grid)]
+        n1_grid, _, first, last = _integer_grid(motivating, 240)[:4]
+        assert n not in n1_grid[np.append(first, last[-1])]
         rng = np.random.Generator(np.random.PCG64(n))
         for _ in range(400):
             u = np.array([*rng.uniform(0.05, 0.95, 2), rng.uniform(0.2, 0.5)])
@@ -444,9 +465,9 @@ class TestGridScan:
         else:
             pytest.fail("no point on g = 0 found")
         pts = u[np.newaxis, :]
-        n1, n2 = _integer_grid(spec, 240)
-        assert _grid_scan(pts, spec, n1, n2)[0][0, n - 2]
-        assert full_grid_matrices(pts, spec, n1, n2)[0][0, n - 2]
+        grid = _integer_grid(spec, 240)
+        assert _grid_scan(pts, spec, grid)[0][0, n - 2]
+        assert full_grid_matrices(pts, spec, *grid[:2])[0][0, n - 2]
         # the point enters the region at n, so its first crossing is at
         # most n (the entry locator of the curve solver), not past it
         r = scan_intersections(u, spec, 240)
@@ -456,7 +477,8 @@ class TestGridScan:
         # with every exact cell's se equal, the peak is each row's first
         # exact cell, as the argmax of a dense se matrix gives
         spec, n_max = SCENARIOS["s5_mu12"]
-        n1, n2 = _integer_grid(spec, n_max)
+        grid = _integer_grid(spec, n_max)
+        n1 = grid[0]
         pts = sobol_stream(3, 128, 3).points.copy()
         pts[:, :2] *= 0.02  # lower-tail variances: exact cells past the start
         calls = []
@@ -468,7 +490,7 @@ class TestGridScan:
             return flags, np.ones_like(se)
 
         monkeypatch.setattr(diagnostics, "_exact_in", tied)
-        peak = _grid_scan(pts, spec, n1, n2)[1]
+        peak = _grid_scan(pts, spec, grid)[1]
         u1, a = (np.concatenate(c) for c in zip(*calls))
         order = np.argsort(pts[:, 0])
         dense = np.full((len(pts), len(n1)), -np.inf)
@@ -480,13 +502,13 @@ class TestGridScan:
 
 class TestIntegerGrid:
     def test_plain_grid(self, motivating):
-        n1, n2 = _integer_grid(motivating, 6)
+        n1, n2 = _integer_grid(motivating, 6)[:2]
         assert n1.tolist() == [2, 3, 4, 5, 6]
         assert n2.tolist() == [2, 3, 4, 5, 6]
 
     def test_fractional_q_rounds_half_even(self):
         spec = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, q=0.25)
-        n1, n2 = _integer_grid(spec, 14)
+        n1, n2 = _integer_grid(spec, 14)[:2]
         assert n1[0] == 6  # first n1 with round(q n1) >= 2
         pairs = dict(zip(n1.tolist(), n2.tolist()))
         assert pairs[10] == 2  # 2.5 rounds to even 2
@@ -494,7 +516,7 @@ class TestIntegerGrid:
 
     def test_small_q_start_shifts(self):
         spec = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, q=0.6)
-        n1, _ = _integer_grid(spec, 10)
+        n1 = _integer_grid(spec, 10)[0]
         assert n1[0] == 3
         with pytest.raises(ValueError, match="no feasible integer grid"):
             scan_intersections((0.5, 0.5, 0.5), spec, 2)
@@ -525,7 +547,7 @@ class TestIntegerGrid:
         spec = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, q=1e20)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            n1, n2 = _integer_grid(spec, 40)
+            n1, n2 = _integer_grid(spec, 40)[:2]
             assert n1[0] == 2 and n2[0] == 2e20
             scan_se_peak((0.5, 0.5, 0.5), spec, 40)
             scenario_summary(spec, 40, m=16, reps=1, seed=1)

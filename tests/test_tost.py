@@ -24,7 +24,7 @@ from bepower import (
     stats_from_point,
     welch_df,
 )
-from bepower.diagnostics import SCENARIOS, _integer_grid, _scan_blocks
+from bepower.diagnostics import SCENARIOS, _integer_grid
 from bepower.qrng import CLAMP_HIGH, CLAMP_LOW, sobol_stream
 from bepower.special import inv_chisq, inv_norm, t_quantile
 from bepower.tost import (_J, _K, _KNOTS, _SLACK, _STORE, _TINY, _X_PER_DF,
@@ -556,8 +556,7 @@ class TestScreenedRejectionFlags:
         for name in ("s2_mu16", "s6_mu12", "s7_mu16"):
             spec, n_max = SCENARIOS[name]
             spec = dataclasses.replace(spec, alpha=alpha)
-            n1, n2, first, last, _, band = _scan_blocks(
-                spec, *_integer_grid(spec, n_max))
+            n1, n2, first, last, _, band = _integer_grid(spec, n_max)
             nu_lo = np.minimum(n1[first], n2[first]) - 1.0
             nu_hi = n1[last] + n2[last] - 2.0
             for got, want in zip(band, _t_band(alpha, nu_lo, nu_hi)):
