@@ -42,7 +42,8 @@ class CrossoverSpec:
     the log scale), sigma_D1 and sigma_D2 the standard deviations of
     the within-subject period differences in the two sequences, and q
     the sequence allocation ratio.  As in `DesignSpec`, every field is
-    stored as a Python float.
+    stored as a Python float, and the design is checked for the unit
+    form of the two-group design it maps to, whose sigmas are halved.
     """
 
     F: float
@@ -56,7 +57,7 @@ class CrossoverSpec:
     def __post_init__(self):
         problems = _design_problems(self.F, self.sigma_D1, self.sigma_D2,
                                     self.delta_L, self.delta_U, self.alpha,
-                                    self.q)
+                                    self.q, sd_divisor=2.0)
         problems = [p.replace("mu_diff", "F").replace("sigma1", "sigma_D1")
                      .replace("sigma2", "sigma_D2") for p in problems]
         if problems:

@@ -35,8 +35,8 @@ import numpy as np
 from .qrng import _check_count, sobol_stream
 from .special import _TINY, inv_norm, t_quantile
 from .tost import (_check_point, _d_bar, _decide, _finite, _g_in,
-                   _mapped, _margin, _prepare_points, _threshold,
-                   require_curve_spec)
+                   _in_units, _mapped, _margin, _prepare_points, _threshold,
+                   _unit, require_curve_spec)
 
 __all__ = [
     "CENSORED",
@@ -122,9 +122,13 @@ class PowerCurve:
         """Fraction of points whose crossing is at or below n.
 
         Censored points count in the denominator, never the numerator,
-        so the curve tops out below 1 when any point is censored.
+        so the curve tops out below 1 when any point is censored, even
+        at n = inf.  A NaN n raises ValueError.
         """
-        return float(np.count_nonzero(self.crossings <= n)) / self.m
+        if math.isnan(n):
+            raise ValueError("n must not be NaN")
+        return float(np.count_nonzero(
+            (self.crossings <= n) & (self.crossings < CENSORED))) / self.m
 
 
 def _domain_start(q):
@@ -163,12 +167,14 @@ def _g(u1, u2, z3, spec, n):
 
 
 def _mapped_at(u, spec, n):
-    """`_mapped` for the single point u at real n, inside the domain."""
+    """`_mapped` for the single point u at real n, inside the domain:
+    mapped in the units of `_unit(spec)`, se and margin scaled back."""
     u = _check_point(u)
     _check_n_domain(n, spec.q)
     n = float(n)
-    return _mapped(float(u[0]), float(u[1]), inv_norm(float(u[2])), spec,
-                   n, spec.q * n)
+    unit, e = _unit(spec)
+    return _in_units(_mapped(float(u[0]), float(u[1]), inv_norm(float(u[2])),
+                             unit, n, spec.q * n), (e, e, 0))
 
 
 def se_of_n(u, spec, n):
@@ -199,8 +205,8 @@ def lambda_of_n(u, spec, n):
 
 def _point_g(points, spec):
     """The solver's g over a block of points as g(k, n) for point
-    indices k, and the array counting the exact evaluations of g made
-    for each point.
+    indices k, in the units of `_unit(spec)`, and the array counting the
+    exact evaluations of g made for each point.
 
     g.side(k, n) is g(k, n) <= 0 at one n, decided by `tost._decide`
     from the points' z3 and knot indices, prepared once per curve by
@@ -213,6 +219,7 @@ def _point_g(points, spec):
     d_bar alone, so it inverts no chi-square or t quantile; a
     degenerate sample still raises in the walk's `side`.
     """
+    spec = _unit(spec)[0]
     _, z3, (i1, i2) = _prepare_points(points)
     u1, u2 = points[:, 0], points[:, 1]
     evals = np.zeros(len(points), dtype=np.int64)

@@ -37,7 +37,7 @@ from . import curve as _curve
 from .qrng import _check_count, _check_seed, sobol_stream
 from .tost import (DesignSpec, _check_point, _d_bar, _exact_in, _g_in,
                    _knot_bounds, _prepare_points, _sample_se, _screen,
-                   _t_band, require_curve_spec)
+                   _t_band, _unit, require_curve_spec)
 
 __all__ = [
     "IntersectionReport",
@@ -205,9 +205,8 @@ def _block_bounds(i1, i2, z3, spec, grid):
     """
     n1, n2, first, last, dfs, t = grid
     lo, hi = _knot_bounds(np.stack([i1, i2]), *dfs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        se = (_sample_se(*lo, spec, n1[last], n2[last])[2],
-              _sample_se(*hi, spec, n1[first], n2[first])[2])
+    se = (_sample_se(*lo, spec, n1[last], n2[last])[2],
+          _sample_se(*hi, spec, n1[first], n2[first])[2])
     d_a, d_b = (_d_bar(z3[:, None], spec, n1[c], n2[c]) for c in (first, last))
     d_lo, d_hi = np.minimum(d_a, d_b), np.maximum(d_a, d_b)
     return se, (np.minimum(d_lo - spec.delta_L, spec.delta_U - d_hi),
@@ -225,8 +224,10 @@ def _grid_scan(points, spec, grid):
     of each open pair and of each pair whose se_hi reaches the point's
     largest se_lo: only those can hold its se argmax, which is taken
     over these cells.  Every exact cell is decided against its block's
-    t band, which holds at every cell of the block.
+    t band, which holds at every cell of the block.  The scan runs in the
+    units of `_unit(spec)`.
     """
+    spec = _unit(spec)[0]
     _, z3, (i1, i2) = _prepare_points(points)
     n1, n2, first, last, _, (t_lo, t_hi) = grid
     width = last - first + 1

@@ -21,7 +21,7 @@ from scipy.special import ndtri
 
 from .qrng import CLAMP_LOW, _check_count, _check_seed
 from .special import t_quantile
-from .tost import _t_band, welch_df
+from .tost import _t_band, _unit, welch_df
 
 __all__ = ["naive_power"]
 
@@ -58,8 +58,10 @@ def _chunk_rejections(spec, n1, n2, reps, child_seed):
     s2_sq = y2.var(axis=1, ddof=1)
     se = np.sqrt(s1_sq / n1 + s2_sq / n2)
     nu = welch_df(s1_sq, s2_sq, float(n1), float(n2))
-    t_lower = (d_bar - spec.delta_L) / se
-    t_upper = (spec.delta_U - d_bar) / se
+    # a limit far beyond se in the units of `_unit` gives inf
+    with np.errstate(over="ignore"):
+        t_lower = (d_bar - spec.delta_L) / se
+        t_upper = (spec.delta_U - d_bar) / se
     # both tests reject when the smaller statistic beats the threshold;
     # the threshold lies in the band over nu's range, so a trial needs
     # its own quantile only where its statistic lies inside the band
@@ -88,8 +90,10 @@ def naive_power(spec, n1, n2, m, seed):
     Returns
     -------
     float
-        Rejection fraction over the m trials.
+        Rejection fraction over the m trials, simulated in the units of
+        `tost._unit(spec)`.
     """
+    spec = _unit(spec)[0]
     n1, n2 = _check_count("n1", n1, 2), _check_count("n2", n2, 2)
     m = _check_count("m", m)
     bounds = np.linspace(0, m, _N_CHUNKS + 1, dtype=int)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .qrng import (CLAMP_HIGH, CLAMP_LOW, _check_count, _check_seed,
                    sobol_stream)
-from .special import _TINY, inv_chisq, inv_norm, t_quantile
+from .special import inv_chisq, inv_norm, t_quantile
 
 __all__ = [
     "DesignSpec",
@@ -33,11 +33,6 @@ __all__ = [
     "rejects",
     "empirical_power",
 ]
-
-# the largest x / df of a chi-square quantile x at df >= 1 and p <= CLAMP_HIGH
-# (x / df falls with df), so sigma ** 2 * _X_PER_DF bounds every variance
-_X_PER_DF = inv_chisq(CLAMP_HIGH, 1.0)
-
 
 def _is_real(value):
     return (isinstance(value, numbers.Real)
@@ -51,7 +46,13 @@ def _finite(value):
         return False
 
 
-def _design_problems(mu_diff, sigma1, sigma2, delta_L, delta_U, alpha, q):
+def _design_problems(mu_diff, sigma1, sigma2, delta_L, delta_U, alpha, q,
+                     sd_divisor=1.0):
+    """Every violated constraint of a design, as messages.  The design
+    computed has sigmas sigma / sd_divisor (2 for a crossover's group
+    design), and its unit form (`_unit`) must keep each response field
+    exactly, mu_diff and the limits below 2 ** 1023 so that no
+    difference of two overflows."""
     fields = (("mu_diff", mu_diff), ("sigma1", sigma1), ("sigma2", sigma2),
               ("delta_L", delta_L), ("delta_U", delta_U), ("alpha", alpha),
               ("q", q))
@@ -64,19 +65,17 @@ def _design_problems(mu_diff, sigma1, sigma2, delta_L, delta_U, alpha, q):
     if problems:
         return problems
     # the rest is checked on the floats that `_store_floats` keeps
-    mu_diff, sigma1, sigma2, delta_L, delta_U, alpha, q = (
-        float(value) for _, value in fields)
-    for name, sigma in (("sigma1", sigma1), ("sigma2", sigma2)):
-        square = sigma * sigma
-        if sigma <= 0.0:
-            problems.append(f"{name} must be positive")
-        elif math.isinf(square):
-            problems.append(f"{name} ** 2 overflows")
-        elif math.isinf(square * _X_PER_DF):
-            problems.append(f"{name} ** 2 * {_X_PER_DF:.2f}, the largest "
-                            "sample variance, overflows")
-        elif square < _TINY:
-            problems.append(f"{name} ** 2 underflows")
+    fields = [(name, float(value)) for name, value in fields]
+    mu_diff, sigma1, sigma2, delta_L, delta_U, alpha, q = dict(fields).values()
+    problems = [f"{name} must be positive" for name, v in fields[1:3] if v <= 0]
+    if not problems:
+        e = math.frexp(max(sigma1, sigma2) / sd_divisor)[1]
+        problems = [f"{name} is lost in units of 2 ** {e}, the scale of "
+                    "max(sigma1, sigma2) (inexact, or at least 2 ** 1023)"
+                    for (name, value), d in zip(fields, (1, sd_divisor,
+                                                         sd_divisor, 1, 1))
+                    if value and (math.frexp(value)[1] - e > 1023 or value != d
+                                  * math.ldexp(math.ldexp(value / d, -e), e))]
     if not delta_L < delta_U:
         problems.append("delta_L must be less than delta_U")
     if not 0.0 < alpha <= 0.5:
@@ -106,11 +105,7 @@ class DesignSpec:
     mu_diff : float
         Anticipated mean difference mu1 - mu2, in response units.
     sigma1, sigma2 : float
-        Group standard deviations, positive, with squares in the range
-        of normal doubles (the variances are built from sigma ** 2).
-        The largest sample variance a unit-cube point can map to is
-        about 68.76 * sigma ** 2, so that product must be finite too
-        (sigma below about 1.6e153).
+        Group standard deviations, positive.
     delta_L, delta_U : float
         Equivalence limits, delta_L < delta_U.
     alpha : float
@@ -125,6 +120,12 @@ class DesignSpec:
     Every field accepts any real number but a bool (an int, a
     Fraction, a numpy scalar) and is stored as the Python float it
     rounds to, on which the constraints are checked.
+
+    Designs are computed in units of 2 ** e, the scale of max(sigma1,
+    sigma2) (see `_unit`), so any positive sigmas are accepted, and any
+    mu_diff and limits, that those units keep exactly, mu_diff and the
+    limits below 2 ** 1023 in them; the outputs of `scaled(2.0 ** k)`
+    are those of the design itself.
 
     Raises
     ------
@@ -158,6 +159,33 @@ class DesignSpec:
         """The design with mu_diff and both limits translated by c."""
         return DesignSpec(self.mu_diff + c, self.sigma1, self.sigma2,
                           self.delta_L + c, self.delta_U + c, self.alpha, self.q)
+
+
+def _unit(spec):
+    """(unit, e): the design with mu_diff, sigma1, sigma2, delta_L and
+    delta_U divided by 2 ** e, e the exponent of max(sigma1, sigma2)
+    (`math.frexp`), so that the larger sigma lies in [0.5, 1) and no
+    variance, se or g can overflow.
+
+    Every statistic scales with these fields: d_bar, se, margin,
+    Lambda and g by 2 ** e, the variances by 2 ** 2e, and the Welch df
+    and every decision not at all.  Dividing by a power of two is exact,
+    so the unit form changes no bit where the design's own units meet
+    no overflow or subnormal, and the outputs of `spec.scaled(2.0 ** k)`
+    equal those of spec.  `_design_problems` rejects a design whose unit
+    form loses a field.  The entry points call this; the kernels take
+    the unit form.
+    """
+    e = math.frexp(max(spec.sigma1, spec.sigma2))[1]
+    *response, alpha, q = vars(spec).values()
+    return DesignSpec(*(math.ldexp(v, -e) for v in response), alpha, q), e
+
+
+def _in_units(values, e):
+    """values * 2 ** e, e broadcasting: statistics of `_unit`'s form back
+    in the design's units, inf where that overflows (its rounding)."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(values, e)
 
 
 def require_curve_spec(spec):
@@ -200,48 +228,26 @@ def welch_df(s1_sq, s2_sq, n1, n2):
     b = np.asarray(s2_sq, dtype=float) / n2
     if np.any((a == 0.0) & (b == 0.0)):
         raise ValueError("degenerate sample: both variances are zero")
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = _satterthwaite(a, b, n1, n2)
-        finite = np.isfinite(out)
-        if not finite.all():
-            # a * a overflowed or underflowed; nu is scale-free, so
-            # rescale; at n near the float range nu itself overflows,
-            # and inf is its rounding
-            c = np.maximum(a, b)
-            out = np.where(finite, out, _satterthwaite(a / c, b / c, n1, n2))
-    return out if out.ndim else float(out)
-
-
-def _satterthwaite(a, b, n1, n2):
+    # nu is scale-free, so a and b are divided by a power of two that
+    # puts the larger in [0.5, 1): exact, and no square overflows
+    e = np.frexp(np.maximum(a, b))[1]
+    a, b = np.ldexp(a, -e), np.ldexp(b, -e)
     # s * s, not (a + b) ** 2: on a numpy scalar ** calls libm pow, which
     # can differ in the last bit from the product that arrays use
     s = a + b
-    return s * s / (a * a / (n1 - 1.0) + b * b / (n2 - 1.0))
-
-
-def _variance(sigma, x, n):
-    """sigma ** 2 * x / (n - 1), or sigma ** 2 * (x / (n - 1)) where the
-    product overflows; x / (n - 1) is at most _X_PER_DF for a quantile,
-    so `DesignSpec` keeps the second form finite.  A quantile, or a
-    bound on one, is below 2 * _X_PER_DF * (n - 1), so the product cannot
-    overflow (nor need a check) where that times sigma ** 2 is finite."""
-    top = n.max(initial=-math.inf) if isinstance(n, np.ndarray) else n
-    if 2.0 * float(sigma) ** 2 * _X_PER_DF * (float(top) - 1.0) < math.inf:
-        return sigma ** 2 * x / (n - 1.0)
-    with np.errstate(over="ignore"):
-        s_sq = sigma ** 2 * x / (n - 1.0)
-        if np.isinf(s_sq).any():
-            s_sq = np.where(np.isinf(s_sq), sigma ** 2 * (x / (n - 1.0)),
-                            s_sq)
-    return s_sq
+    # at n near the float range nu itself overflows, and inf is its
+    # rounding
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = s * s / (a * a / (n1 - 1.0) + b * b / (n2 - 1.0))
+    return out if out.ndim else float(out)
 
 
 def _sample_se(x1, x2, spec, n1, n2):
     """(s1_sq, s2_sq, se) from chi-square quantiles x1 at n1 - 1 and x2
     at n2 - 1 df.  Each rounded operation is monotone, so bounds on x1
     and x2 give bounds on se."""
-    s1_sq = _variance(spec.sigma1, x1, n1)
-    s2_sq = _variance(spec.sigma2, x2, n2)
+    s1_sq = spec.sigma1 ** 2 * x1 / (n1 - 1.0)
+    s2_sq = spec.sigma2 ** 2 * x2 / (n2 - 1.0)
     return s1_sq, s2_sq, np.sqrt(s1_sq / n1 + s2_sq / n2)
 
 
@@ -296,6 +302,11 @@ def stats_from_point(u, spec, n1, n2):
     Returns
     -------
     SummaryStats
+        In the design's units.  The trial is mapped in the units of
+        `_unit` and scaled back, so a statistic beyond the float range
+        in the design's units (a variance of a sigma above about 1e153)
+        is inf, its rounding; the decision `empirical_power` makes is
+        taken in those units and is never affected.
 
     Raises
     ------
@@ -308,9 +319,10 @@ def stats_from_point(u, spec, n1, n2):
     for name, n in (("n1", n1), ("n2", n2)):
         if not (_is_real(n) and _finite(n) and n >= 2.0):
             raise ValueError(f"{name} must be a real number >= 2, and finite")
-    stats = _trial(float(u[0]), float(u[1]), inv_norm(float(u[2])), spec,
+    unit, e = _unit(spec)
+    stats = _trial(float(u[0]), float(u[1]), inv_norm(float(u[2])), unit,
                    n1, n2)
-    return SummaryStats(*map(float, stats))
+    return SummaryStats(*map(float, _in_units(stats, (e, 2 * e, 2 * e, e, 0))))
 
 
 def _tost_in(se, margin, t):
@@ -320,8 +332,8 @@ def _tost_in(se, margin, t):
 
 def _threshold(margin, t):
     """Lambda = margin / t where margin > 0, and 0 elsewhere; +inf where
-    margin > 0 and t = 0 (alpha = 0.5)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    margin > 0 and t = 0 (alpha = 0.5), or where margin / t overflows."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(margin > 0.0, margin / t, 0.0)
 
 
@@ -341,10 +353,8 @@ def _screen(in_region, se, margin, t):
     monotone, so a cell in the region at the corner
     (se_hi, margin_lo, t_hi) is in it at every point of its bounds, and
     one outside it at (se_lo, margin_hi, t_lo) is outside at all of
-    them: these decisions are exact.  A corner whose value is NaN
-    (0 * inf at alpha = 0.5 and se_lo = inf) reads as outside, as the
-    exact value does, since se >= se_lo = inf.  Open cells take the
-    caller's exact path.
+    them: these decisions are exact.  Open cells take the caller's exact
+    path.
     """
     (se_lo, se_hi), (margin_lo, margin_hi), (t_lo, t_hi) = se, margin, t
     decided_in = in_region(se_hi, margin_lo, t_hi)
@@ -578,8 +588,8 @@ def _chisq_brackets(df):
 def _variance_brackets(sigma, n):
     """Bounds (a_lo, a_hi), each of shape (_K,), on a group's term
     a = s ** 2 / n of se ** 2, for a group of n at sd sigma, at every
-    knot bracket of `_chisq_brackets(n - 1)`: s ** 2 is `_variance` of
-    the brackets.
+    knot bracket of `_chisq_brackets(n - 1)`: s ** 2 is sigma ** 2 * x /
+    (n - 1) of the brackets x, as in `_sample_se`.
 
     `_decide` gathers them by knot index: sqrt(a1[i1] + a2[i2]) is,
     bit for bit, the se of `_sample_se` on the gathered brackets, since
@@ -589,7 +599,8 @@ def _variance_brackets(sigma, n):
     after call, so up to 128 pairs (16 KB each, 2 MB in all) are cached,
     read-only since every caller shares them.
     """
-    tables = tuple(_variance(sigma, x, n) / n for x in _chisq_brackets(n - 1.0))
+    tables = tuple(sigma ** 2 * x / (n - 1.0) / n
+                   for x in _chisq_brackets(n - 1.0))
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -642,18 +653,17 @@ def _decide(in_region, u1, u2, z3, spec, n1, n2, knots):
     a2_lo, a2_hi = _variance_brackets(spec.sigma2, n2)
     margin = _margin(_d_bar(z3, spec, n1, n2), spec)
     t = _t_table(spec.alpha, n1, n2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        se_lo = np.sqrt(a1_lo[i1] + a2_lo[i2])
-        se_hi = np.sqrt(a1_hi[i1] + a2_hi[i2])
-        flags, open_ = _screen(in_region, (se_lo, se_hi), (margin, margin),
-                               _widen(t[-1], t[0]))
-        zero = se_lo == 0.0
-        k = np.nonzero(open_ | zero)[0]
-        j1, j2 = i1[k], i2[k]
-        band = _cell_t_band(spec.alpha, n1, n2, (a1_lo[j1], a1_hi[j1]),
-                            (a2_lo[j2], a2_hi[j2]))
-        flags[k], open_ = _screen(in_region, (se_lo[k], se_hi[k]),
-                                  (margin[k], margin[k]), band)
+    se_lo = np.sqrt(a1_lo[i1] + a2_lo[i2])
+    se_hi = np.sqrt(a1_hi[i1] + a2_hi[i2])
+    flags, open_ = _screen(in_region, (se_lo, se_hi), (margin, margin),
+                           _widen(t[-1], t[0]))
+    zero = se_lo == 0.0
+    k = np.nonzero(open_ | zero)[0]
+    j1, j2 = i1[k], i2[k]
+    band = _cell_t_band(spec.alpha, n1, n2, (a1_lo[j1], a1_hi[j1]),
+                        (a2_lo[j2], a2_hi[j2]))
+    flags[k], open_ = _screen(in_region, (se_lo[k], se_hi[k]),
+                              (margin[k], margin[k]), band)
     keep = open_ | zero[k]
     exact = k[keep]
     if len(exact):  # an empty call still pays the kernels' checks
@@ -705,6 +715,6 @@ def empirical_power(spec, n1, n2, m, seed, sampler="sobol"):
     # one observation cannot estimate a variance
     n1, n2 = _check_count("n1", n1, 2), _check_count("n2", n2, 2)
     u, z3, knots = _unit_cube_points(m, seed, sampler)
-    flags = _decide(_tost_in, u[:, 0], u[:, 1], z3, spec, float(n1),
-                    float(n2), knots)[0]
+    flags = _decide(_tost_in, u[:, 0], u[:, 1], z3, _unit(spec)[0],
+                    float(n1), float(n2), knots)[0]
     return int(np.count_nonzero(flags)) / len(u)

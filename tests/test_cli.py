@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from bepower import cli
+from bepower import DesignSpec, cli
+from bepower.tost import _unit
 
 DESIGN = ["--mu-diff", "-4", "--sigma1", "18", "--sigma2", "15",
           "--delta", "19.2"]
@@ -512,10 +513,8 @@ class TestBenchCommand:
      "--seed", "1"],
     ["bench", *DESIGN, "--grid", "3", "--m", "16", "--reps", "0",
      "--seed", "1"],
-    ["power", "--mu-diff", "-4", "--sigma1", "1e200", "--sigma2", "15",
-     "--delta", "19.2", "--n1", "5", "--n2", "5", "--seed", "1"],
-    ["power", "--mu-diff", "-4", "--sigma1", "18", "--sigma2", "2e153",
-     "--delta", "19.2", "--n1", "5", "--n2", "5", "--seed", "1"],
+    ["power", "--mu-diff", "-4", "--sigma1", "0.5", "--sigma2", "0.5",
+     "--delta", "1e308", "--n1", "5", "--n2", "5", "--seed", "1"],
     ["curve", *DESIGN, "--m", "16", "--seed", "2", "--bound", "nan"],
     ["curve", *DESIGN, "--m", "16", "--seed", "2", "--tol", "nan"],
     ["curve", *DESIGN, "--m", "16", "--seed", "2", "--tol", "inf"],
@@ -525,8 +524,8 @@ class TestBenchCommand:
     ["diagnose", "--scenario", "s1_mu0", "--n-max", "20", "--mu-diff", "5",
      "--m", "16", "--reps", "1", "--seed", "1"],
 ], ids=["n_max_1", "m_0", "mu_outside_limits", "diagnose_seed",
-        "bench_seed", "group_size_1", "reps_0", "sigma_squared_overflows",
-        "sample_variance_overflows", "bound_nan", "tol_nan", "tol_inf",
+        "bench_seed", "group_size_1", "reps_0", "limit_lost_in_unit_form",
+        "bound_nan", "tol_nan", "tol_inf",
         "n1_beyond_float_range", "grid_beyond_float_range",
         "preset_with_design_flags"])
 def test_invalid_input_fails_cleanly(capsys, argv):
@@ -534,3 +533,26 @@ def test_invalid_input_fails_cleanly(capsys, argv):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("sigma1, sigma2", [("1e200", "15"), ("18", "2e153")],
+                         ids=["sigma_squared_overflows",
+                              "sample_variance_overflows"])
+def test_former_overflow_designs_print_their_unit_twin(capsys, sigma1,
+                                                       sigma2):
+    # sigma ** 2, or the largest sample variance, overflows in the
+    # design's units; computed in units of 2 ** e, the design prints what
+    # its unit twin prints
+    spec = _unit(DesignSpec(-4.0, float(sigma1), float(sigma2), -19.2,
+                            19.2))[0]
+    outs = []
+    for design in (["--mu-diff", "-4", "--sigma1", sigma1, "--sigma2", sigma2,
+                    "--delta", "19.2"],
+                   [f"--mu-diff={spec.mu_diff!r}", "--sigma1",
+                    repr(spec.sigma1), "--sigma2", repr(spec.sigma2),
+                    "--delta", repr(spec.delta_U)]):
+        code, out, err = run(capsys, "power", *design, "--n1", "5", "--n2",
+                             "5", "--m", "4096", "--seed", "1")
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]

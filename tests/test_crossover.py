@@ -73,8 +73,11 @@ class TestSpecAndMapping:
             CrossoverSpec(**{**BE_KW, "alpha": 0.7})
         with pytest.raises(ValueError, match=r"alpha must exceed 2 \*\* -54"):
             CrossoverSpec(**{**BE_KW, "alpha": 1e-17})
-        with pytest.raises(ValueError, match=r"sigma_D2 \*\* 2 overflows"):
-            CrossoverSpec(**{**BE_KW, "sigma_D2": 1e200})
+        # the unit form checked is the group design's, with halved sigmas
+        with pytest.raises(ValueError, match=r"sigma_D2 is lost in units of "
+                           r"2 \*\* -?\d+, the scale of max\(sigma_D1, "
+                           r"sigma_D2\)"):
+            CrossoverSpec(**{**BE_KW, "sigma_D2": 5e-324})
         with pytest.raises(ValueError, match="F must be a real number"):
             CrossoverSpec(**{**BE_KW, "F": "0.05"})
 

@@ -24,7 +24,7 @@ from bepower.curve import (_bracket_nodes, _crossings, _domain_start, _g,
 from bepower.qrng import CLAMP_HIGH, CLAMP_LOW, sobol_stream
 from bepower.special import _TINY, inv_chisq, inv_norm
 from bepower.tost import (_K, _chisq_brackets, _d_bar, _mapped, _sample_se,
-                          _t_band)
+                          _t_band, _unit)
 
 from oracles import decide_gather_first
 
@@ -412,6 +412,19 @@ class TestPowerCurve:
         assert all(a <= b for a, b in zip(vals, vals[1:]))
         assert vals[-1] <= 1.0
 
+    def test_ecdf_never_counts_censored_points(self):
+        # 100 of the 256 points have no crossing by B = 200; they count
+        # in the denominator at every n, n = inf too
+        spec = DesignSpec(-16.0, 18.0, 15.0, -19.2, 19.2)
+        pc = power_curve(spec, 0.5, 256, 3, B=200)
+        assert pc.censored_count == 100
+        assert pc.ecdf(1e6) == pc.ecdf(math.inf) == 156 / 256
+
+    def test_ecdf_rejects_nan(self, motivating):
+        pc = power_curve(motivating, 0.8, 64, seed=11)
+        with pytest.raises(ValueError, match="n must not be NaN"):
+            pc.ecdf(math.nan)
+
     def test_parameter_validation(self, motivating):
         with pytest.raises(ValueError, match="target_power"):
             power_curve(motivating, 1.0, 64, seed=1)
@@ -757,8 +770,9 @@ def test_alpha_half_twin_inverts_no_chisq(monkeypatch):
     # Brent's g at alpha = 0.5 is -margin, which needs d_bar alone
     spec = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, alpha=0.5)
     pts = sobol_stream(3, 64, 5).points
-    margin = _mapped(pts[:, 0], pts[:, 1], inv_norm(pts[:, 2]), spec, 7.5,
-                     7.5)[1]
+    # g is in the units of `_unit`
+    margin = _mapped(pts[:, 0], pts[:, 1], inv_norm(pts[:, 2]),
+                     _unit(spec)[0], 7.5, 7.5)[1]
     g, evals = _point_g(pts, spec)
 
     def no_chisq(*args):

@@ -27,11 +27,11 @@ from bepower import (
 from bepower.diagnostics import SCENARIOS, _integer_grid
 from bepower.qrng import CLAMP_HIGH, CLAMP_LOW, sobol_stream
 from bepower.special import inv_chisq, inv_norm, t_quantile
-from bepower.tost import (_J, _K, _KNOTS, _SLACK, _STORE, _TINY, _X_PER_DF,
-                          _KnotStore, _cached_points, _cell_t_band,
-                          _chisq_brackets, _decide, _g_in, _knot_index,
-                          _mapped, _prepare_points, _sample_se, _screen,
-                          _t_band, _t_table, _tost_in, _unit_cube_points,
+from bepower.tost import (_J, _K, _KNOTS, _SLACK, _STORE, _KnotStore,
+                          _cached_points, _cell_t_band, _chisq_brackets,
+                          _decide, _g_in, _knot_index, _mapped,
+                          _prepare_points, _sample_se, _screen, _t_band,
+                          _t_table, _tost_in, _unit, _unit_cube_points,
                           _variance_brackets)
 
 from oracles import decide_gather_first
@@ -104,15 +104,14 @@ class TestDesignSpec:
         ("q", -0.5, "q must be positive"),
         ("mu_diff", np.inf, "mu_diff must be finite"),
         ("delta_L", -10 ** 400, "delta_L must be finite"),
-        ("sigma1", 1e200, r"sigma1 \*\* 2 overflows"),
-        ("sigma2", 1e-160, r"sigma2 \*\* 2 underflows"),
+        ("sigma2", 5e-324, r"sigma2 is lost in units of 2 \*\* 1, the scale "
+                           r"of max\(sigma1, sigma2\)"),
+        ("delta_L", -5e-324, r"delta_L is lost in units of 2 \*\* 1"),
         ("mu_diff", "0", "mu_diff must be a real number"),
         ("q", True, "q must be a real number"),
         ("alpha", np.bool_(True), "alpha must be a real number"),
         ("delta_U", 1.0 + 0j, "delta_U must be a real number"),
         ("sigma1", None, "sigma1 must be a real number"),
-        ("sigma1", 1.7e153,
-         r"sigma1 \*\* 2 \* 68\.76, the largest sample variance, overflows"),
         ("alpha", 1e-300, r"alpha must exceed 2 \*\* -54"),
         ("alpha", 2.0 ** -54, r"alpha must exceed 2 \*\* -54"),
     ])
@@ -123,11 +122,42 @@ class TestDesignSpec:
         with pytest.raises(ValueError, match=msg):
             DesignSpec(**kw)
 
-    def test_both_variances_underflowing_named(self):
+    def test_both_variances_underflowing_named(self, motivating):
+        # sigma ** 2 underflows in the design's units at sigma = 1e-160,
+        # which was once named as an error; such a design now computes
+        # in units of 2 ** e, as its unit twin does
+        spec = DesignSpec(0.0, 1e-160, 1e-160, -1e-160, 1e-160)
+        assert spec.sigma1 ** 2 < np.finfo(float).tiny
+        twin = _unit(spec)[0]
+        assert 0.5 <= twin.sigma1 < 1.0
+        for n in (2, 10, 60):
+            assert (empirical_power(spec, n, n, 4096, seed=1)
+                    == empirical_power(twin, n, n, 4096, seed=1))
+        tiny = motivating.scaled(1e-160 / 18.0)
+        for n in (2, 10, 60):
+            assert (empirical_power(tiny, n, n, 4096, seed=1)
+                    == empirical_power(_unit(tiny)[0], n, n, 4096, seed=1))
+
+    def test_unit_form_must_keep_every_field(self):
+        # mu_diff and the limits must stay below 2 ** 1023 in units of
+        # 2 ** e, so that no difference of two overflows, and every field
+        # must divide exactly
+        top = math.ldexp(1.0, 1023)
+        DesignSpec(0.0, 0.5, 0.5, -1.0, math.nextafter(top, 0.0))
+        DesignSpec(0.0, 2.0, 2.0, -1.0, top)
+        with pytest.raises(ValueError, match=r"delta_U is lost in units of "
+                                             r"2 \*\* 0"):
+            DesignSpec(0.0, 0.5, 0.5, -1.0, top)
         with pytest.raises(ValueError) as exc:
-            DesignSpec(0.0, 1e-300, 1e-300, -1.0, 1.0)
-        assert ("sigma1 ** 2 underflows" in str(exc.value)
-                and "sigma2 ** 2 underflows" in str(exc.value))
+            DesignSpec(-1e308, 1e-300, 1e-300, -1.7e308, 1.0)
+        assert "mu_diff is lost" in str(exc.value)
+        assert "delta_L is lost" in str(exc.value)
+        assert "delta_U" not in str(exc.value)
+        with pytest.raises(ValueError, match="sigma2 is lost"):
+            DesignSpec(0.0, 1e308, 1e-308, -1.0, 1.0)
+        # a subnormal limit that 2 ** e would round
+        with pytest.raises(ValueError, match="delta_L is lost"):
+            DesignSpec(0.0, 18.0, 15.0, -1e-310, 1.0)
 
     def test_numpy_and_integer_fields_accepted(self):
         spec = DesignSpec(np.float64(-4.0), 18, np.int64(15), -19.2, 19.2,
@@ -141,30 +171,27 @@ class TestDesignSpec:
             assert 0.0 < empirical_power(spec, 10, 10, 1024, seed=1) < 1.0
 
     def test_largest_accepted_sigma_keeps_variances_finite(self, motivating):
-        # sigma1 ** 2 * x overflows for x > 68.76 once sigma1 > 1.4e153;
-        # the variance then divides by n - 1 first, so the largest sigma
-        # DesignSpec accepts still maps every point to finite statistics
-        sigma = math.sqrt(np.finfo(float).max / _X_PER_DF)
-        while True:
-            try:
-                spec = DesignSpec(0.0, sigma, sigma, -1.0, 1.0)
-                break
-            except ValueError:
-                sigma = float(np.nextafter(sigma, 0.0))
-        assert sigma > 1.6e153
+        # sigma = 1e200 was rejected, since sigma ** 2 overflows; in units
+        # of 2 ** e every variance is finite, and the design estimates
+        # its unit twin's power
+        spec = DesignSpec(0.0, 1e200, 1e200, -1e200, 1e200)
+        twin = _unit(spec)[0]
+        assert 0.5 <= twin.sigma1 < 1.0
         for n in (2.0, 10.0, 60.0, 2500.0):
             x = inv_chisq(CLAMP_HIGH, n - 1.0)
-            assert np.isinf(sigma ** 2 * x) == (n > 2.0)
-            s1_sq, s2_sq, se = _sample_se(x, x, spec, n, n)
+            s1_sq, s2_sq, se = _sample_se(x, x, twin, n, n)
             assert np.isfinite(s1_sq) and np.isfinite(se) and se > 0.0
-            assert s1_sq <= sigma ** 2 * _X_PER_DF
-        # the motivating design scaled to sigma1 = 1.53e153 estimates the
-        # scale-1 power; at n = 60 the plain product overflows for the
-        # upper-tail points
-        big = motivating.scaled(8.5e151)
+        for n in (2, 10, 60):
+            assert (empirical_power(spec, n, n, 4096, seed=1)
+                    == empirical_power(twin, n, n, 4096, seed=1))
+        big = motivating.scaled(1e200 / 18.0)
         for n in (10, 60):
             assert (empirical_power(big, n, n, 4096, seed=1)
-                    == empirical_power(motivating, n, n, 4096, seed=1))
+                    == empirical_power(_unit(big)[0], n, n, 4096, seed=1))
+        # in the design's units a variance beyond the float range is inf
+        stats = stats_from_point((CLAMP_HIGH, 0.5, 0.5), motivating.scaled(
+            1e300 / 18.0), 2, 2)
+        assert stats.s1_sq == math.inf and np.isfinite(stats.se)
 
     def test_limits_must_be_ordered(self):
         with pytest.raises(ValueError, match="delta_L must be less than delta_U"):
@@ -702,26 +729,12 @@ class TestCellTBand:
         assert len(exact) < 0.005 * len(u)
 
 
-def extreme_sigma(lowest):
-    """The smallest sigma whose square is normal, or the largest for
-    which sigma ** 2 * _X_PER_DF, the largest sample variance, is
-    finite: the limits `DesignSpec` accepts."""
-    if lowest:
-        sigma = math.sqrt(_TINY)
-        while sigma * sigma < _TINY:
-            sigma = math.nextafter(sigma, math.inf)
-        return sigma
-    sigma = math.sqrt(np.finfo(float).max / _X_PER_DF)
-    while math.isinf(sigma * sigma * _X_PER_DF):
-        sigma = math.nextafter(sigma, 0.0)
-    return sigma
-
-
-# (sigma1, sigma2): the benchmark's, both at the accepted upper limit,
-# both at the lower one, and each at one limit with the other ordinary
-SIGMAS = ((18.0, 15.0), (extreme_sigma(False), extreme_sigma(False)),
-          (extreme_sigma(True), extreme_sigma(True)),
-          (extreme_sigma(False), 15.0), (18.0, extreme_sigma(True)))
+# (sigma1, sigma2): the benchmark's, both near the top of the float
+# range, both near the bottom, and each there with the other ordinary;
+# the kernels take their unit form (`_unit`), where the last two leave
+# the smaller sigma's variance at 0
+SIGMAS = ((18.0, 15.0), (1e300, 1e300), (1e-300, 1e-300), (1e300, 15.0),
+          (18.0, 1e-300))
 
 
 def table_first_pairs(q):
@@ -737,10 +750,10 @@ class TestTableFirstBounds:
         u1, u2 = band_cells(5)
         i1, i2 = _knot_index(u1), _knot_index(u2)
         for sigma1, sigma2 in SIGMAS:
-            spec = DesignSpec(0.0, sigma1, sigma2, -1.0, 1.0, q=q)
+            spec = _unit(DesignSpec(0.0, sigma1, sigma2, -1.0, 1.0, q=q))[0]
             for n1, n2 in table_first_pairs(q):
-                a1_lo, a1_hi = _variance_brackets(sigma1, n1)
-                a2_lo, a2_hi = _variance_brackets(sigma2, n2)
+                a1_lo, a1_hi = _variance_brackets(spec.sigma1, n1)
+                a2_lo, a2_hi = _variance_brackets(spec.sigma2, n2)
                 lo1, hi1 = knot_bounds(u1, n1 - 1.0)
                 lo2, hi2 = knot_bounds(u2, n2 - 1.0)
                 with np.errstate(over="ignore"):
@@ -762,8 +775,8 @@ class TestTableFirstBounds:
         z3, knots = inv_norm(u3), (_knot_index(u1), _knot_index(u2))
         for sigma1, sigma2 in SIGMAS:
             c = max(sigma1 / 18.0, sigma2 / 15.0)
-            spec = DesignSpec(-4.0 * c, sigma1, sigma2, -19.2 * c, 19.2 * c,
-                              alpha=alpha, q=q)
+            spec = _unit(DesignSpec(-4.0 * c, sigma1, sigma2, -19.2 * c,
+                                    19.2 * c, alpha=alpha, q=q))[0]
             for n1, n2 in table_first_pairs(q):
                 for in_region in (_tost_in, _g_in):
                     ref = decide_gather_first(in_region, u1, u2, z3, spec,
@@ -953,16 +966,6 @@ class TestChisqScreen:
             above = np.minimum.accumulate((x * (1.0 + _SLACK))[:, ::-1],
                                           axis=1)[:, ::-1]
             assert np.all(below <= x) and np.all(x <= above)
-
-    def test_quantile_per_df_falls_at_clamp_high(self):
-        # x / df at the largest coordinate falls with df, so its value at
-        # df = 1 bounds sigma ** 2 * x / (n - 1) for every n >= 2
-        df = np.unique(np.concatenate([np.linspace(1.0, 100.0, 100_001),
-                                       np.geomspace(1.0, 1e7, 100_001),
-                                       np.arange(1.0, 2501.0)]))
-        ratio = inv_chisq(CLAMP_HIGH, df) / df
-        assert ratio[0] == _X_PER_DF
-        assert np.all(np.diff(ratio) <= 0.0)
 
     @pytest.mark.parametrize("q", [1.0, 1.5])
     def test_bit_identical_on_estimate_grid(self, q):
