@@ -20,7 +20,7 @@ invocation writes byte-identical files except for the metadata block
 
 Commands raise and `main` prints each line of the message as
 ``error: ...``: exit 2 for a ValueError (invalid input), 1 for a
-RuntimeError or a failed write.
+RuntimeError, a failed write or a MemoryError (too many points to hold).
 """
 
 from __future__ import annotations
@@ -267,11 +267,9 @@ def _svg_ecdf(pc):
     def sy(v):
         return top + ph * (1.0 - v)
 
-    d = [f"M {sx(x_lo):.2f} {sy(0.0):.2f}"]
-    for n, frac in steps:
-        d.append(f"H {sx(n):.2f} V {sy(frac):.2f}")
-    d.append(f"H {sx(x_hi):.2f}")
-    path = " ".join(d)
+    path = " ".join([f"M {sx(x_lo):.2f} {sy(0.0):.2f}",
+                     *(f"H {sx(n):.2f} V {sy(frac):.2f}" for n, frac in steps),
+                     f"H {sx(x_hi):.2f}"])
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -471,8 +469,8 @@ def main(argv=None):
         return 0
     except ValueError as exc:
         code, message = 2, str(exc)
-    except (RuntimeError, OSError) as exc:
-        code, message = 1, str(exc)
+    except (RuntimeError, OSError, MemoryError) as exc:
+        code, message = 1, str(exc) or type(exc).__name__
     for line in message.splitlines():
         print(f"error: {line}", file=sys.stderr)
     return code

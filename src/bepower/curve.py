@@ -123,10 +123,12 @@ class PowerCurve:
 
         Censored points count in the denominator, never the numerator,
         so the curve tops out below 1 when any point is censored, even
-        at n = inf.  A NaN n raises ValueError.
+        at n = inf, and an int beyond the float range counts as +-inf.
+        A NaN n raises ValueError.
         """
-        if math.isnan(n):
+        if n != n:
             raise ValueError("n must not be NaN")
+        n = n if _finite(n) else math.inf if n > 0 else -math.inf
         return float(np.count_nonzero(
             (self.crossings <= n) & (self.crossings < CENSORED))) / self.m
 
@@ -134,12 +136,6 @@ class PowerCurve:
 def _domain_start(q):
     """Smallest real n with both group sizes at least 2."""
     return max(2.0, 2.0 / q)
-
-
-def _check_n_domain(n, q):
-    if not (_finite(n) and n >= 2.0 and q * n >= 2.0):
-        raise ValueError("n must be finite, and n and q * n must both be "
-                         "at least 2")
 
 
 def _check_tol(tol):
@@ -170,7 +166,9 @@ def _mapped_at(u, spec, n):
     """`_mapped` for the single point u at real n, inside the domain:
     mapped in the units of `_unit(spec)`, se and margin scaled back."""
     u = _check_point(u)
-    _check_n_domain(n, spec.q)
+    if not (_finite(n) and n >= 2.0 and spec.q * n >= 2.0):
+        raise ValueError("n must be finite, and n and q * n must both be "
+                         "at least 2")
     n = float(n)
     unit, e = _unit(spec)
     return _in_units(_mapped(float(u[0]), float(u[1]), inv_norm(float(u[2])),

@@ -1,11 +1,17 @@
 """Randomized Sobol' sequences.
 
 Deterministic 3-dimensional (or d-dimensional) Sobol' points randomized
-by a digital shift.  The raw sequence uses the standard Joe and Kuo
-direction numbers via scipy's generator with 53 output bits, so every
-raw coordinate is an exact dyadic rational k / 2**53 and the first 2**k
+by a digital shift.  The raw sequence is the unscrambled Gray-code
+Sobol' sequence with 53 output bits, bit for bit scipy's
+``qmc.Sobol(d, scramble=False, bits=53)``: its Joe and Kuo direction
+numbers (``poly`` and ``vinit``) are read from scipy's data file
+``scipy/stats/_sobol_direction_numbers.npz`` without importing
+``scipy.stats``, and extended by the Bratley-Fox recurrence.  Every raw
+coordinate is an exact dyadic rational k / 2**53, and the first 2**k
 points of each coordinate equidistribute over the dyadic intervals of
-width 2**-k.
+width 2**-k.  The points are built by doubling: the first 2**(b+1) are
+the first 2**b followed by direction integer b XOR those same points in
+reverse order (the reflected Gray code).
 
 Randomization XORs each coordinate's 53-bit integer representation with
 a per-dimension shift drawn from a seeded PCG64 generator.  The shift
@@ -20,17 +26,19 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
+from importlib.util import find_spec
+from pathlib import Path
 
 import numpy as np
-from scipy.stats import qmc
 
 __all__ = ["SobolStream", "sobol_raw", "digital_shift", "sobol_stream"]
 
 _BITS = 53
 _SCALE = float(1 << _BITS)
 _MAX_DIM = 21201  # extent of the direction-number table
+_DIRECTION_FILE = Path(find_spec("scipy").origin).parent.joinpath(
+    "stats", "_sobol_direction_numbers.npz")
 CLAMP_LOW = 2.0 ** -64
 CLAMP_HIGH = 1.0 - 2.0 ** -53
 
@@ -100,12 +108,53 @@ def sobol_raw(dimension, m):
     dimension, m = _check_count("dimension", dimension), _check_count("m", m)
     if dimension > _MAX_DIM:
         raise ValueError(f"dimension exceeds the direction-number table ({_MAX_DIM})")
-    engine = qmc.Sobol(d=dimension, scramble=False, bits=_BITS)
-    with warnings.catch_warnings():
-        # non-power-of-two lengths are fine here; equidistribution claims
-        # are only made (and tested) at power-of-two prefixes
-        warnings.filterwarnings("ignore", message=".*balance properties.*")
-        return engine.random(m)
+    # allocated first, so that an m beyond the 2**53 points of the
+    # sequence fails as the MemoryError it is
+    ints = np.zeros((m, dimension), dtype=np.uint64)
+    v = _directions(dimension, (m - 1).bit_length())
+    for b in range(v.shape[1]):
+        half = 1 << b
+        ints[half:2 * half] = v[:, b] ^ ints[half - 1::-1][:m - half]
+    return ints / _SCALE
+
+
+@functools.cache
+def _direction_numbers():
+    """scipy's Joe-Kuo table, loaded once per process: the primitive
+    polynomials as a column, their degrees and the initial direction
+    numbers."""
+    if not _DIRECTION_FILE.is_file():
+        raise RuntimeError(f"no Sobol' direction numbers at {_DIRECTION_FILE}")
+    with np.load(_DIRECTION_FILE) as table:
+        poly = table["poly"][:, np.newaxis]
+        return poly, np.frexp(poly)[1] - 1, table["vinit"]
+
+
+def _directions(dimension, nbits):
+    """Direction integers of the first `dimension` coordinates for bits
+    0 to nbits - 1, as scipy's `_initialize_v` builds them.
+
+    Row 0 is all ones.  Row r takes its first deg initial numbers from
+    the table, deg the degree of its primitive polynomial, and the rest
+    from the Bratley-Fox recurrence
+
+        v[j] = v[j - deg] ^ XOR over i = 1..deg of c_i * (v[j - i] << i)
+
+    with c_i bit deg - i of the polynomial.  Column b is then shifted
+    left by 52 - b.  The recurrence runs over all coordinates at once,
+    one bit at a time, for the bits in use only.
+    """
+    p, deg, vinit = (a[:dimension] for a in _direction_numbers())
+    # row 0 has degree 0, for which the recurrence keeps its ones
+    v = np.ones((dimension, _BITS), dtype=np.int64)
+    v[1:, :vinit.shape[1]] = vinit[1:]
+    for j in range(1, nbits):
+        i = np.arange(1, j + 1)
+        c = (p >> np.maximum(deg - i, 0) & 1) * (i <= deg)
+        new = np.bitwise_xor.reduce(c * (v[:, j - i] << i), axis=1)
+        new ^= np.take_along_axis(v, j - deg, 1)[:, 0]
+        v[:, j] = np.where(j < deg[:, 0], v[:, j], new)
+    return (v[:, :nbits] << (_BITS - 1 - np.arange(nbits))).astype(np.uint64)
 
 
 def _shifts_from_seed(seed, dimension):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from bepower import DesignSpec, cli
+from bepower import DesignSpec, cli, tost
 from bepower.tost import _unit
 
 DESIGN = ["--mu-diff", "-4", "--sigma1", "18", "--sigma2", "15",
@@ -281,6 +281,20 @@ class TestCurveCommand:
                            "--csv", str(tmp_path / "no-dir" / "x.csv"))
         assert code == 1
         assert "cannot write" in err
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 24.0 TiB", ""])
+    def test_memory_error_is_reported_without_traceback(self, capsys,
+                                                        monkeypatch, message):
+        # stands in for the allocation of --m 1099511627776 points, which
+        # numpy refuses with a MemoryError
+        def refuse(m, seed, sampler):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(tost, "_unit_cube_points", refuse)
+        code, out, err = run(capsys, "power", *DESIGN, "--n1", "20", "--n2",
+                             "20", "--m", "1099511627776", "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err == f"error: {message or 'MemoryError'}\n"
 
     def test_censoring_reported_as_runtime_failure(self, capsys):
         code, _, err = run(capsys, "curve", *DESIGN, "--m", "32",

@@ -420,6 +420,13 @@ class TestPowerCurve:
         assert pc.censored_count == 100
         assert pc.ecdf(1e6) == pc.ecdf(math.inf) == 156 / 256
 
+    def test_ecdf_of_an_int_beyond_the_float_range_is_an_infinity(self):
+        # such an int cannot be converted to a float; it saturates
+        spec = DesignSpec(-16.0, 18.0, 15.0, -19.2, 19.2)
+        pc = power_curve(spec, 0.5, 256, 3, B=200)
+        assert pc.ecdf(10 ** 400) == pc.ecdf(math.inf) == 156 / 256
+        assert pc.ecdf(-10 ** 400) == pc.ecdf(-math.inf) == 0.0
+
     def test_ecdf_rejects_nan(self, motivating):
         pc = power_curve(motivating, 0.8, 64, seed=11)
         with pytest.raises(ValueError, match="n must not be NaN"):

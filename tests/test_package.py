@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import bepower
 
@@ -18,3 +22,14 @@ def test_all_is_the_union_of_the_modules_all():
     namespace = {}
     exec("from bepower import *", namespace)
     assert set(namespace) - {"__builtins__"} == union
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats takes over half of a fresh interpreter's import time;
+    # the Sobol' points need only scipy's direction-number file
+    code = ("import sys, bepower, bepower.cli; print(sorted(m for m in "
+            "sys.modules if m.startswith('scipy.stats')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(bepower.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

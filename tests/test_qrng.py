@@ -1,6 +1,12 @@
+import re
+import time
+import warnings
+
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
+from bepower import qrng
 from bepower.qrng import (
     CLAMP_HIGH,
     CLAMP_LOW,
@@ -11,6 +17,56 @@ from bepower.qrng import (
     sobol_raw,
     sobol_stream,
 )
+
+
+def scipy_sobol(dimension, m):
+    """The reference: scipy's unscrambled 53-bit Sobol' points."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=".*balance properties.*")
+        return qmc.Sobol(dimension, scramble=False, bits=53).random(m)
+
+
+@pytest.mark.parametrize("dimension, m", [
+    (1, 1), (3, 1), (3, 5), (3, 1000), (3, 1024), (3, 65536), (7, 4097),
+    (50, 3000), (1000, 33), (21201, 4), (21201, 129), (2, 2 ** 20 + 1)])
+def test_raw_points_are_scipys_bit_for_bit(dimension, m):
+    # also fails when a scipy release changes its direction-number file
+    np.testing.assert_array_equal(sobol_raw(dimension, m),
+                                  scipy_sobol(dimension, m))
+
+
+def test_direction_integers_are_scipys_at_every_bit():
+    # the points above reach bit 20 at most; scipy's engine keeps the
+    # whole table, each row from its recurrence, in `_sv`
+    engine = qmc.Sobol(21201, scramble=False, bits=53)
+    np.testing.assert_array_equal(qrng._directions(21201, 53), engine._sv)
+
+
+def test_power_of_two_prefixes_are_scipys_bit_for_bit():
+    reference = scipy_sobol(3, 2 ** 16)
+    for k in range(17):
+        np.testing.assert_array_equal(sobol_raw(3, 2 ** k),
+                                      reference[:2 ** k], err_msg=f"2 ** {k}")
+
+
+def test_missing_direction_file_names_its_path(monkeypatch, tmp_path):
+    missing = tmp_path / "stats" / "_sobol_direction_numbers.npz"
+    monkeypatch.setattr(qrng, "_DIRECTION_FILE", missing)
+    qrng._direction_numbers.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match=re.escape(str(missing))):
+            sobol_raw(3, 8)
+    finally:
+        qrng._direction_numbers.cache_clear()
+
+
+def test_widest_table_builds_fast():
+    # the direction integers are built for the bits in use, vectorised
+    # over the coordinates
+    start = time.perf_counter()
+    pts = sobol_raw(21201, 2)
+    assert time.perf_counter() - start < 1.0
+    assert np.all(pts[1] == 0.5)
 
 
 def test_first_point_is_origin():

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 from bepower import (CrossoverSpec, DesignSpec, crossover_sample_size,
                      empirical_power, lambda_of_n, naive_power, power_curve,
-                     scan_intersections, scenario_summary, se_of_n,
-                     stats_from_point, to_two_group)
+                     scan_intersections, scan_se_peak, scenario_summary,
+                     se_of_n, smallest_crossing, stats_from_point,
+                     to_two_group)
 from bepower.qrng import sobol_stream
 
 SCALE_DESIGNS = {
@@ -129,9 +130,15 @@ def test_fuzz_accepted_designs_work_or_fail_cleanly(fields, crossover, seed):
         spec = fuzz_spec(DesignSpec, fields)
     if spec is None:
         return
+    u = (0.2, 0.7, 0.4)
     calls = [lambda: empirical_power(spec, 2, 3, 64, seed),
-             lambda: stats_from_point((0.2, 0.7, 0.4), spec, 2.5, 30.0),
-             lambda: naive_power(spec, 3, 2, 64, seed)]
+             lambda: stats_from_point(u, spec, 2.5, 30.0),
+             lambda: naive_power(spec, 3, 2, 64, seed),
+             lambda: scan_intersections(u, spec, 40),
+             lambda: scan_se_peak(u, spec, 40),
+             lambda: se_of_n(u, spec, 7.5),
+             lambda: lambda_of_n(u, spec, 7.5),
+             lambda: smallest_crossing(u, spec)]
     if spec.delta_L < spec.mu_diff < spec.delta_U:
         calls.append(lambda: power_curve(spec, 0.8, 64, seed))
         if crossover:
