@@ -143,13 +143,24 @@ def _check_tol(tol):
         raise ValueError("tol must be positive and finite")
 
 
+def _check_group2(q, n):
+    """A ValueError, naming q, where the group-2 size q * n of a float
+    n overflows."""
+    if math.isinf(q * n):
+        raise ValueError(f"q * n = {q:g} * {n:g} overflows the float range")
+
+
 def _check_solver_args(spec, B, tol):
     require_curve_spec(spec)
     if not (B >= 2.0 and (B == math.inf or _finite(B))):
         raise ValueError("B must be at least 2 (an int beyond the float "
                          "range is not)")
     _check_tol(tol)
-    if _domain_start(spec.q) > B:
+    start = _domain_start(spec.q)
+    if math.isinf(start):
+        raise ValueError(f"the domain start 2/q = 2/{spec.q:g} overflows "
+                         "the float range; raise q")
+    if start > B:
         raise ValueError(
             f"censoring bound B={B:g} lies below the domain start "
             f"2/q={2.0 / spec.q:g}, where group 2 first has two subjects; "
@@ -170,6 +181,7 @@ def _mapped_at(u, spec, n):
         raise ValueError("n must be finite, and n and q * n must both be "
                          "at least 2")
     n = float(n)
+    _check_group2(spec.q, n)
     unit, e = _unit(spec)
     return _in_units(_mapped(float(u[0]), float(u[1]), inv_norm(float(u[2])),
                              unit, n, spec.q * n), (e, e, 0))
@@ -230,6 +242,9 @@ def _point_g(points, spec):
         return np.where(margin > 0.0, -margin, np.maximum(-margin, _TINY))
 
     def side(k, n):
+        # q * B may overflow where no walk goes, so each node reached
+        # is checked, the domain start first
+        _check_group2(spec.q, float(n))
         in_, exact = _decide(_g_in, u1[k], u2[k], z3[k], spec, n, spec.q * n,
                              (i1[k], i2[k]))
         evals[k[exact]] += 1

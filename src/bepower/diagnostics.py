@@ -14,9 +14,11 @@ A point's statistics are monotone segments in n: its chi-square
 quantiles rise with the degrees of freedom, 1/(n - 1) and 1/n fall,
 and d_bar moves monotonically toward mu_diff.  So the scans cut the
 grid into geometric blocks of about n1/64 cells, bound se over each
-block's own cells from the shared knot tables at the block ends (no
-quantile of the point's own), bound margin and the t quantile from the
-block's first and last cells, and decide whole blocks at once.  The
+block's own cells from the chi-square knot tables at the block ends,
+which the grid holds as one matrix (no quantile of the point's own;
+the tables are cached per df in `tost._knot_table`), bound margin and
+the t quantile from the block's first and last cells, and decide whole
+blocks at once.  The
 blocks the bounds leave open, and those that could hold the se argmax,
 are evaluated cell by cell in one exact call, and each point's se peak
 is taken from them (the README gives the measured share of exact
@@ -36,8 +38,8 @@ import numpy as np
 from . import curve as _curve
 from .qrng import _check_count, _check_seed, sobol_stream
 from .tost import (DesignSpec, _check_point, _d_bar, _exact_in, _g_in,
-                   _knot_bounds, _prepare_points, _sample_se, _screen,
-                   _t_band, _unit, require_curve_spec)
+                   _knot_bounds, _knot_table, _prepare_points, _sample_se,
+                   _screen, _t_band, _unit, require_curve_spec)
 
 __all__ = [
     "IntersectionReport",
@@ -137,21 +139,34 @@ class SePeakReport:
 
 
 def _integer_grid(spec, n_max):
-    """(n1, n2, first, last, dfs, t): the integer n1 grid with
+    """(n1, n2, first, last, knots, t): the integer n1 grid with
     round-half-even n2, both sizes >= 2 and stored as read-only floats
     (which a huge q does not overflow), and its blocks at spec.alpha:
-    each block's first and last cell, the chi-square df (lo, hi) whose
-    knot tables bound the block's quantiles (see `_block_bounds`), and
-    the block's t band (lo, hi).  Block k holds the cells ends[k] to
-    ends[k + 1] - 1, and the last block the grid's last cell too; a
-    one-cell grid is the block [0, 0].  The tuple depends on (alpha, q,
-    n_max) alone and is cached.  A ValueError where n_max is no integer
-    >= 2, q * n_max overflows the float range or the grid is empty."""
+    each block's first and last cell, the knot tables that bound the
+    block's chi-square quantiles (see `_block_bounds`), and the block's
+    t band (lo, hi).  knots is (x, lo, hi): x the knot-major matrix of
+    the `_knot_table`s of the grid's distinct block-end dfs, and lo and
+    hi, each of shape (2, blocks), the columns of x that hold the
+    tables of groups 1 and 2 at the block's lower and upper end df.
+    Block k holds the cells ends[k] to ends[k + 1] - 1, and the last
+    block the grid's last cell too; a one-cell grid is the block [0, 0].
+    The tuple depends on (alpha, q, n_max) alone and is cached.  A
+    ValueError where n_max is no integer >= 2, q * n_max overflows the
+    float range or the grid is empty."""
     return _cached_grid(spec.alpha, spec.q, _check_count("n_max", n_max, 2))
 
 
 @functools.lru_cache(maxsize=8)
 def _cached_grid(alpha, q, n_max):
+    """The tuple of `_integer_grid`, read-only, for the last 8 (alpha,
+    q, n_max).  Each grid stacks its own copy of its knot tables, taken
+    from the `_knot_table` cache, once: 8.2 KB per end df, 4.3 MB for
+    the 520 end dfs of the longest preset grid (q = 1.2, n_max = 2500)
+    and 8 MB for the 982 of q = 1.5 at n_max = 1e5.  So a scan gathers
+    its bounds from one matrix with no lookup per chunk, and a run
+    over many long grids holds up to 8 such copies: a process that
+    scans all 35 presets at m = 1024 peaks at about 89 MB.
+    """
     if math.isinf(q * n_max):
         raise ValueError(f"q * n_max = {q:g} * {n_max} overflows the "
                          "float range")
@@ -176,14 +191,17 @@ def _cached_grid(alpha, q, n_max):
     # next block's first cell (the grid's last for the last block), so
     # that neighbours share one table; a one-cell block's own
     top = np.where(last == first, first, ends[1:])
-    dfs = tuple(np.stack([n1[c], n2[c]]) - 1.0 for c in (first, top))
+    sizes = np.array([[n1[c], n2[c]] for c in (first, top)])
+    df, cols = np.unique(sizes - 1.0, return_inverse=True)
+    x = np.stack([_knot_table(d) for d in df.tolist()], axis=1)
+    lo, hi = cols.reshape(sizes.shape)
     # the block's Welch df lie between min(n1, n2) - 1 at its first cell
     # and n1 + n2 - 2 at its last
     t = _t_band(alpha, np.minimum(n1[first], n2[first]) - 1.0,
                 n1[last] + n2[last] - 2.0)
-    for arr in (n1, n2, first, last, *dfs, *t):
+    for arr in (n1, n2, first, last, x, lo, hi, *t):
         arr.setflags(write=False)
-    return n1, n2, first, last, dfs, t
+    return n1, n2, first, last, (x, lo, hi), t
 
 
 def _block_bounds(i1, i2, z3, spec, grid):
@@ -195,16 +213,16 @@ def _block_bounds(i1, i2, z3, spec, grid):
     Chi-square quantiles rise with the df, so the knot tables at the
     block's first cell bound them from below, and those at the next
     block's first cell (at the cell itself for a one-cell block) from
-    above (`_knot_bounds`).  n1 and n2 do not fall along the grid,
-    so se_lo is `_sample_se` of the lower bounds with the
-    n-denominators of the block's last cell and se_hi that of the upper
-    bounds with those of its first cell; d_bar moves monotonically from
-    its value at the first cell to its value at the last, which bound
-    margin.  None of them costs a quantile of the point's own, and the
-    t band comes with the grid.
+    above, gathered from the grid's matrix (`_knot_bounds`).  n1 and n2
+    do not fall along the grid, so se_lo is `_sample_se` of the lower
+    bounds with the n-denominators of the block's last cell and se_hi
+    that of the upper bounds with those of its first cell; d_bar moves
+    monotonically from its value at the first cell to its value at the
+    last, which bound margin.  None of them costs a quantile of the
+    point's own, and the t band comes with the grid.
     """
-    n1, n2, first, last, dfs, t = grid
-    lo, hi = _knot_bounds(np.stack([i1, i2]), *dfs)
+    n1, n2, first, last, knots, t = grid
+    lo, hi = _knot_bounds(np.stack([i1, i2]), *knots)
     se = (_sample_se(*lo, spec, n1[last], n2[last])[2],
           _sample_se(*hi, spec, n1[first], n2[first])[2])
     d_a, d_b = (_d_bar(z3[:, None], spec, n1[c], n2[c]) for c in (first, last))

@@ -105,7 +105,13 @@ def sobol_raw(dimension, m):
     -------
     ndarray, shape (m, dimension)
     """
-    dimension, m = _check_count("dimension", dimension), _check_count("m", m)
+    return _sobol_ints(_check_count("dimension", dimension),
+                       _check_count("m", m)) / _SCALE
+
+
+def _sobol_ints(dimension, m):
+    """The 53-bit integers k of the first m raw points, k / 2**53, for
+    checked counts; a ValueError beyond the direction-number table."""
     if dimension > _MAX_DIM:
         raise ValueError(f"dimension exceeds the direction-number table ({_MAX_DIM})")
     # allocated first, so that an m beyond the 2**53 points of the
@@ -115,19 +121,22 @@ def sobol_raw(dimension, m):
     for b in range(v.shape[1]):
         half = 1 << b
         ints[half:2 * half] = v[:, b] ^ ints[half - 1::-1][:m - half]
-    return ints / _SCALE
+    return ints
 
 
 @functools.cache
 def _direction_numbers():
     """scipy's Joe-Kuo table, loaded once per process: the primitive
     polynomials as a column, their degrees and the initial direction
-    numbers."""
+    numbers, all read-only, since every stream shares them."""
     if not _DIRECTION_FILE.is_file():
         raise RuntimeError(f"no Sobol' direction numbers at {_DIRECTION_FILE}")
     with np.load(_DIRECTION_FILE) as table:
         poly = table["poly"][:, np.newaxis]
-        return poly, np.frexp(poly)[1] - 1, table["vinit"]
+        numbers = poly, np.frexp(poly)[1] - 1, table["vinit"]
+    for arr in numbers:
+        arr.setflags(write=False)
+    return numbers
 
 
 def _directions(dimension, nbits):
@@ -217,10 +226,10 @@ def _raw_ints(dimension, m):
 
     The raw sequence does not depend on the seed, so `sobol_stream`
     keeps the integers of its last few (dimension, m) pairs (1.5 MB at
-    (3, 65536)) and a new seed only XORs, converts and clamps.  The
-    points are checked to lie in [0, 1) once, here.
+    (3, 65536)) and a new seed only XORs, converts and clamps.  They
+    come from the generator directly, each below 2**53 by construction.
     """
-    ints = _to_ints(_checked_points(sobol_raw(dimension, m)))
+    ints = _sobol_ints(dimension, m)
     ints.setflags(write=False)
     return ints
 

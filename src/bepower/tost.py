@@ -423,10 +423,9 @@ def _prepare_points(u):
 # fall between the bounds
 _SLACK = 1e-8
 # chi-square knots j / _K; a power of two, so floor(u * _K) is exact.
-# _KNOTS is the column of knots 1 to _K, the top one at CLAMP_HIGH;
-# knot 0 maps to 0
+# _KNOTS holds knots 1 to _K, the top one at CLAMP_HIGH; knot 0 maps to 0
 _K = 1024
-_KNOTS = np.append(np.arange(1, _K) / _K, CLAMP_HIGH)[:, None]
+_KNOTS = np.append(np.arange(1, _K) / _K, CLAMP_HIGH)
 # t knots per table of `_t_table`, evenly spaced in df
 _J = 64
 
@@ -498,82 +497,44 @@ def _cell_t_band(alpha, n1, n2, a, b):
     return _widen(t[top], t[np.floor((lo - nu_lo) * scale).astype(np.intp)])
 
 
-class _KnotStore:
-    """The chi-square quantiles at the knots of every df the screens
-    have met, one table per df: column c of x is 0 at knot 0 and
-    inv_chisq(_KNOTS, df) at knots 1 to _K, for the df that columns maps
-    to c.  The quantile rises with p, so with i = floor(p * _K) a
-    column's x[i] and x[i + 1] bound inv_chisq(p, df) (see
-    `_knot_bounds`).
+@functools.lru_cache(maxsize=1024)
+def _knot_table(df):
+    """The chi-square quantiles at the knots of df, shape (_K + 1,): 0 at
+    knot 0, then inv_chisq(_KNOTS, df).  The quantile rises with p, so
+    with i = floor(p * _K), x[i] and x[i + 1] bound inv_chisq(p, df)
+    (see `_knot_bounds`).
 
-    Three screens share it, each at the knot indices that
-    `_prepare_points` made for its points: the estimator and the curve
-    walk through the variance tables of `_variance_brackets`, one df
-    per size, and the integer scans through `_knot_bounds`, at every
-    block end of their grid.  Tables recur across calls and grids, so
-    they are kept, `capacity` of them (8 KB each), in the order they are
-    met.  x is knot-major, so that a point's bounds over a grid's
-    tables lie side by side: the first table touches one page per knot
-    (4.2 MB at capacity 1024), and the tables past 512 the second.  A
-    grid that does not fit in the columns left clears the store and
-    refills it with its own tables, so no scan loses a table it still
-    needs; one with more end dfs than `capacity` (beyond about
-    n_max = 1e6 at q = 1.5) gets as many columns, until the next clear.
-    x is read-only but while it is filled, since every caller shares it.
+    Three screens read these tables at the knot indices that
+    `_prepare_points` made for their points: the estimator and the curve
+    walk through the variance tables of `_variance_brackets`, one df per
+    size, and the integer scans through their grid's matrix of the
+    tables at its block ends (`diagnostics._cached_grid`).  Tables recur
+    across calls and grids, so up to 1024 are cached (8 KB each; a
+    q = 1.5 scan at n_max = 1e5 meets 982 end dfs, the longest preset
+    grid 520), read-only since every caller shares them.
     """
-
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self.clear()
-
-    def clear(self, tables=0):
-        self.x = np.zeros((_K + 1, max(self.capacity, tables)))
-        self.x.setflags(write=False)
-        self.columns = {}
-
-    def columns_of(self, df):
-        """The columns of x that hold the tables of a 1-d array df, with
-        the tables missing built in one `inv_chisq` call."""
-        df, at = np.unique(df, return_inverse=True)
-        df = df.tolist()
-        new = [d for d in df if d not in self.columns]
-        if len(self.columns) + len(new) > self.x.shape[1]:
-            self.clear(len(df))
-            new = df
-        if new:
-            start = len(self.columns)
-            self.x.setflags(write=True)
-            self.x[1:, start:start + len(new)] = inv_chisq(_KNOTS,
-                                                           np.array(new))
-            self.x.setflags(write=False)
-            self.columns.update(zip(new, range(start, start + len(new))))
-        return np.array([self.columns[d] for d in df], dtype=np.intp)[at]
+    x = np.append(0.0, inv_chisq(_KNOTS, df))
+    x.setflags(write=False)
+    return x
 
 
-# a q = 1.5 scan at n_max = 1e5 meets 982 end dfs, the longest preset
-# grid 520; 1024 tables take 8.4 MB at most
-_STORE = _KnotStore(1024)
-
-
-def _knot_bounds(i, df_lo, df_hi):
+def _knot_bounds(i, x, lo, hi):
     """Bounds (lo, hi) on inv_chisq(u, df) at every df in [df_lo, df_hi],
-    for points u of knot indices i (see `_knot_index`): i of shape
-    (..., m) and the df of shape (..., k) give bounds of shape
-    (..., m, k).
+    for points u of knot indices i (see `_knot_index`): x is a
+    knot-major matrix whose columns are `_knot_table`s, and lo and hi
+    are the columns of df_lo and df_hi.  i of shape (..., m) and lo, hi
+    of shape (..., k) give bounds of shape (..., m, k).
 
-    The quantile rises with p and with df, so the store's table of
-    df_lo at knot i and that of df_hi at knot i + 1 bound it; the
-    widening (`_widen`) covers the kernel's error.  The lowest lower
-    bound is 0, and the top knot CLAMP_HIGH is the largest double below
-    1, so the bounds hold for every u in (0, 1), below the clamp too;
-    every other bound is finite and positive.  All of a grid's tables
-    are gathered at once.
+    The quantile rises with p and with df, so the table of df_lo at
+    knot i and that of df_hi at knot i + 1 bound it; the widening
+    (`_widen`) covers the kernel's error.  The lowest lower bound is 0,
+    and the top knot CLAMP_HIGH is the largest double below 1, so the
+    bounds hold for every u in (0, 1), below the clamp too; every other
+    bound is finite and positive.
     """
-    lo, hi = _STORE.columns_of(np.ravel([df_lo, df_hi])).reshape(
-        2, *np.shape(df_lo))[..., None, :]
-    # flat indices into the knot-major store: one gather per side, along
-    # a knot's row, where a grid's tables sit side by side
-    x, i = _STORE.x, i[..., None] * _STORE.x.shape[1]
+    # flat indices into the knot-major matrix: one gather per side,
+    # along a knot's row, where the tables sit side by side
+    i, lo, hi = i[..., None] * x.shape[1], lo[..., None, :], hi[..., None, :]
     return _widen(x.take(i + lo), x.take(i + x.shape[1] + hi))
 
 
@@ -581,7 +542,8 @@ def _chisq_brackets(df):
     """Bounds (lo, hi), each of shape (_K,), on inv_chisq(p, df) for
     every p in (0, 1): with i = floor(p * _K),
     lo[i] <= inv_chisq(p, df) <= hi[i] (see `_knot_bounds`)."""
-    return tuple(b[:, 0] for b in _knot_bounds(np.arange(_K), [df], [df]))
+    x = _knot_table(df)
+    return _widen(x[:-1], x[1:])
 
 
 @functools.lru_cache(maxsize=128)
@@ -608,7 +570,7 @@ def _variance_brackets(sigma, n):
 
 def _knot_index(u):
     """i = floor(u * _K), the index of u's knot bracket in the tables
-    of `_KnotStore`."""
+    of `_knot_table`."""
     return (u * _K).astype(np.intp)
 
 

@@ -1,7 +1,12 @@
 import hashlib
+import io
 import json
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bepower import DesignSpec, cli, tost
 from bepower.tost import _unit
@@ -302,6 +307,16 @@ class TestCurveCommand:
         assert code == 1
         assert "B=4" in err
 
+    def test_q_times_n_overflow(self, capsys):
+        # q * n beyond the float range printed a numpy warning and
+        # "df must be positive"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "curve", *DESIGN, "--q", "1e308",
+                                 "--m", "16", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: q * n = 1e+308 * 2 overflows the float range\n"
+
 
 class TestCrossoverCommand:
     def test_with_chow_comparator(self, capsys, tmp_path):
@@ -344,6 +359,18 @@ class TestCrossoverCommand:
         assert (code, out) == (2, "")
         assert err == ("error: F must lie strictly between delta_L and "
                        "delta_U\n")
+
+    @pytest.mark.parametrize("q, bound, message", [
+        ("1e308", "65536", "q * n = 1e+308 * 2 overflows the float range"),
+        ("1e-309", "inf", "the domain start 2/q = 2/1e-309 overflows the "
+                          "float range; raise q")])
+    def test_group2_size_overflow(self, capsys, q, bound, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "crossover", *CROSSOVER, "--q", q,
+                                 "--bound", bound, "--m", "16", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
     def test_missing_effect(self, capsys):
         code, _, err = run(capsys, "crossover", "--sigma-d1", "0.4",
@@ -570,3 +597,97 @@ def test_former_overflow_designs_print_their_unit_twin(capsys, sigma1,
         assert code == 0 and err == ""
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+# value pools for the CLI fuzz: per option type, valid, extreme,
+# non-finite and malformed values; every valid size is small (m and
+# reps at most 16, grids and n_max at most 2500), so that a run takes
+# milliseconds, while sizes beyond int64 or the float range fail at once
+FUZZ_FLOATS = ("0", "-0.0", "0.05", "0.5", "1", "1.5", "65536", "5e-324",
+               "1e-309", "1e-300", "1e300", "1e308", "1.7976931348623157e308",
+               "-1e308", "1e400", "inf", "-inf", "nan", "", "abc", "0x10")
+FUZZ_INTS = ("-1", "0", "1", "2", "3", "60", str(2 ** 64 - 1), str(2 ** 64),
+             "1" + "0" * 400, "", "1.5", "x", "nan")
+FUZZ_COUNTS = ("-1", "0", "1", "2", "16", "1" + "0" * 400, "", "1.5", "x")
+FUZZ_STRINGS = {
+    "grid": ("3,5", "60", "", ",", "3;5", "-3", "2,1", "1" + "0" * 400),
+    "scenario": ("s1_mu0", "s7_mu16", "s1_mu0,s2_mu4", "all", "nope", ""),
+}
+# a valid value per option, so that runs get past the input checks
+FUZZ_VALID = {"mu_diff": "-4", "sigma1": "18", "sigma2": "15", "delta": "19.2",
+              "delta_l": "-19.2", "delta_u": "19.2", "alpha": "0.05",
+              "q": "1.5", "effect": "0.05", "sigma_d1": "0.4",
+              "sigma_d2": "0.3", "target_power": "0.8", "bound": "65536",
+              "tol": "1e-6", "n1": "20", "n2": "20", "n_max": "40",
+              "reps": "2", "m": "16", "seed": "7", "grid": "3,5",
+              "engine": "segment", "engines": "segment"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Paths for the file options: writable, in a missing directory, a
+    directory, and config files that parse or do not."""
+    d = tmp_path_factory.mktemp("cli_fuzz")
+    (d / "good.cfg").write_text("m = 8\nseed = 3\nalpha = 0.05\n")
+    (d / "bad.cfg").write_text("m = x\nnot a line\nbogus = 1\n")
+    out = (str(d / "out"), str(d / "missing" / "out"), str(d))
+    return {"csv": out, "svg": out, "json": out,
+            "config": (str(d / "good.cfg"), str(d / "bad.cfg"),
+                       str(d / "missing.cfg"), str(d))}
+
+
+def fuzz_pool(action, files):
+    """The values the fuzz draws for an option; None leaves it out, and
+    True gives a flag that takes no value.  --m is always given."""
+    if action.nargs == 0:
+        return None, True
+    if action.choices:
+        pool = (*action.choices, "bogus")
+    elif action.dest in files:
+        pool = files[action.dest]
+    elif action.dest in FUZZ_STRINGS:
+        pool = FUZZ_STRINGS[action.dest]
+    elif action.dest in ("m", "reps"):
+        pool = FUZZ_COUNTS
+    else:
+        pool = FUZZ_INTS if action.type is int else FUZZ_FLOATS
+    return pool if action.dest == "m" else (None, *pool)
+
+
+@st.composite
+def cli_argv(draw, files):
+    """argv for one subcommand, built from its option table: up to
+    three options, drawn, take a value from their pool; every other
+    option takes its valid value, or is left out if it has none."""
+    subs = cli._build_parser()[1]
+    name = draw(st.sampled_from(sorted(subs)))
+    actions = [a for a in subs[name]._actions if a.dest != "help"]
+    odd = draw(st.sets(st.sampled_from([a.dest for a in actions]),
+                       max_size=3))
+    argv = [name]
+    for action in actions:
+        value = (draw(st.sampled_from(fuzz_pool(action, files)))
+                 if action.dest in odd else FUZZ_VALID.get(action.dest))
+        if value is None:
+            continue
+        flag = draw(st.sampled_from(action.option_strings))
+        # "flag=value", so that a value such as -inf is not read as a flag
+        argv.append(flag if value is True else f"{flag}={value}")
+    return argv
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_fuzz_cli_exits_cleanly(fuzz_files, data):
+    # every argv ends with exit 0, 1 or 2 (argparse's own errors exit
+    # 2), with no traceback and no warning
+    argv = data.draw(cli_argv(fuzz_files))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -9,8 +9,10 @@ from scipy.optimize import brentq
 
 from bepower import (
     CENSORED,
+    DEFAULT_B,
     CrossoverSpec,
     DesignSpec,
+    crossover_sample_size,
     empirical_power,
     lambda_of_n,
     power_curve,
@@ -268,6 +270,51 @@ def test_domain_validation(motivating):
         for fn in (se_of_n, lambda_of_n):
             with pytest.raises(ValueError, match="n must be finite"):
                 fn((0.5, 0.5, 0.5), motivating, n)
+
+
+def test_group2_size_overflow_names_q():
+    # q * n beyond the float range gave se = nan, or a numpy warning and
+    # "df must be positive"; each curve function now names q, and so
+    # does a domain start 2/q beyond the float range
+    u = (0.2, 0.3, 0.4)
+    huge = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, q=1e308)
+    tiny = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, q=1e-309)
+    cross = CrossoverSpec(0.05, 0.4, 0.3, -0.223, 0.223, q=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (se_of_n, lambda_of_n):
+            with pytest.raises(ValueError, match=r"q \* n = 1e\+308 \* 10 "
+                               "overflows the float range"):
+                fn(u, huge, 10)
+        for B in (DEFAULT_B, math.inf):
+            for call in (lambda: smallest_crossing(u, huge, B=B),
+                         lambda: power_curve(huge, 0.8, 16, 1, B=B),
+                         lambda: crossover_sample_size(cross, 0.8, 16, 1,
+                                                       B=B)):
+                with pytest.raises(ValueError, match=r"q \* n = 1e\+308 \* "
+                                   "2 overflows the float range"):
+                    call()
+            for call in (lambda: smallest_crossing(u, tiny, B=B),
+                         lambda: power_curve(tiny, 0.8, 16, 1, B=B)):
+                with pytest.raises(ValueError, match="domain start 2/q = "
+                                   "2/1e-309 overflows the float range"):
+                    call()
+
+
+def test_group2_size_overflow_only_where_the_walk_goes():
+    # q * B overflows at q = 3e303, B = 65536, but every crossing lies
+    # where q * n is finite; a walk that reaches an n whose q * n
+    # overflows names q there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, q=3e303)
+        assert math.isinf(spec.q * DEFAULT_B)
+        pc = power_curve(spec, 0.8, 64, 1)
+        assert pc.censored_count == 0 and pc.rec_n1 < 100
+        near = DesignSpec(-18.0, 18.0, 15.0, -19.2, 19.2, q=1e306)
+        with pytest.raises(ValueError, match=r"q \* n = 1e\+306 \* 192 "
+                           "overflows the float range"):
+            power_curve(near, 0.8, 256, 1)
 
 
 class TestSmallestCrossing:

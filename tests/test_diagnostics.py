@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bepower import (
     DesignSpec,
     SCENARIOS,
+    power_curve,
     scan_intersections,
     scan_se_peak,
     scenario_design,
@@ -23,8 +24,8 @@ from bepower.diagnostics import (SCENARIO_COMBOS, _block_bounds, _grid_scan,
                                  _integer_grid)
 from bepower.qrng import CLAMP_HIGH, CLAMP_LOW, sobol_stream
 from bepower.special import inv_norm, t_quantile
-from bepower.tost import (_KNOTS, _STORE, _g_in, _knot_index, _mapped,
-                          _screen, _t_band, _threshold, _trial)
+from bepower.tost import (_K, _KNOTS, _g_in, _knot_index, _knot_table,
+                          _mapped, _screen, _t_band, _threshold, _trial)
 
 FIXTURE_U = (0.184, 0.231, 0.449)
 
@@ -351,14 +352,15 @@ class TestGridScan:
 
     def test_one_table_per_end_df(self, monkeypatch):
         # one summary builds each knot table of its block ends once; the
-        # presets' grids, and q = 1.5 at n_max = 1e5, fit the store
-        capacity = _STORE.capacity
+        # presets' grids, and q = 1.5 at n_max = 1e5, fit the cache
+        capacity = _knot_table.cache_info().maxsize
         assert max(len(end_dfs(*p)) for p in SCENARIOS.values()) <= capacity
         spec = SCENARIOS["s7_mu16"][0]
         calls = knot_table_calls(monkeypatch)
         for n_max, m in ((2500, 128), (10 ** 5, 4)):
             dfs = end_dfs(spec, n_max)
-            _STORE.clear()
+            _knot_table.cache_clear()
+            diagnostics._cached_grid.cache_clear()
             calls.clear()
             scenario_summary(spec, n_max, m=m, reps=1, seed=1)
             assert sorted(sum(calls, [])) == sorted(dfs)
@@ -369,11 +371,11 @@ class TestGridScan:
         # a second scan of a grid computes no knot quantile, and s5_mu12
         # after s2_mu16 (q = 1 both) only the table of its last cell,
         # which is no block end of the longer grid; each grid, with its
-        # blocks and block t band, is computed once
-        new = end_dfs(*SCENARIOS["s5_mu12"]) - end_dfs(*SCENARIOS["s2_mu16"])
-        assert new == {499.0}
+        # blocks, block t band and table matrix, is computed once
+        longer = end_dfs(*SCENARIOS["s2_mu16"])
+        assert end_dfs(*SCENARIOS["s5_mu12"]) - longer == {499.0}
         pts = sobol_stream(3, 128, 7).points
-        _STORE.clear()
+        _knot_table.cache_clear()
         diagnostics._cached_grid.cache_clear()
         calls = knot_table_calls(monkeypatch)
 
@@ -382,7 +384,7 @@ class TestGridScan:
             _grid_scan(pts, spec, _integer_grid(spec, n_max))
 
         scan("s2_mu16")
-        assert len(calls) == 1
+        assert sorted(sum(calls, [])) == sorted(longer)
         calls.clear()
         for name in ("s2_mu16", "s5_mu12", "s5_mu12"):
             scan(name)
@@ -392,7 +394,8 @@ class TestGridScan:
 
     def test_one_cached_grid_per_alpha_q_n_max(self):
         # s1_mu0 and s1_mu4 differ in mu_diff alone, so every scan of
-        # either reads one cached, read-only grid
+        # either reads one cached, read-only grid, whose matrix holds
+        # the knot table of each distinct block-end df once
         (a, n_max), (b, n_max_b) = SCENARIOS["s1_mu0"], SCENARIOS["s1_mu4"]
         assert (a.alpha, a.q, n_max) == (b.alpha, b.q, n_max_b)
         assert a.mu_diff != b.mu_diff
@@ -404,21 +407,19 @@ class TestGridScan:
         info = diagnostics._cached_grid.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
         assert _integer_grid(b, n_max) is grid
-        n1, n2, first, last, dfs, t = grid
+        n1, n2, first, last, (x, lo, hi), t = grid
         assert n1.dtype == n2.dtype == np.float64
-        for arr in (n1, n2, first, last, *dfs, *t):
+        for arr in (n1, n2, first, last, x, lo, hi, *t):
             assert not arr.flags.writeable
-
-    def test_cold_grid_builds_its_tables_in_one_call(self, monkeypatch):
-        spec, n_max = SCENARIOS["s7_mu16"]
-        dfs = end_dfs(spec, n_max)
-        assert {1.0, 4.0} <= dfs
-        _STORE.clear()
-        _STORE.columns_of(np.array([1.0, 4.0]))
-        calls = knot_table_calls(monkeypatch)
-        _grid_scan(sobol_stream(3, 128, 7).points, spec,
-                   _integer_grid(spec, n_max))
-        assert calls == [sorted(dfs - {1.0, 4.0})]
+        dfs = sorted(end_dfs(a, n_max))
+        assert x.shape == (_K + 1, len(dfs))
+        np.testing.assert_array_equal(
+            x, np.stack([_knot_table(d) for d in dfs], axis=1))
+        top = np.where(last == first, first, np.append(first[1:], last[-1]))
+        for cols, c in ((lo, first), (hi, top)):
+            assert cols.shape == (2, len(first))
+            np.testing.assert_array_equal(np.take(dfs, cols),
+                                          np.stack([n1[c], n2[c]]) - 1.0)
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_matches_full_grid_on_scenario_bank(self, name):
@@ -647,3 +648,32 @@ class TestScenarioSummary:
         for n_max in (10.5, math.nan, True, 1, "50"):
             with pytest.raises(ValueError, match="n_max must be"):
                 scenario_summary(motivating, n_max, m=16, reps=1, seed=1)
+
+
+# q = 1 designs of the ECDF check, with grids that cover their curves
+ECDF_DESIGNS = {
+    "motivating": (DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2), 200),
+    "mu16": (DesignSpec(-16.0, 18.0, 15.0, -19.2, 19.2), 2500),
+    "alpha0.3": (DesignSpec(-4.0, 18.0, 15.0, -19.2, 19.2, alpha=0.3), 200),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ECDF_DESIGNS))
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1))
+def test_ecdf_matches_integer_scan_up_to_multi_crossing_points(name, seed):
+    # at q = 1 the continuous curve meets the integer grid at every
+    # integer n, and a point with one sign change on the grid counts
+    # alike in both; only a point whose row changes sign more than once
+    # can be counted by one and not the other, so the counts differ at
+    # most by the number of those points
+    spec, n_max = ECDF_DESIGNS[name]
+    m = 256
+    pc = power_curve(spec, 0.8, m, seed)
+    grid = _integer_grid(spec, n_max)
+    in_rej = _grid_scan(sobol_stream(3, m, seed).points, spec, grid)[0]
+    multi = np.count_nonzero((in_rej[:, 1:] != in_rej[:, :-1]).sum(axis=1)
+                             > 1)
+    ecdf = np.array([m * pc.ecdf(n) for n in grid[0]])
+    gap = np.abs(ecdf - in_rej.sum(axis=0))
+    assert gap.max() <= multi, (grid[0][np.argmax(gap)], gap.max(), multi)

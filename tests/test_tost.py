@@ -24,15 +24,15 @@ from bepower import (
     stats_from_point,
     welch_df,
 )
+from bepower import tost
 from bepower.diagnostics import SCENARIOS, _integer_grid
 from bepower.qrng import CLAMP_HIGH, CLAMP_LOW, sobol_stream
 from bepower.special import inv_chisq, inv_norm, t_quantile
-from bepower.tost import (_J, _K, _KNOTS, _SLACK, _STORE, _KnotStore,
-                          _cached_points, _cell_t_band, _chisq_brackets,
-                          _decide, _g_in, _knot_index, _mapped,
-                          _prepare_points, _sample_se, _screen, _t_band,
-                          _t_table, _tost_in, _unit, _unit_cube_points,
-                          _variance_brackets)
+from bepower.tost import (_J, _K, _KNOTS, _SLACK, _cached_points,
+                          _cell_t_band, _chisq_brackets, _decide, _g_in,
+                          _knot_index, _knot_table, _mapped, _prepare_points,
+                          _sample_se, _screen, _t_band, _t_table, _tost_in,
+                          _unit, _unit_cube_points, _variance_brackets)
 
 from oracles import decide_gather_first
 
@@ -903,52 +903,34 @@ class TestChisqScreen:
         assert not bad.any(), p[bad][:5]
 
     def test_brackets_are_cached_and_read_only(self):
-        # the brackets are read from the store's table, which every
+        # the brackets are read from the df's cached table, which every
         # caller shares, so none may write to it; 1024 tables of 8 KB
         lo, hi = _chisq_brackets(11.0)
-        col = _STORE.columns[11.0]
-        assert _STORE.columns_of(np.array([11.0])).tolist() == [col]
-        np.testing.assert_array_equal(lo, _STORE.x[:-1, col] * (1.0 - _SLACK))
-        np.testing.assert_array_equal(hi, _STORE.x[1:, col] * (1.0 + _SLACK))
+        x = _knot_table(11.0)
+        assert _knot_table(11.0) is x
+        assert x.shape == (_K + 1,) and x[0] == 0.0
+        np.testing.assert_array_equal(x[1:], inv_chisq(_KNOTS, 11.0))
+        np.testing.assert_array_equal(lo, x[:-1] * (1.0 - _SLACK))
+        np.testing.assert_array_equal(hi, x[1:] * (1.0 + _SLACK))
         with pytest.raises(ValueError, match="read-only"):
-            _STORE.x[0, col] = 1.0
-        assert 0 < _STORE.capacity <= 1024
+            x[0] = 1.0
+        assert 0 < _knot_table.cache_info().maxsize <= 1024
 
     def test_cold_and_warm_cache_count_alike(self, motivating, monkeypatch):
-        # the estimator reads the store through the variance tables, so
-        # a warm call finds those and never reaches the store
-        _STORE.clear()
+        # the estimator reads the knot tables through the variance
+        # tables, so a warm call finds those and never reaches a table
+        _knot_table.cache_clear()
         _variance_brackets.cache_clear()
         cold = empirical_power(motivating, 7, 9, 4096, seed=3)
-        assert sorted(_STORE.columns) == [6.0, 8.0]
+        assert _knot_table.cache_info().misses == 2
         assert _variance_brackets.cache_info().misses == 2
-        monkeypatch.setattr(_STORE, "columns_of", None)
+        for df in (6.0, 8.0):
+            _knot_table(df)
+        assert _knot_table.cache_info().hits == 2
+        monkeypatch.setattr(tost, "_knot_table", None)
         warm = empirical_power(motivating, 7, 9, 4096, seed=3)
         assert _variance_brackets.cache_info().hits == 2
         assert cold == warm
-
-    def test_store_clears_when_full_and_fits_a_longer_grid(self):
-        # a grid that does not fit in the columns left clears the store
-        # and keeps all of its own tables; one longer than the capacity
-        # gets as many columns, until the next clear
-        store = _KnotStore(4)
-
-        def check(df, cols):
-            assert cols.tolist() == [store.columns[d] for d in df]
-            np.testing.assert_array_equal(store.x[1:, cols],
-                                          inv_chisq(_KNOTS, df))
-            assert np.all(store.x[0] == 0.0)
-
-        for df, held in (([3.0, 1.0, 3.0], [1.0, 3.0]),
-                         ([2.0, 1.0], [1.0, 2.0, 3.0]),
-                         ([5.0, 6.0], [5.0, 6.0]),
-                         ([1.0, 2.0, 3.0, 4.0, 7.0, 8.0],
-                          [1.0, 2.0, 3.0, 4.0, 7.0, 8.0]),
-                         ([9.0], [9.0])):
-            df = np.array(df)
-            check(df, store.columns_of(df))
-            assert sorted(store.columns) == held
-            assert store.x.shape == (_K + 1, max(4, len(held)))
 
     def test_quantile_rises_with_df_within_slack(self):
         # the block bounds of the integer scans: for df_a < df < df_b,
