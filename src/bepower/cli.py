@@ -43,6 +43,7 @@ from .qrng import _check_count, _check_seed
 from .tost import DesignSpec, _finite, empirical_power
 
 _TABLE1_GRID = "3,5,8,10,15,20,30,40,50,60"
+_ENGINES = {"segment": empirical_power, "naive": naive_power}
 
 
 def _add_design_args(p):
@@ -63,8 +64,6 @@ def _add_test_args(p):
                    help="upper equivalence limit (overrides --delta)")
     p.add_argument("--alpha", type=float, default=0.05,
                    help="one-sided significance level (default %(default)g)")
-    p.add_argument("--q", type=float, default=1.0,
-                   help="allocation ratio n2 = q * n1 (default %(default)g)")
 
 
 def _add_solver_args(p):
@@ -86,11 +85,12 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("power", help="single power estimate")
-    p.set_defaults(run=_cmd_power, m=65536)
+    # group 2's size is --n2; the design's q is never read
+    p.set_defaults(run=_cmd_power, m=65536, q=1.0)
     _add_design_args(p)
     p.add_argument("--n1", type=int, help="group 1 size")
     p.add_argument("--n2", type=int, help="group 2 size")
-    p.add_argument("--engine", choices=("segment", "naive"), default="segment",
+    p.add_argument("--engine", choices=_ENGINES, default="segment",
                    help="segment: unit-cube mapped estimator (default); "
                         "naive: data-level simulation")
 
@@ -134,10 +134,14 @@ def _build_parser():
                    help="comma list of n1 values (default %(default)s)")
     p.add_argument("--reps", type=int, default=5,
                    help="replicates per n (default %(default)s)")
-    p.add_argument("--engines", choices=("segment", "naive", "both"),
+    p.add_argument("--engines", choices=(*_ENGINES, "both"),
                    default="both",
                    help="which engines to run (default %(default)s)")
     p.add_argument("--csv", help="write the result table here")
+    for name in ("curve", "crossover", "diagnose", "bench"):
+        sub.choices[name].add_argument(
+            "--q", type=float, default=1.0,
+            help="allocation ratio n2 = q * n1 (default %(default)g)")
     for p in sub.choices.values():
         p.add_argument("--m", type=int, help="Sobol' points, or naive "
                        "replicates, per estimate (default %(default)s)")
@@ -316,8 +320,7 @@ def _solver_record(spec, args, pc):
 def _cmd_power(args):
     spec = _spec(args, [f"missing required option --{n}"
                         for n in ("n1", "n2") if getattr(args, n) is None])
-    estimate = naive_power if args.engine == "naive" else empirical_power
-    power = estimate(spec, args.n1, args.n2, args.m, args.seed)
+    power = _ENGINES[args.engine](spec, args.n1, args.n2, args.m, args.seed)
     print(f"power = {power:.6f}  (engine={args.engine}, n1={args.n1}, "
           f"n2={args.n2}, m={args.m}, seed={args.seed})")
     return {"inputs": _inputs(spec, args, n1=args.n1, n2=args.n2,
@@ -406,18 +409,20 @@ def _cmd_bench(args):
         grid, bad_grid = [], [f"cannot parse --grid '{args.grid}'"]
     spec = _spec(args, bad_grid)
     reps = _check_count("--reps", args.reps)
-    engines = (("segment", "naive") if args.engines == "both"
-               else (args.engines,))
+    engines = tuple(_ENGINES) if args.engines == "both" else (args.engines,)
     rep_seeds = np.random.SeedSequence(args.seed).generate_state(
         reps, np.uint64)
     header = "n1,n2" + "".join(f",mean_{e},sd_{e}" for e in engines)
+    # group 2 takes rint(q * n1) subjects, which must be at least 2
     _fail([f"q * n1 = {spec.q:g} * {n1} overflows the float range"
-           for n1 in grid if math.isinf(spec.q * n1)])
+           for n1 in grid if math.isinf(spec.q * n1)]
+          + [f"q * n1 = {spec.q:g} * {n1} rounds to a group 2 size below 2"
+             for n1 in grid if n1 >= 2 > np.rint(spec.q * n1)])
     sizes = [(n1, int(np.rint(spec.q * n1))) for n1 in grid]
     rows = [list(size) for size in sizes]
     timing = {}
     for engine in engines:
-        fn = empirical_power if engine == "segment" else naive_power
+        fn = _ENGINES[engine]
         t0 = time.monotonic()
         # the grid inside each seed: the segment engine then builds each
         # replicate's stream once

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import curve as _curve
 from .special import t_quantile
-from .tost import DesignSpec, _design_problems, _finite, _store_floats
+from .tost import DesignSpec, _check_spec, _finite
 
 __all__ = [
     "CrossoverSpec",
@@ -55,14 +55,7 @@ class CrossoverSpec:
     q: float = 1.0
 
     def __post_init__(self):
-        problems = _design_problems(self.F, self.sigma_D1, self.sigma_D2,
-                                    self.delta_L, self.delta_U, self.alpha,
-                                    self.q, sd_divisor=2.0)
-        problems = [p.replace("mu_diff", "F").replace("sigma1", "sigma_D1")
-                     .replace("sigma2", "sigma_D2") for p in problems]
-        if problems:
-            raise ValueError("invalid crossover design: " + "; ".join(problems))
-        _store_floats(self)
+        _check_spec(self, "crossover design", sd_divisor=2.0)
 
 
 def to_two_group(cspec):

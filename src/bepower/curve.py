@@ -34,9 +34,9 @@ import numpy as np
 
 from .qrng import _check_count, sobol_stream
 from .special import _TINY, inv_norm, t_quantile
-from .tost import (_check_point, _d_bar, _decide, _finite, _g_in,
-                   _in_units, _mapped, _margin, _prepare_points, _threshold,
-                   _unit, require_curve_spec)
+from .tost import (_check_group2, _check_point, _d_bar, _decide, _finite,
+                   _g_in, _in_units, _mapped, _margin, _prepare_points,
+                   _threshold, _unit, require_curve_spec)
 
 __all__ = [
     "CENSORED",
@@ -72,10 +72,8 @@ class CurvePoint:
     walk nodes the knot screen decides cost none.
     """
 
-    point_index: int
     crossing_n: float
-    reinitialized: bool = False
-    g_evals: int = 0
+    g_evals: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,13 +139,6 @@ def _domain_start(q):
 def _check_tol(tol):
     if not (0.0 < tol and _finite(tol)):
         raise ValueError("tol must be positive and finite")
-
-
-def _check_group2(q, n):
-    """A ValueError, naming q, where the group-2 size q * n of a float
-    n overflows."""
-    if math.isinf(q * n):
-        raise ValueError(f"q * n = {q:g} * {n:g} overflows the float range")
 
 
 def _check_solver_args(spec, B, tol):
@@ -397,7 +388,7 @@ def _resolve(g, crossings, anchor, nodes, tol):
     return wrong
 
 
-def smallest_crossing(u, spec, B=DEFAULT_B, tol=DEFAULT_TOL, point_index=0):
+def smallest_crossing(u, spec, B=DEFAULT_B, tol=DEFAULT_TOL):
     """Locate the smallest n in [2, B] with g(n) <= 0 for one point.
 
     Walks the geometric bracket grid until g changes sign, then hands
@@ -420,7 +411,7 @@ def smallest_crossing(u, spec, B=DEFAULT_B, tol=DEFAULT_TOL, point_index=0):
     start = _domain_start(spec.q)
     crossing = np.full(1, start)
     _resolve(g, crossing, start, _bracket_nodes(start, B), tol)
-    return CurvePoint(point_index, float(crossing[0]), False, int(evals[0]))
+    return CurvePoint(float(crossing[0]), int(evals[0]))
 
 
 def _type1_quantile(values, target_power):
@@ -429,11 +420,12 @@ def _type1_quantile(values, target_power):
     return float(np.partition(values, rank - 1)[rank - 1])
 
 
-def _censoring_error(n_censored, m, B, target_power):
+def _censoring_error(crossings, B, target_power):
+    n_censored = np.count_nonzero(np.isinf(crossings))
     return RuntimeError(
-        f"censoring bound B={B:g} is too small: {n_censored} of {m} points "
-        f"have no crossing by n={B:g}, so the {target_power:g} power "
-        "quantile cannot be formed; raise B")
+        f"censoring bound B={B:g} is too small: {n_censored} of "
+        f"{len(crossings)} points have no crossing by n={B:g}, so the "
+        f"{target_power:g} power quantile cannot be formed; raise B")
 
 
 def power_curve(spec, target_power, m, seed, B=DEFAULT_B, tol=DEFAULT_TOL):
@@ -489,9 +481,8 @@ def power_curve(spec, target_power, m, seed, B=DEFAULT_B, tol=DEFAULT_TOL):
     nodes = _bracket_nodes(start, B)
     crossings = np.full(m, start)
     _resolve(g, crossings, start, nodes, tol)
-    n_censored = int(np.count_nonzero(np.isinf(crossings)))
-    if n_censored / m >= 1.0 - target_power:
-        raise _censoring_error(n_censored, m, B, target_power)
+    if np.count_nonzero(np.isinf(crossings)) / m >= 1.0 - target_power:
+        raise _censoring_error(crossings, B, target_power)
 
     n_star_initial = anchor = _type1_quantile(crossings, target_power)
     reinitialized = np.zeros(m, dtype=bool)
@@ -508,8 +499,7 @@ def power_curve(spec, target_power, m, seed, B=DEFAULT_B, tol=DEFAULT_TOL):
 
     n_star_final = anchor
     if math.isinf(n_star_final):
-        raise _censoring_error(int(np.count_nonzero(np.isinf(crossings))),
-                               m, B, target_power)
+        raise _censoring_error(crossings, B, target_power)
     rec_n1 = int(math.ceil(n_star_final - _RANK_EPS))
     rec_n2 = int(math.ceil(spec.q * n_star_final - _RANK_EPS))
     for arr in (crossings, evals, reinitialized):

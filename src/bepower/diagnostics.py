@@ -37,9 +37,10 @@ import numpy as np
 
 from . import curve as _curve
 from .qrng import _check_count, _check_seed, sobol_stream
-from .tost import (DesignSpec, _check_point, _d_bar, _exact_in, _g_in,
-                   _knot_bounds, _knot_table, _prepare_points, _sample_se,
-                   _screen, _t_band, _unit, require_curve_spec)
+from .tost import (DesignSpec, _check_group2, _check_point, _d_bar,
+                   _exact_in, _g_in, _knot_bounds, _knot_table,
+                   _prepare_points, _sample_se, _screen, _t_band, _unit,
+                   require_curve_spec)
 
 __all__ = [
     "IntersectionReport",
@@ -70,9 +71,9 @@ SCENARIO_COMBOS = {
     7: (19.5, 13.0, 1.5),
 }
 
-# anticipated differences paired with the grid bound that covers the
-# whole power curve (nearer the limit needs a longer grid)
-_MU_GRID = ((0.0, 100), (-4.0, 100), (-8.0, 200), (-12.0, 500), (-16.0, 2500))
+# the grid bound of each anticipated difference, long enough to cover
+# the whole power curve (nearer the limit needs a longer grid)
+_N_MAX = {0.0: 100, -4.0: 100, -8.0: 200, -12.0: 500, -16.0: 2500}
 
 _LIMITS = 19.2
 _ALPHA = 0.05
@@ -94,19 +95,16 @@ def scenario_design(combo, mu_diff):
         The design and the n_max to scan.
     """
     sigma1, sigma2, q = SCENARIO_COMBOS[combo]
-    for mu, n_max in _MU_GRID:
-        if mu == mu_diff:
-            spec = DesignSpec(mu_diff=mu, sigma1=sigma1, sigma2=sigma2,
-                              delta_L=-_LIMITS, delta_U=_LIMITS,
-                              alpha=_ALPHA, q=q)
-            return spec, n_max
-    raise KeyError(f"no scenario with mu_diff={mu_diff}")
+    n_max = _N_MAX[mu_diff]
+    return DesignSpec(mu_diff=mu_diff, sigma1=sigma1, sigma2=sigma2,
+                      delta_L=-_LIMITS, delta_U=_LIMITS, alpha=_ALPHA,
+                      q=q), n_max
 
 
 SCENARIOS = {
     f"s{combo}_mu{abs(int(mu))}": scenario_design(combo, mu)
     for combo in SCENARIO_COMBOS
-    for mu, _ in _MU_GRID
+    for mu in _N_MAX
 }
 
 
@@ -124,7 +122,6 @@ class IntersectionReport:
     the scanned grid reports departure without duration).
     """
 
-    point_index: int
     crossings: tuple
     departure_n: int | None
     duration: int | None
@@ -134,7 +131,6 @@ class IntersectionReport:
 class SePeakReport:
     """Integer grid argmax of se(n) for one point."""
 
-    point_index: int
     argmax_n: int
 
 
@@ -156,20 +152,20 @@ def _integer_grid(spec, n_max):
     return _cached_grid(spec.alpha, spec.q, _check_count("n_max", n_max, 2))
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=4)
 def _cached_grid(alpha, q, n_max):
-    """The tuple of `_integer_grid`, read-only, for the last 8 (alpha,
+    """The tuple of `_integer_grid`, read-only, for the last 4 (alpha,
     q, n_max).  Each grid stacks its own copy of its knot tables, taken
     from the `_knot_table` cache, once: 8.2 KB per end df, 4.3 MB for
     the 520 end dfs of the longest preset grid (q = 1.2, n_max = 2500)
     and 8 MB for the 982 of q = 1.5 at n_max = 1e5.  So a scan gathers
-    its bounds from one matrix with no lookup per chunk, and a run
-    over many long grids holds up to 8 such copies: a process that
-    scans all 35 presets at m = 1024 peaks at about 89 MB.
+    its bounds from one matrix with no lookup per chunk.  Four grids
+    cover the traffic seen: a run over the presets in name order reuses
+    grids only where the s2 presets meet the four q = 1 grids of s1, and
+    the benchmark cycles three.  A process that scans all 35 presets at
+    m = 1024 peaks at about 82 MB.
     """
-    if math.isinf(q * n_max):
-        raise ValueError(f"q * n_max = {q:g} * {n_max} overflows the "
-                         "float range")
+    _check_group2(q, n_max, "n_max")
     # rint(q n) >= 2 exactly when q n >= 1.5; 1.5 / q may round up to
     # the next integer, so start one below it and let the predicate
     # itself settle the first n
@@ -281,7 +277,7 @@ def _departure(in_rej, n1_grid):
             int(n1_grid[k + back[0]] - n1_grid[k]) if back.size else None)
 
 
-def scan_intersections(u, spec, n_max, tol=_curve.DEFAULT_TOL, point_index=0):
+def scan_intersections(u, spec, n_max, tol=_curve.DEFAULT_TOL):
     """All crossings of se and Lambda on the integer grid [2, n_max].
 
     Takes g's sign at every integer pair (n, round(q n)), as the block
@@ -331,13 +327,11 @@ def scan_intersections(u, spec, n_max, tol=_curve.DEFAULT_TOL, point_index=0):
                                  ga[exits], gb[exits], tol)[0]
     crossings.extend(roots.tolist())
     departure_n, duration = _departure(in_rej, n1_grid)
-    return IntersectionReport(point_index=point_index,
-                              crossings=tuple(crossings),
-                              departure_n=departure_n,
-                              duration=duration)
+    return IntersectionReport(crossings=tuple(crossings),
+                              departure_n=departure_n, duration=duration)
 
 
-def scan_se_peak(u, spec, n_max, point_index=0):
+def scan_se_peak(u, spec, n_max):
     """Integer n at which the mapped standard error peaks.
 
     Ties resolve to the smallest n.  For most points this is the grid
@@ -346,7 +340,7 @@ def scan_se_peak(u, spec, n_max, point_index=0):
     """
     grid = _integer_grid(spec, n_max)
     peak = _grid_scan(_check_point(u)[np.newaxis], spec, grid)[1][0]
-    return SePeakReport(point_index=point_index, argmax_n=int(grid[0][peak]))
+    return SePeakReport(argmax_n=int(grid[0][peak]))
 
 
 def scenario_summary(spec, n_max, m, reps, seed):

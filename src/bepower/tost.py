@@ -64,7 +64,7 @@ def _design_problems(mu_diff, sigma1, sigma2, delta_L, delta_U, alpha, q,
                 if not _finite(value)]
     if problems:
         return problems
-    # the rest is checked on the floats that `_store_floats` keeps
+    # the rest is checked on the floats that `_check_spec` stores
     fields = [(name, float(value)) for name, value in fields]
     mu_diff, sigma1, sigma2, delta_L, delta_U, alpha, q = dict(fields).values()
     problems = [f"{name} must be positive" for name, v in fields[1:3] if v <= 0]
@@ -88,12 +88,29 @@ def _design_problems(mu_diff, sigma1, sigma2, delta_L, delta_U, alpha, q,
     return problems
 
 
-def _store_floats(spec):
-    """Store every field of a checked frozen spec as a Python float, so
-    that a Fraction, a numpy scalar or an int computes as the float it
-    rounds to."""
-    for name, value in vars(spec).items():
+def _check_spec(spec, what, sd_divisor=1.0):
+    """Check a frozen spec with the fields of `DesignSpec`, the first
+    three under its own names (F, sigma_D1 and sigma_D2 for a
+    `CrossoverSpec`): raise a ValueError that lists, in those names,
+    every constraint `_design_problems` finds violated, or else store
+    every field as a Python float, so that a Fraction, a numpy scalar or
+    an int computes as the float it rounds to."""
+    fields = vars(spec)
+    problems = _design_problems(*fields.values(), sd_divisor=sd_divisor)
+    if problems:
+        for old, new in zip(("mu_diff", "sigma1", "sigma2"), fields):
+            problems = [p.replace(old, new) for p in problems]
+        raise ValueError(f"invalid {what}: " + "; ".join(problems))
+    for name, value in fields.items():
         object.__setattr__(spec, name, float(value))
+
+
+def _check_group2(q, n, name="n"):
+    """A ValueError, naming q, where the group-2 size q * n of a size n
+    overflows the float range."""
+    if math.isinf(q * n):
+        raise ValueError(f"q * {name} = {q:g} * {n:g} overflows the float "
+                         "range")
 
 
 @dataclass(frozen=True)
@@ -144,11 +161,7 @@ class DesignSpec:
     q: float = 1.0
 
     def __post_init__(self):
-        problems = _design_problems(self.mu_diff, self.sigma1, self.sigma2,
-                                    self.delta_L, self.delta_U, self.alpha, self.q)
-        if problems:
-            raise ValueError("invalid design: " + "; ".join(problems))
-        _store_floats(self)
+        _check_spec(self, "design")
 
     def scaled(self, c):
         """The design with all response-unit quantities multiplied by c > 0."""

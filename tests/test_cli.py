@@ -166,6 +166,21 @@ class TestPowerCommand:
         assert rec["inputs"]["delta_L"] == -10.0  # explicit flag wins
         assert rec["inputs"]["delta_U"] == 19.2
 
+    def test_q_is_no_option(self, capsys, tmp_path):
+        # group 2's size is --n2, so an allocation ratio would go unused:
+        # the flag and the config key are both rejected
+        argv = ["power", *DESIGN, "--n1", "20", "--n2", "20", "--m", "64",
+                "--seed", "7"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--q", "1.5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --q 1.5" in capsys.readouterr().err
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text("q = 1.5\n")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}:1: unknown key 'q'\n"
+
 
 class TestConfigFile:
     def test_config_supplies_values_flags_override(self, capsys, tmp_path):
@@ -489,6 +504,18 @@ class TestBenchCommand:
         assert err == ("error: q * n1 = 1e+308 * 3 overflows the float range\n"
                        "error: q * n1 = 1e+308 * 5 overflows the float range\n")
 
+    def test_group_2_below_two_subjects(self, capsys):
+        # rint(0.3 * 3) = 1 used to fail as "n2 must be an integer >= 2",
+        # an option bench does not have; rint(0.3 * 5) = 2 is valid
+        code, out, err = run(capsys, "bench", *DESIGN, "--q", "0.3",
+                             "--grid", "3,5,4", "--m", "64", "--reps", "2",
+                             "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == ("error: q * n1 = 0.3 * 3 rounds to a group 2 size "
+                       "below 2\n"
+                       "error: q * n1 = 0.3 * 4 rounds to a group 2 size "
+                       "below 2\n")
+
     def test_json_reruns_identical_outside_metadata(self, capsys, tmp_path):
         records = []
         for tag in ("a", "b"):
@@ -574,6 +601,52 @@ def test_invalid_input_fails_cleanly(capsys, argv):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# a small run of each subcommand whose results should move with every
+# design option it takes, and a nearby valid value of each option
+TWO_GROUP_MOVES = {"mu_diff": "-5", "sigma1": "20", "sigma2": "14",
+                   "delta": "18", "delta_l": "-18", "delta_u": "18",
+                   "alpha": "0.1", "q": "1.5"}
+NEARBY = {
+    "power": (["power", *DESIGN, "--n1", "20", "--n2", "20", "--m", "1024"],
+              TWO_GROUP_MOVES),
+    "curve": (["curve", *DESIGN, "--m", "64"], TWO_GROUP_MOVES),
+    "crossover": (["crossover", "--effect", "0", "--sigma-d1", "0.4",
+                   "--sigma-d2", "0.3", "--delta", "0.223", "--m", "64"],
+                  {"effect": "0.05", "sigma_d1": "0.45", "sigma_d2": "0.35",
+                   "delta": "0.2", "delta_l": "-0.2", "delta_u": "0.2",
+                   "alpha": "0.1", "q": "1.5"}),
+    "bench": (["bench", *DESIGN, "--grid", "3,5", "--m", "256", "--reps", "2",
+               "--engines", "segment"], TWO_GROUP_MOVES),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEARBY))
+def test_no_design_option_is_a_no_op(capsys, tmp_path, name):
+    # moving any design option of the subcommand's option table to a
+    # nearby valid value changes the JSON results, or the run exits 2
+    base_argv, moves = NEARBY[name]
+    j = tmp_path / "r.json"
+
+    def results(*extra):
+        j.unlink(missing_ok=True)
+        try:
+            code = cli.main([*base_argv, *extra, "--seed", "7", "--json",
+                             str(j)])
+        except SystemExit as exc:  # argparse's own errors
+            code = exc.code
+        capsys.readouterr()
+        return code, read_json(j)["results"] if code == 0 else None
+
+    code, base = results()
+    assert code == 0
+    options = [a for a in cli._build_parser()[1][name]._actions
+               if a.dest in moves]
+    assert len(options) >= 7
+    for a in options:
+        code, moved = results(a.option_strings[0], moves[a.dest])
+        assert code == 2 or (code == 0 and moved != base), a.dest
 
 
 @pytest.mark.parametrize("sigma1, sigma2", [("1e200", "15"), ("18", "2e153")],

@@ -327,7 +327,6 @@ class TestSmallestCrossing:
     def test_fixture_crosses_at_start(self, motivating):
         cp = smallest_crossing(FIXTURE_U, motivating)
         assert cp.crossing_n == 2.0
-        assert not cp.reinitialized
 
     def test_crossing_grows_with_u3_tail(self, motivating):
         crossings = [smallest_crossing((0.5, 0.5, u3), motivating).crossing_n
@@ -594,6 +593,44 @@ def test_safeguard_warns_when_the_quantile_keeps_moving(motivating,
     assert pc.n_star_initial == returned[0]
     assert pc.n_star_final == returned[-1]
     assert pc.rec_n1 == math.ceil(returned[-1])
+
+
+def test_censoring_error_when_the_safeguard_ends_at_inf(motivating,
+                                                       monkeypatch):
+    # a third safeguard round that moves the quantile to inf leaves no
+    # finite recommendation: the curve warns, then names B
+    quantile = curve._type1_quantile
+    returned = []
+
+    def drifting(values, target_power):
+        step = len(returned)
+        returned.append(math.inf if step == 3
+                        else quantile(values, target_power) + step)
+        return returned[-1]
+
+    monkeypatch.setattr(curve, "_type1_quantile", drifting)
+    with pytest.warns(RuntimeWarning, match="did not stabilize"), \
+            pytest.raises(RuntimeError, match=r"censoring bound B=65536 is "
+                          r"too small: 0 of 1024 points .* raise B"):
+        power_curve(motivating, 0.8, 1024, 2024)
+    assert len(returned) == 4
+
+
+def test_brent_stopped_at_maxiter_still_crosses_on_the_g_side(motivating,
+                                                               monkeypatch):
+    # Brent's last iterate, after maxiter steps, goes to the same nudge
+    # as a converged root: g <= 0 at every located crossing
+    full = power_curve(motivating, 0.8, 64, 3)
+    monkeypatch.setattr(curve, "_BRENT_MAXITER", 2)
+    pc = power_curve(motivating, 0.8, 64, 3)
+    assert not np.array_equal(pc.crossings, full.crossings)
+    points = sobol_stream(3, 64, 3).points
+    located = np.nonzero(pc.crossings > _domain_start(motivating.q))[0]
+    assert len(located) and np.all(np.isfinite(pc.crossings[located]))
+    unit = _unit(motivating)[0]
+    g = _g(points[located, 0], points[located, 1],
+           inv_norm(points[located, 2]), unit, pc.crossings[located])
+    assert np.all(g <= 0.0)
 
 
 @pytest.mark.parametrize("seed,target", [(2024, 0.8), (2, 0.04638671875)])

@@ -624,7 +624,7 @@ class TestScenarioSummary:
         multi = 0
         argmax = []
         for i in range(m):
-            rep = scan_intersections(pts[i], motivating, 40, point_index=i)
+            rep = scan_intersections(pts[i], motivating, 40)
             # two or more sign changes: more crossings than the synthetic
             # leading entry for starts-inside points
             k = len(rep.crossings) - (1 if rep.crossings
