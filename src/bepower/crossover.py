@@ -113,9 +113,10 @@ def chow_sample_size(F, sigma_D, delta_U, alpha, beta):
     ------
     ValueError
         If F, sigma_D or delta_U is not finite, |F| >= delta_U (no
-        sample size can demonstrate equivalence), or alpha or beta lies
-        outside (0, 1) or is so small that 1 - alpha or 1 - beta / 2
-        rounds to 1.
+        sample size can demonstrate equivalence), alpha lies outside
+        (0, 0.5] (above 0.5 its t quantile is negative and would shrink
+        the bound) or beta outside (0, 1), or either is so small that
+        1 - alpha or 1 - beta / 2 rounds to 1.
     RuntimeError
         If no n up to 1e6 satisfies the inequality.
     """
@@ -123,8 +124,8 @@ def chow_sample_size(F, sigma_D, delta_U, alpha, beta):
         raise ValueError("F, sigma_D and delta_U must be finite")
     if sigma_D <= 0.0:
         raise ValueError("sigma_D must be positive")
-    if not 0.0 < alpha < 1.0 or not 0.0 < beta < 1.0:
-        raise ValueError("alpha and beta must lie in (0, 1)")
+    if not 0.0 < alpha <= 0.5 or not 0.0 < beta < 1.0:
+        raise ValueError("alpha and beta must lie in (0, 0.5] and (0, 1)")
     if 1.0 - alpha == 1.0:
         raise ValueError("alpha must exceed 2 ** -54, or 1 - alpha rounds "
                          "to 1")

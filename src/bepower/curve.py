@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qrng import _check_count, sobol_stream
+from .qrng import _check_count, _read_only, sobol_stream
 from .special import _TINY, inv_norm, t_quantile
 from .tost import (_check_group2, _check_point, _d_bar, _decide, _finite,
                    _g_in, _in_units, _mapped, _margin, _prepare_points,
@@ -502,8 +502,7 @@ def power_curve(spec, target_power, m, seed, B=DEFAULT_B, tol=DEFAULT_TOL):
         raise _censoring_error(crossings, B, target_power)
     rec_n1 = int(math.ceil(n_star_final - _RANK_EPS))
     rec_n2 = int(math.ceil(spec.q * n_star_final - _RANK_EPS))
-    for arr in (crossings, evals, reinitialized):
-        arr.setflags(write=False)
+    _read_only((crossings, evals, reinitialized))
     return PowerCurve(crossings=crossings, g_evals=evals,
                       reinitialized=reinitialized,
                       n_star_initial=n_star_initial,

@@ -124,19 +124,38 @@ def _sobol_ints(dimension, m):
     return ints
 
 
-@functools.cache
+def _read_only(value):
+    """value, with every ndarray in it, nested tuples included, made
+    read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    return value
+
+
+def _shared_cache(maxsize):
+    """`functools.lru_cache(maxsize)` for a pure function whose arrays
+    every caller shares: a value is made read-only (`_read_only`) once,
+    when it is computed, and a hit goes straight through the C cache.
+    Every cache of the package is one of these."""
+    def decorate(fn):
+        return functools.lru_cache(maxsize)(functools.wraps(fn)(
+            lambda *args: _read_only(fn(*args))))
+    return decorate
+
+
+@_shared_cache(None)
 def _direction_numbers():
     """scipy's Joe-Kuo table, loaded once per process: the primitive
     polynomials as a column, their degrees and the initial direction
-    numbers, all read-only, since every stream shares them."""
+    numbers."""
     if not _DIRECTION_FILE.is_file():
         raise RuntimeError(f"no Sobol' direction numbers at {_DIRECTION_FILE}")
     with np.load(_DIRECTION_FILE) as table:
         poly = table["poly"][:, np.newaxis]
-        numbers = poly, np.frexp(poly)[1] - 1, table["vinit"]
-    for arr in numbers:
-        arr.setflags(write=False)
-    return numbers
+        return poly, np.frexp(poly)[1] - 1, table["vinit"]
 
 
 def _directions(dimension, nbits):
@@ -220,18 +239,16 @@ def digital_shift(points, seed):
     return _shifted(_to_ints(pts), shifts)
 
 
-@functools.lru_cache(maxsize=4)
+@_shared_cache(4)
 def _raw_ints(dimension, m):
-    """The 53-bit integers of `sobol_raw(dimension, m)`, read-only.
+    """The 53-bit integers of `sobol_raw(dimension, m)`.
 
     The raw sequence does not depend on the seed, so `sobol_stream`
     keeps the integers of its last few (dimension, m) pairs (1.5 MB at
     (3, 65536)) and a new seed only XORs, converts and clamps.  They
     come from the generator directly, each below 2**53 by construction.
     """
-    ints = _sobol_ints(dimension, m)
-    ints.setflags(write=False)
-    return ints
+    return _sobol_ints(dimension, m)
 
 
 def sobol_stream(dimension, m, seed):
@@ -246,5 +263,4 @@ def sobol_stream(dimension, m, seed):
     dimension, m = _check_count("dimension", dimension), _check_count("m", m)
     seed = _check_seed(seed)
     pts = _shifted(_raw_ints(dimension, m), _shifts_from_seed(seed, dimension))
-    pts.flags.writeable = False
-    return SobolStream(dimension=dimension, m=m, seed=seed, points=pts)
+    return SobolStream(dimension, m, seed, _read_only(pts))

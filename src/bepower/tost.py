@@ -14,7 +14,6 @@ points.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qrng import (CLAMP_HIGH, CLAMP_LOW, _check_count, _check_seed,
-                   sobol_stream)
+                   _read_only, _shared_cache, sobol_stream)
 from .special import inv_chisq, inv_norm, t_quantile
 
 __all__ = [
@@ -409,14 +408,12 @@ def _unit_cube_points(m, seed, sampler):
     return _cached_points(m, _check_seed(seed), str(sampler))
 
 
-@functools.lru_cache(maxsize=1)
+@_shared_cache(1)
 def _cached_points(m, seed, sampler):
     if sampler == "sobol":
         return _prepare_points(sobol_stream(3, m, seed).points)
     rng = np.random.Generator(np.random.PCG64(seed))
-    u = np.clip(rng.random((m, 3)), CLAMP_LOW, CLAMP_HIGH)
-    u.setflags(write=False)
-    return _prepare_points(u)
+    return _prepare_points(np.clip(rng.random((m, 3)), CLAMP_LOW, CLAMP_HIGH))
 
 
 def _prepare_points(u):
@@ -426,9 +423,7 @@ def _prepare_points(u):
     estimator's cache shares them; u is returned as given."""
     z3 = inv_norm(u[:, 2])
     knots = _knot_index(u[:, 0]), _knot_index(u[:, 1])
-    for arr in (z3, *knots):
-        arr.setflags(write=False)
-    return u, z3, knots
+    return (u, *_read_only((z3, knots)))
 
 
 # relative slack of the t band and of the chi-square brackets; far above
@@ -461,19 +456,16 @@ def _t_band(alpha, nu_lo, nu_hi):
     return _widen(*t_quantile(1.0 - alpha, np.stack([nu_hi, nu_lo])))
 
 
-@functools.lru_cache(maxsize=256)
+@_shared_cache(256)
 def _t_table(alpha, n1, n2):
     """t_quantile(1 - alpha, nu) at _J + 1 evenly spaced knots nu over
     the Welch range [min(n1, n2) - 1, n1 + n2 - 2] of scalar sizes n1,
     n2.  Both end knots are exact, so the ends are the quantiles of
     `_t_band`.  The estimator and the curve walk meet the same sizes
-    call after call, so the tables are cached, read-only since every
-    caller shares them.
+    call after call, so the tables are cached.
     """
     nu = np.linspace(min(n1, n2) - 1.0, n1 + n2 - 2.0, _J + 1)
-    t = t_quantile(1.0 - alpha, nu)
-    t.setflags(write=False)
-    return t
+    return t_quantile(1.0 - alpha, nu)
 
 
 def _cell_t_band(alpha, n1, n2, a, b):
@@ -510,7 +502,7 @@ def _cell_t_band(alpha, n1, n2, a, b):
     return _widen(t[top], t[np.floor((lo - nu_lo) * scale).astype(np.intp)])
 
 
-@functools.lru_cache(maxsize=1024)
+@_shared_cache(1024)
 def _knot_table(df):
     """The chi-square quantiles at the knots of df, shape (_K + 1,): 0 at
     knot 0, then inv_chisq(_KNOTS, df).  The quantile rises with p, so
@@ -524,11 +516,9 @@ def _knot_table(df):
     tables at its block ends (`diagnostics._cached_grid`).  Tables recur
     across calls and grids, so up to 1024 are cached (8 KB each; a
     q = 1.5 scan at n_max = 1e5 meets 982 end dfs, the longest preset
-    grid 520), read-only since every caller shares them.
+    grid 520).
     """
-    x = np.append(0.0, inv_chisq(_KNOTS, df))
-    x.setflags(write=False)
-    return x
+    return np.append(0.0, inv_chisq(_KNOTS, df))
 
 
 def _knot_bounds(i, x, lo, hi):
@@ -559,7 +549,7 @@ def _chisq_brackets(df):
     return _widen(x[:-1], x[1:])
 
 
-@functools.lru_cache(maxsize=128)
+@_shared_cache(128)
 def _variance_brackets(sigma, n):
     """Bounds (a_lo, a_hi), each of shape (_K,), on a group's term
     a = s ** 2 / n of se ** 2, for a group of n at sd sigma, at every
@@ -571,14 +561,10 @@ def _variance_brackets(sigma, n):
     elementwise IEEE operations give the same result before or after a
     gather.  So the estimator and the curve walk transform 1024 knots
     per table, not one bound per point.  They meet the same sizes call
-    after call, so up to 128 pairs (16 KB each, 2 MB in all) are cached,
-    read-only since every caller shares them.
+    after call, so up to 128 pairs (16 KB each, 2 MB in all) are cached.
     """
-    tables = tuple(sigma ** 2 * x / (n - 1.0) / n
-                   for x in _chisq_brackets(n - 1.0))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    return tuple(sigma ** 2 * x / (n - 1.0) / n
+                 for x in _chisq_brackets(n - 1.0))
 
 
 def _knot_index(u):

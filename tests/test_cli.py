@@ -251,6 +251,20 @@ class TestConfigFile:
         assert err.startswith("error: ")
         assert f"invalid choice 'bogus' for '{key}'" in err
 
+    def test_flag_reads_true_or_false_in_any_case(self, capsys, tmp_path):
+        # a flag without a value (--compare-chow) takes true or false
+        argv = ["crossover", *CROSSOVER, "--m", "256", "--seed", "5"]
+        cfg = tmp_path / "chow.cfg"
+        cfg.write_text("compare-chow = maybe\n")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {cfg}:1: cannot parse 'maybe' for "
+                       "'compare_chow' as bool\n")
+        cfg.write_text("compare-chow = TRUE\n")
+        code, out, _ = run(capsys, *argv, "--config", str(cfg))
+        assert code == 0
+        assert "conservative closed form: 24 per sequence" in out
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "power", "--config",
                            str(tmp_path / "absent.cfg"), *DESIGN,

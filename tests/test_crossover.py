@@ -217,6 +217,14 @@ class TestChowSampleSize:
         with pytest.raises(ValueError, match="alpha and beta"):
             chow_sample_size(0.05, 0.4, 0.223, 0.0, 0.2)
 
+    @pytest.mark.parametrize("alpha", [0.5000001, 0.9, 1.0])
+    def test_alpha_above_one_half_rejected(self, alpha):
+        # above 0.5 the upper-alpha t quantile is negative and shrank the
+        # bound: alpha = 0.9 gave n = 2 where alpha = 0.5 needs 6
+        with pytest.raises(ValueError, match=r"alpha and beta .*\(0, 0.5\]"):
+            chow_sample_size(0.05, 0.4, 0.223, alpha, 0.2)
+        assert chow_sample_size(0.05, 0.4, 0.223, 0.5, 0.2) == 6
+
     @pytest.mark.parametrize("alpha,beta,msg", [
         (1e-300, 0.2, r"alpha must exceed 2 \*\* -54"),
         (2.0 ** -54, 0.2, r"alpha must exceed 2 \*\* -54"),

@@ -380,6 +380,14 @@ class TestPowerCurve:
         assert pc.n_star_final == pc.crossings[0]
         assert pc.rec_n1 == math.ceil(pc.n_star_final - 1e-9)
 
+    def test_per_point_arrays_are_read_only(self, motivating):
+        pc = power_curve(motivating, 0.8, 64, seed=3)
+        for arr in (pc.crossings, pc.g_evals, pc.reinitialized):
+            assert len(arr) == 64
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+
     def test_recommendation_brackets_target(self, motivating):
         pc = power_curve(motivating, 0.8, 1024, seed=7)
         assert pc.ecdf(pc.n_star_final) >= 0.8

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -71,3 +72,33 @@ def test_every_cache_hands_out_read_only_arrays():
         assert arrays, name
         writable = [i for i, arr in enumerate(arrays) if arr.flags.writeable]
         assert not writable, (name, writable)
+
+
+CACHES = ("lru_cache", "cache")
+
+
+def functools_caches(tree):
+    """Every node of tree that names functools.lru_cache or
+    functools.cache, an import from functools included."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in CACHES
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"):
+            yield node
+        elif (isinstance(node, ast.ImportFrom) and node.module == "functools"
+              and any(alias.name in CACHES for alias in node.names)):
+            yield node
+
+
+def test_caches_come_from_one_idiom():
+    # every cache is a `qrng._shared_cache`, the one functools cache,
+    # which hands out read-only arrays
+    uses = []
+    for path in sorted(Path(bepower.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        home = {node for fn in tree.body if path.name == "qrng.py"
+                and isinstance(fn, ast.FunctionDef)
+                and fn.name == "_shared_cache" for node in ast.walk(fn)}
+        uses += [f"{path.name}:{node.lineno}"
+                 for node in functools_caches(tree) if node not in home]
+    assert not uses

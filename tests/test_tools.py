@@ -1,8 +1,11 @@
-"""tools/code_lines.py counts the code lines that aim 2 is measured in."""
+"""tools/code_lines.py counts the code lines that aim 2 is measured in,
+and tools/untested_lines.py lists the statements no test runs."""
 
 import ast
 import importlib.util
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location(
@@ -66,3 +69,29 @@ def test_main_prints_modules_and_total(tmp_path, capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows == [["a.py", str(COUNTED)], ["b.py", "1"],
                     ["total", str(COUNTED + 1)]]
+
+
+UNTESTED_FIXTURE = '''\
+def sign(x):
+    """Docstring, not a statement."""
+    if x < 0:
+        return -1
+    return 1
+'''
+
+
+def test_untested_lines_lists_the_branch_no_test_takes(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "__init__.py").write_text("")
+    (tmp_path / "pkg" / "mod.py").write_text(UNTESTED_FIXTURE)
+    (tmp_path / "test_mod.py").write_text(
+        "from pkg.mod import sign\n\n\n"
+        "def test_sign():\n    assert sign(2) == 1\n")
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "untested_lines.py"),
+         str(tmp_path / "pkg"), str(tmp_path / "test_mod.py"), "-q",
+         "-p", "no:cacheprovider"],
+        cwd=tmp_path, capture_output=True, text=True, check=True).stdout
+    listed = [line for line in out.splitlines() if line.startswith("mod.py")]
+    assert listed == ["mod.py:4: return -1"]
+    assert out.endswith("total 1\n")
